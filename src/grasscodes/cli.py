@@ -3,9 +3,9 @@
 Commands: params, wdist, verify, decompose, strings.  All integer values
 are serialized as strings in JSON output (counts overflow 53-bit floats
 at modest parameters).  Exit codes: 0 success / all assertions pass,
-1 usage or domain error (and failed verification), 2 budget exceeded.
-The PLUCKER_BUDGET environment variable overrides the default operation
-budget.
+1 usage or domain error (and failed verification), 2 a sweep over the
+operation budget or the fixed memory ceiling.  The PLUCKER_BUDGET
+environment variable overrides the default operation budget.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .codes import (BudgetExceeded, CodeSpec, DEFAULT_BUDGET, class_count,
+from .codes import (BudgetExceeded, CodeSpec, DEFAULT_BUDGET, check_budget,
                     verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
                     verify_zanella_incidence, weight_distribution,
@@ -44,7 +44,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-q", "--field", required=True,
-                   help='field order, "p" or "p^e"')
+                   help='field order, "q" or "p^e" (4 = 2^2)')
     p.add_argument("-l", "--ell", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--alpha", help='Schubert pivot tuple, e.g. "1,4"')
@@ -61,7 +61,8 @@ def _build_parser() -> _Parser:
     _add_common(p)
     p.add_argument("-o", "--output", help="output path (default stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("-j", "--workers", type=int, default=1)
+    p.add_argument("-j", "--workers", type=int, default=1,
+                   help="accepted and ignored: sweeps run in one process")
     p.add_argument("--budget", type=int, default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
@@ -70,7 +71,8 @@ def _build_parser() -> _Parser:
     p.add_argument("-f", "--functional",
                    help="restrict zanella/strings to one functional")
     p.add_argument("-o", "--output", help="report path (default stdout)")
-    p.add_argument("-j", "--workers", type=int, default=1)
+    p.add_argument("-j", "--workers", type=int, default=1,
+                   help="accepted and ignored: sweeps run in one process")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--samples", type=int, default=200,
                    help="sample cap for the attained-family suite")
@@ -146,7 +148,7 @@ def cmd_params(args) -> int:
 
 def cmd_wdist(args) -> int:
     spec = _spec(args)
-    dist = weight_distribution(spec, workers=args.workers, budget=_budget(args))
+    dist = weight_distribution(spec, budget=_budget(args))
     if args.format == "csv":
         _emit(dist.to_csv(), args.output)
     else:
@@ -190,15 +192,12 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite in ("nogin", "second", "l2", "all"):
         # only these suites sweep every codeword class
-        n_reps = class_count(spec.field.q, spec.k)
-        if n_reps * spec.n > budget:
-            raise BudgetExceeded(n_reps * spec.n, budget)
+        check_budget(spec, budget)
     reports: list[dict] = []
     if suite in ("nogin", "all"):
         reports.append(verify_nogin(spec))
     if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
-        reports.append(verify_second_weight(spec, workers=args.workers,
-                                            budget=budget))
+        reports.append(verify_second_weight(spec, budget=budget))
     if suite in ("strings", "all"):
         reports.extend(_suite_strings(spec, args.functional))
     if suite in ("zanella", "all"):

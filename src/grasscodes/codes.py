@@ -6,20 +6,17 @@ normalized) Pluecker coordinate vectors of all Grassmannian or Schubert
 points; the weight of the codeword attached to a hyperplane functional is
 the number of points where the functional does not vanish.
 
-Engines:
-  * q = 2 full sweep: a Walsh-Hadamard transform of the point-multiset
-    indicator on {0,1}^k.  weight(c) = (n - WHT[c]) / 2 for every
-    functional c at once, which turns the C(3,6) sweep (2^20 codewords x
-    1395 points) into twenty passes over a 2^20 array.
-  * general q full sweep: one scalar-class representative per hyperplane
-    (first nonzero coefficient = 1), table-driven numpy gathers per
-    representative, counts multiplied by q - 1.
+Engine: ``weight_array`` gives the weight of all q^k codewords at once by
+an exact integer character transform over F_q^k = F_p^(ek) (MacWilliams
+& Sloane ch. 5): a Walsh-Hadamard butterfly for p = 2, a residue-count
+butterfly for odd p.  ``weight_distribution`` is its histogram and
+``class_weights`` a view of it.  Sweeps over the operation budget or the
+fixed memory ceiling ``MAX_SWEEP_BYTES`` are refused before any work.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -27,15 +24,16 @@ import numpy as np
 from .exterior import DualFunctional, check_functional
 from .gf import GF
 from .linalg import rank as matrix_rank
-from .qcombin import (bruhat_leq, check_index_tuple, delta, delta_set,
-                      gaussian_binomial, index_tuples, nabla_set)
+from .qcombin import (InvariantError, bruhat_leq, check_index_tuple, delta,
+                      delta_set, gaussian_binomial, index_tuples, nabla_set)
 from .grassmann import (enumerate_grassmannian, enumerate_schubert_variety,
                         plucker, string_fiber)
 
 __all__ = [
     "CodeSpec", "GeneratorMatrix", "WeightDistribution", "BudgetExceeded",
-    "DEFAULT_BUDGET", "build_generator", "point_table", "codeword_weight",
-    "class_representatives", "class_weights", "weight_distribution",
+    "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES", "build_generator",
+    "point_table", "codeword_weight", "class_representatives",
+    "class_weights", "check_budget", "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
@@ -44,12 +42,15 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**10
 
+# Fixed ceiling on the bytes one sweep allocates (see _sweep_bytes).
+MAX_SWEEP_BYTES = 2 * 2**30
+
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a sweep would exceed the configured operation budget."""
+    """Raised when a sweep would exceed the operation budget or memory."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"sweep requires ~{required} operations, budget is {budget}")
+    def __init__(self, required: int, budget: int, unit: str = "operations"):
+        super().__init__(f"sweep requires ~{required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -106,11 +107,8 @@ class CodeSpec:
 
 
 def point_table(spec: CodeSpec) -> list[tuple[int, ...]]:
-    """Normalized coordinate vectors of every point, in enumeration order.
-
-    Memoize at call sites when sweeping; building the C(3,6) table takes a
-    couple of seconds, the sweep dominates.
-    """
+    """Normalized coordinate vectors of every point, in enumeration order;
+    building it costs more than a sweep over it, so memoize at call sites."""
     support = spec.support
     if spec.alpha is None:
         keep = None
@@ -157,7 +155,7 @@ class GeneratorMatrix:
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
     cols = tuple(point_table(spec))
     if len(cols) != spec.n:
-        raise AssertionError("point count disagrees with closed-form length")
+        raise InvariantError("point count disagrees with closed-form length")
     return GeneratorMatrix(spec, cols)
 
 
@@ -211,53 +209,108 @@ def class_representatives(q: int, k: int):
             yield tuple(vec)
 
 
-def _rep_by_index(q: int, k: int, idx: int) -> tuple[int, ...]:
-    lead = 0
-    while idx >= q ** (k - lead - 1):
-        idx -= q ** (k - lead - 1)
-        lead += 1
-    vec = [0] * k
-    vec[lead] = 1
-    for j in range(k - 1, lead, -1):
-        vec[j] = idx % q
-        idx //= q
-    return tuple(vec)
-
-
-def _np_tables(field: GF) -> tuple[np.ndarray, np.ndarray]:
-    add = np.array(field._add, dtype=np.int16)
-    mul = np.array(field._mul, dtype=np.int16)
-    return add, mul
-
-
 def class_weights(spec: CodeSpec, table: list[tuple[int, ...]] | None = None):
-    """Yield (representative vector, weight) over all scalar classes."""
+    """Yield (representative vector, weight) over all scalar classes, in
+    ``class_representatives`` order, read off ``weight_array``."""
+    weights = weight_array(spec, table)
+    q, k = spec.field.q, spec.k
+    # the classes led by a 1 in position k-1-j hold indices [q^j, 2 q^j)
+    indices = (i for j in reversed(range(k)) for i in range(q**j, 2 * q**j))
+    for vec, i in zip(class_representatives(q, k), indices):
+        yield vec, weights.item(i)
+
+
+def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
+    """Refuse a full sweep before any work: over ``budget`` operations,
+    counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
+    field, size = spec.field, spec.field.q**spec.k
+    required = class_count(field.q, spec.k) * spec.n
+    if budget is not None and required > budget:
+        raise BudgetExceeded(required, budget)
+    # weight_array's peak: the int64 weights and one int64 temporary, and
+    # for odd p two int32 buffers of p q^k counts
+    nbytes = 16 * size + (0 if field.p == 2 else 8 * field.p * size)
+    if nbytes > MAX_SWEEP_BYTES:
+        raise BudgetExceeded(nbytes, MAX_SWEEP_BYTES, "bytes")
+
+
+def _trace_dual(field: GF) -> np.ndarray:
+    """ell(a) = sum_s Tr(a x^s) p^s (x^s has index p^s), so that the F_p
+    inner product of the base-p digits of c with ell(a) is Tr(c a)."""
+    p, e = field.p, field.e
+    tr = [sum((field.element(b) ** p**j for j in range(e)), field.zero).idx
+          for b in range(field.q)]
+    return np.array([sum(tr[field.mul(a, p**s)] * p**s for s in range(e))
+                     for a in range(field.q)])
+
+
+def _walsh_hadamard(f: np.ndarray) -> None:
+    """In place: f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, len(f) = 2^r."""
+    h = 1
+    while h < f.size:
+        a, b = f.reshape(-1, 2, h).swapaxes(0, 1)  # views
+        a += b
+        b *= -2
+        b += a  # (a + b) - 2b = a - b
+        h *= 2
+
+
+def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
+    """N[r, c] = #{y : <c, y> = r mod p} over F_p^s, y counted buf[0, y]
+    times; buf has shape (p, p^s), zero below row 0.  One step per digit:
+    N'[r, .., c_d, ..] = sum_y N[r - c_d y, .., y, ..]."""
+    src, dst = buf, np.empty_like(buf)
+    lo = 1
+    while lo < src.shape[1]:
+        a, b = src.reshape(p, -1, p, lo), dst.reshape(p, -1, p, lo)
+        for c in range(p):
+            out = b[:, :, c]
+            out[...] = a[:, :, 0]
+            for y in range(1, p):
+                s = c * y % p
+                out[s:] += a[:p - s, :, y]
+                if s:
+                    out[:s] += a[p - s:, :, y]
+        src, dst = dst, src
+        lo *= p
+    return src
+
+
+def weight_array(spec: CodeSpec,
+                 table: list[tuple[int, ...]] | None = None) -> np.ndarray:
+    """Weights of all q^k codewords, int64, c at index sum_i c_i q^(k-i).
+
+    Raises ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
+    """
+    field = spec.field
+    q, p, k = field.q, field.p, spec.k
+    check_budget(spec, None)
     if table is None:
         table = point_table(spec)
-    q, k, n = spec.field.q, spec.k, len(table)
-    if q == 2:
-        masks = [_pack_mask(coords) for coords in table]
-        for vec in class_representatives(2, k):
-            c = _pack_mask(vec)
-            w = sum((c & mask).bit_count() & 1 for mask in masks)
-            yield vec, w
+    n = len(table)
+    # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0
+    labels = _trace_dual(field)[np.array(field._mul)[1:]]
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    idx = labels[:, np.array(table).reshape(n, k)] @ places
+    acc = np.bincount(idx.ravel(), minlength=q**k)
+    # acc becomes p N0(c), N0(c) = #{(x, t) : Tr(t c.x) = 0}
+    # = (q-1) Z + (n-Z)(q/p-1), where Z = #{x : c.x = 0}
+    if p == 2:
+        _walsh_hadamard(acc)  # N0 - N1, with N0 + N1 = (q-1) n
+        acc += (q - 1) * n
     else:
-        tab = np.array(table, dtype=np.int16)
-        add, mul = _np_tables(spec.field)
-        for vec in class_representatives(q, k):
-            acc = np.zeros(n, dtype=np.int16)
-            for i, ci in enumerate(vec):
-                if ci:
-                    acc = add[acc, mul[ci][tab[:, i]]]
-            yield vec, int(np.count_nonzero(acc))
-
-
-def _pack_mask(coords) -> int:
-    mask = 0
-    for i, c in enumerate(coords):
-        if c:
-            mask |= 1 << i
-    return mask
+        # int32 is exact: counts are at most (q-1) n < q^k, and the byte
+        # ceiling keeps q^k below 2^31
+        buf = np.zeros((p, q**k), dtype=np.int32)
+        buf[0], acc = acc, None
+        acc = np.multiply(_residue_butterfly(buf, p)[0], p, dtype=np.int64)
+        del buf
+    acc -= n * (q - p)  # = Z q (p-1)
+    den = q * (p - 1)
+    if (acc % den).any():
+        raise InvariantError(f"{spec.describe()}: counts not divisible by {den}")
+    acc //= den
+    return np.subtract(n, acc, out=acc)
 
 
 # -- full weight distribution ------------------------------------------------
@@ -283,14 +336,27 @@ class WeightDistribution:
         return nonzero[1]
 
     def check_invariants(self) -> None:
+        """Raise ``InvariantError`` unless the counts are consistent; a
+        complete distribution must meet the Pless power moments 0-2 of a
+        projective code (MacWilliams & Sloane ch. 5), cross-multiplied."""
         q, k, n = self.spec.field.q, self.spec.k, self.spec.n
-        assert self.counts.get(0) == 1, "zero word must appear exactly once"
-        if self.complete:
-            assert self.total() == q**k, "counts must sum to q^k"
+
+        def require(ok: bool, what: str) -> None:
+            if not ok:
+                raise InvariantError(f"{self.spec.describe()}: {what}")
+
+        require(self.counts.get(0) == 1, "zero word must appear exactly once")
         for w, c in self.counts.items():
             if w:
-                assert 0 < w <= n, f"weight {w} outside (0, n]"
-                assert c % (q - 1) == 0, "nonzero counts divide by q-1"
+                require(0 < w <= n, f"weight {w} outside (0, n]")
+                require(c % (q - 1) == 0, "nonzero counts divide by q-1")
+        if self.complete:
+            m0, m1, m2 = (sum(w**j * c for w, c in self.counts.items())
+                          for j in range(3))
+            require(m0 == q**k, "counts must sum to q^k")
+            require(m1 == (q - 1) * q ** (k - 1) * n, "first Pless moment")
+            require(q * q * m2 == (q - 1) * q**k * n * ((q - 1) * n + 1),
+                    "second Pless moment")
 
     def to_json_dict(self) -> dict:
         spec = {"q": self.spec.field.q, "ell": self.spec.ell, "m": self.spec.m,
@@ -307,73 +373,12 @@ class WeightDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _wht_counts(table: list[tuple[int, ...]], k: int) -> dict[int, int]:
-    n = len(table)
-    size = 1 << k
-    f = np.zeros(size, dtype=np.int64)
-    masks = np.fromiter((_pack_mask(c) for c in table), dtype=np.int64, count=n)
-    np.add.at(f, masks, 1)
-    h = 1
-    while h < size:
-        f = f.reshape(size // (2 * h), 2, h)
-        x = f[:, 0, :].copy()
-        y = f[:, 1, :].copy()
-        f[:, 0, :] = x + y
-        f[:, 1, :] = x - y
-        f = f.reshape(size)
-        h *= 2
-    weights = (n - f) // 2
-    vals, cnts = np.unique(weights, return_counts=True)
-    return {int(w): int(c) for w, c in zip(vals, cnts)}
-
-
-def _sweep_chunk(args) -> dict[int, int]:
-    p, e, ell, m, alpha, start, stop = args
-    spec = CodeSpec(GF(p, e), ell, m, alpha)
-    table = point_table(spec)
-    q, k, n = spec.field.q, spec.k, len(table)
-    counts: dict[int, int] = {}
-    tab = np.array(table, dtype=np.int16)
-    add, mul = _np_tables(spec.field)
-    for idx in range(start, stop):
-        vec = _rep_by_index(q, k, idx)
-        acc = np.zeros(n, dtype=np.int16)
-        for i, ci in enumerate(vec):
-            if ci:
-                acc = add[acc, mul[ci][tab[:, i]]]
-        w = int(np.count_nonzero(acc))
-        counts[w] = counts.get(w, 0) + 1
-    return counts
-
-
-def weight_distribution(spec: CodeSpec, workers: int = 1,
+def weight_distribution(spec: CodeSpec,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact counts for all q^k codewords of the code."""
-    q, k, n = spec.field.q, spec.k, spec.n
-    required = class_count(q, k) * n
-    if budget is not None and required > budget:
-        raise BudgetExceeded(required, budget)
-    table = point_table(spec)
-    if q == 2:
-        counts = _wht_counts(table, k)
-    else:
-        reps = class_count(q, k)
-        if workers <= 1:
-            chunks = [(spec.field.p, spec.field.e, spec.ell, spec.m, spec.alpha,
-                       0, reps)]
-            partials = [_sweep_chunk(chunks[0])]
-        else:
-            bounds = [reps * i // workers for i in range(workers + 1)]
-            chunks = [(spec.field.p, spec.field.e, spec.ell, spec.m, spec.alpha,
-                       bounds[i], bounds[i + 1]) for i in range(workers)]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                partials = list(pool.map(_sweep_chunk, chunks))
-        counts = {}
-        for part in partials:
-            for w, c in part.items():
-                counts[w] = counts.get(w, 0) + c
-        counts = {w: c * (q - 1) for w, c in counts.items()}
-        counts[0] = 1
+    check_budget(spec, budget)
+    hist = np.bincount(weight_array(spec)).tolist()
+    counts = {w: c for w, c in enumerate(hist) if c}
     dist = WeightDistribution(spec, counts, complete=True)
     dist.check_invariants()
     return dist
@@ -441,12 +446,12 @@ def verify_nogin(spec: CodeSpec) -> dict:
     return _suite_report("nogin", checks, code=spec.describe(), d=d)
 
 
-def verify_second_weight(spec: CodeSpec, workers: int = 1,
+def verify_second_weight(spec: CodeSpec,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """No weight strictly inside (d, d + q^(ell(m-ell)-2)]; bound attained."""
     d = min_distance(spec)
     d2 = second_min_weight(spec)
-    dist = weight_distribution(spec, workers=workers, budget=budget)
+    dist = weight_distribution(spec, budget=budget)
     gap = [w for w in dist.counts if d < w < d2]
     checks = [
         {"identity": "min-weight", "lhs": dist.min_weight(), "rhs": d,
@@ -558,12 +563,6 @@ def verify_string_section(func: DualFunctional) -> dict:
                                        for k, v in sorted(fiber_counts.items())})
 
 
-def _hyperplane_subspaces(field: GF, m: int):
-    """All (m-1)-subspaces of V_m as kernels of covectors up to scalar."""
-    for u in class_representatives(field.q, m):
-        yield u
-
-
 def _point_in_kernel(mat, u, field: GF) -> bool:
     for row in mat.rows:
         acc = 0
@@ -585,7 +584,8 @@ def verify_zanella_incidence(func: DualFunctional) -> dict:
     on_pi = [not func.evaluate(c) for c in coords]
     total = sum(on_pi)
     sub_counts = []
-    for u in _hyperplane_subspaces(field, m):
+    # every (m-1)-subspace of V_m, as the kernel of a covector up to scalar
+    for u in class_representatives(q, m):
         cnt = sum(1 for p, hit in zip(pts, on_pi)
                   if hit and _point_in_kernel(p, u, field))
         sub_counts.append(cnt)

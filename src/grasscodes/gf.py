@@ -15,7 +15,6 @@ element encodings reproducible across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 __all__ = ["GF", "FieldElement", "DEFAULT_MAX_ORDER"]
 
@@ -152,11 +151,16 @@ class GF:
 
     @staticmethod
     def from_string(s: str, max_order: int = DEFAULT_MAX_ORDER) -> "GF":
-        """Parse the CLI field syntax "p" or "p^e", e.g. "2", "3", "2^2"."""
+        """Parse the CLI field syntax "q" or "p^e", e.g. "3", "4", "2^2"."""
         parts = s.split("^")
         try:
             if len(parts) == 1:
-                return GF(int(parts[0]), 1, max_order=max_order)
+                q = int(parts[0])
+                pe = [(p, e) for p in range(2, max_order + 1) if _is_prime(p)
+                      for e in range(1, max_order.bit_length()) if p**e == q]
+                if not pe:
+                    raise ValueError(f"{q} is not a prime power <= {max_order}")
+                return GF(*pe[0], max_order=max_order)
             if len(parts) == 2:
                 return GF(int(parts[0]), int(parts[1]), max_order=max_order)
         except ValueError as exc:
@@ -330,13 +334,3 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.field!r}:{self}"
-
-
-@lru_cache(maxsize=None)
-def _cached_field(p: int, e: int) -> GF:
-    return GF(p, e)
-
-
-def field_cache(p: int, e: int = 1) -> GF:
-    """Shared GF instances for the default moduli (tables built once)."""
-    return _cached_field(p, e)

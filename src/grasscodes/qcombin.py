@@ -10,15 +10,18 @@ lexicographic.
 from __future__ import annotations
 
 import itertools
-from math import comb
 
 __all__ = [
     "index_tuples", "check_index_tuple", "delta", "bruhat_leq",
     "nabla_set", "delta_set", "complement",
     "gaussian_binomial", "e_bound", "e_prime_bound",
     "verify_gaussian_identities", "verify_e_inequalities",
-    "parse_index_tuple", "format_index_tuple",
+    "parse_index_tuple", "format_index_tuple", "InvariantError",
 ]
+
+
+class InvariantError(AssertionError):
+    """An exact identity failed; raised explicitly, so ``python -O`` keeps it."""
 
 
 def check_index_tuple(alpha: tuple[int, ...], m: int) -> tuple[int, ...]:
@@ -76,7 +79,8 @@ def gaussian_binomial(m: int, ell: int, q: int) -> int:
     for i in range(ell):
         num *= q**m - q**i
         den *= q**ell - q**i
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"[{m} {ell}]_{q}: {den} does not divide {num}")
     return num // den
 
 
@@ -164,7 +168,3 @@ def parse_index_tuple(s: str, m: int) -> tuple[int, ...]:
 
 def format_index_tuple(alpha: tuple[int, ...]) -> str:
     return ",".join(str(a) for a in alpha)
-
-
-def count_index_tuples(ell: int, m: int) -> int:
-    return comb(m, ell)

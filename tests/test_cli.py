@@ -1,5 +1,7 @@
 import json
+import tracemalloc
 
+from grasscodes import codes
 from grasscodes.cli import main
 
 
@@ -125,6 +127,30 @@ def test_budget_exit_two(capsys):
     code, _, err = run(capsys, "wdist", "-q", "2", "-l", "3", "-m", "6",
                        "--budget", "1000")
     assert code == 2 and "budget" in err
+
+
+def test_prime_power_field_order(capsys):
+    _, out1, _ = run(capsys, "wdist", "-q", "4", "-l", "2", "-m", "4")
+    _, out2, _ = run(capsys, "wdist", "-q", "2^2", "-l", "2", "-m", "4")
+    assert json.loads(out1)["spec"]["q"] == 4
+    assert out1 == out2
+    for bad in ("6", "1", "six"):
+        code, _, err = run(capsys, "params", "-q", bad, "-l", "2", "-m", "4")
+        assert code == 1 and "error" in err
+
+
+def test_memory_ceiling_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(codes, "point_table", None)  # must not be reached
+    tracemalloc.start()
+    try:
+        for argv in (["wdist"], ["verify", "--suite", "nogin"]):
+            code, _, err = run(capsys, *argv, "-q", "4", "-l", "2", "-m", "6",
+                               "--budget", str(10**20))
+            assert code == 2 and "bytes" in err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -1,6 +1,15 @@
+import os
+import random
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
-from grasscodes.codes import (BudgetExceeded, CodeSpec, build_generator,
+import grasscodes
+from grasscodes import codes
+from grasscodes.codes import (BudgetExceeded, CodeSpec, InvariantError,
+                              WeightDistribution, build_generator,
                               class_count, class_representatives,
                               class_weights, codeword_weight, min_distance,
                               point_table, schubert_min_distance,
@@ -8,7 +17,7 @@ from grasscodes.codes import (BudgetExceeded, CodeSpec, build_generator,
                               verify_attained_family, verify_l2_dichotomy,
                               verify_nogin, verify_second_weight,
                               verify_string_section, verify_zanella_incidence,
-                              weight_distribution)
+                              weight_array, weight_distribution)
 from grasscodes.exterior import DualFunctional, parse_functional
 from grasscodes.gf import GF
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
@@ -104,7 +113,7 @@ def test_weight_distribution_c24_q4():
 
 
 def test_wht_agrees_with_direct_sweep(f2):
-    """The transform path and the per-class popcount path must agree."""
+    """The histogram and the per-class view of the weight array agree."""
     spec = CodeSpec(f2, 2, 5)
     dist = weight_distribution(spec)
     counts = {}
@@ -114,10 +123,71 @@ def test_wht_agrees_with_direct_sweep(f2):
     assert dist.counts == counts
 
 
-def test_parallel_sweep_deterministic(f3):
-    spec = CodeSpec(f3, 2, 4)
-    assert weight_distribution(spec, workers=2).counts == \
-        weight_distribution(spec, workers=1).counts
+def test_weight_distribution_c24_q7():
+    dist = weight_distribution(CodeSpec(GF(7), 2, 4))
+    assert dist.counts == {0: 1, 2401: 17100, 2450: 100548}
+
+
+# (p, e, modulus, ell, m, alpha).  F_4 has a single irreducible quadratic,
+# so only F_8, F_9 and F_16 get a non-default modulus.
+ENGINE_CODES = [
+    (3, 1, None, 2, 4, None), (3, 1, None, 2, 5, (2, 5)),
+    (2, 2, None, 2, 4, None), (2, 2, None, 2, 5, (2, 4)),
+    (5, 1, None, 2, 4, None), (5, 1, None, 2, 4, (1, 4)),
+    (7, 1, None, 2, 4, None), (7, 1, None, 2, 4, (2, 4)),
+    (2, 3, None, 2, 4, (2, 4)), (2, 3, (1, 0, 1, 1), 2, 3, None),
+    (3, 2, None, 2, 4, (2, 4)), (3, 2, (2, 2, 1), 2, 4, (2, 4)),
+    (11, 1, None, 2, 3, None), (11, 1, None, 2, 4, (2, 4)),
+    (2, 4, None, 2, 3, None), (2, 4, (1, 0, 0, 1, 1), 2, 4, (1, 4)),
+]
+
+
+@pytest.mark.parametrize("p,e,modulus,ell,m,alpha", ENGINE_CODES,
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_weight_array_matches_codeword_weight(p, e, modulus, ell, m, alpha):
+    field = GF(p, e, modulus=modulus)
+    spec = CodeSpec(field, ell, m, alpha)
+    q, k = field.q, spec.k
+    table = point_table(spec)
+    weights = weight_array(spec, table)
+    assert weights.shape == (q**k,) and weights.dtype == np.int64
+    assert np.flatnonzero(weights == 0).tolist() == [0]
+    # seeded samples from every weight class, so that a wrong labelling,
+    # which permutes the codewords, also meets the rare minimum weight
+    rng = random.Random(f"{p}^{e}:{modulus}:{ell}:{m}:{alpha}")
+    for w in np.unique(weights[1:]):
+        hits = np.flatnonzero(weights == w)
+        for idx in (int(hits[rng.randrange(len(hits))]) for _ in range(6)):
+            vec = [idx // q ** (k - 1 - i) % q for i in range(k)]
+            func = DualFunctional.from_vector(vec, ell, m, field, spec.support)
+            assert codeword_weight(func, spec, table) == w, vec
+
+
+@pytest.mark.parametrize("spec", [CodeSpec(GF(3), 2, 4),
+                                  CodeSpec(GF(2, 2), 2, 4, alpha=(2, 4))],
+                         ids=["C24-F3", "C24-alpha24-F4"])
+def test_class_weights_order(spec):
+    q, k = spec.field.q, spec.k
+    pairs = list(class_weights(spec))
+    assert [vec for vec, _ in pairs] == list(class_representatives(q, k))
+    weights = weight_array(spec)
+    for vec, w in pairs:
+        assert w == weights[sum(c * q ** (k - 1 - i) for i, c in enumerate(vec))]
+
+
+def test_memory_ceiling_refuses_before_allocating(monkeypatch):
+    spec = CodeSpec(GF(2, 2), 2, 6)  # 4^15 codewords: 8 GiB per int64 array
+
+    def no_table(spec):
+        raise AssertionError("point table built for a refused sweep")
+    monkeypatch.setattr(codes, "point_table", no_table)
+    with pytest.raises(BudgetExceeded, match="bytes"):
+        weight_array(spec)
+    with pytest.raises(BudgetExceeded, match="bytes"):
+        weight_distribution(spec, budget=10**20)
+    with pytest.raises(BudgetExceeded, match="bytes"):
+        next(class_weights(spec))
 
 
 def test_budget_enforced(f2):
@@ -273,3 +343,44 @@ def test_distribution_serialization(f2):
     d = dist.to_json_dict()
     assert d["counts"] == {"0": "1", "16": "35", "20": "28"}
     assert dist.to_csv().splitlines()[0] == "weight,count"
+
+
+# Corrupted distributions of C(2,4): a doubled zero word, a weight above n,
+# Pless moment 1 broken (moment 0 kept), only moment 2 broken, and over
+# F_3 class counts not divisible by q - 1.
+CORRUPTED = [(2, {0: 2, 16: 35, 20: 27}), (2, {0: 1, 16: 35, 20: 28, 36: 1}),
+             (2, {0: 1, 16: 36, 20: 27}),
+             (2, {0: 1, 15: 1, 16: 33, 17: 1, 20: 28}),
+             (3, {0: 1, 81: 259, 90: 469})]
+
+
+@pytest.mark.parametrize("q,counts", CORRUPTED)
+def test_corrupted_distribution_raises(q, counts):
+    with pytest.raises(InvariantError):
+        WeightDistribution(CodeSpec(GF(q), 2, 4), counts).check_invariants()
+
+
+def test_invariants_survive_optimize_flag():
+    script = (
+        "from grasscodes.codes import CodeSpec, InvariantError, "
+        "WeightDistribution\n"
+        "from grasscodes.gf import GF\n"
+        "dist = WeightDistribution(CodeSpec(GF(2), 2, 4), "
+        "{0: 1, 16: 36, 20: 27})\n"
+        "try:\n"
+        "    dist.check_invariants()\n"
+        "except InvariantError:\n"
+        "    print('raised', __debug__)\n")
+    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["raised", "False"]
+
+
+def test_transform_divisibility_checked(monkeypatch):
+    # a label map that is not the trace dual breaks the count identity
+    monkeypatch.setattr(codes, "_trace_dual",
+                        lambda field: np.array([0, 1, 2, 3, 4, 5, 6, 7, 7]))
+    with pytest.raises(InvariantError, match="divisible"):
+        weight_array(CodeSpec(GF(3, 2), 2, 4))

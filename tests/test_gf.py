@@ -140,5 +140,8 @@ def test_from_string():
     assert GF.from_string("2").q == 2
     assert GF.from_string("2^2").q == 4
     assert GF.from_string("3^2").q == 9
-    with pytest.raises(ValueError):
-        GF.from_string("six")
+    for order, p, e in [("4", 2, 2), ("8", 2, 3), ("9", 3, 2), ("16", 2, 4)]:
+        assert GF.from_string(order) == GF(p, e)
+    for bad in ("six", "6", "1", "0", "-4", "25"):
+        with pytest.raises(ValueError):
+            GF.from_string(bad)

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from grasscodes.qcombin import (bruhat_leq, check_index_tuple, complement,
-                                count_index_tuples, delta, delta_set, e_bound,
+                                delta, delta_set, e_bound,
                                 e_prime_bound, format_index_tuple,
                                 gaussian_binomial, index_tuples, nabla_set,
                                 parse_index_tuple, verify_e_inequalities,
@@ -17,7 +17,6 @@ def test_index_tuples_lex_order():
 def test_index_tuples_count():
     for ell, m in [(1, 5), (2, 6), (3, 6), (3, 8)]:
         assert len(index_tuples(ell, m)) == math.comb(m, ell)
-        assert count_index_tuples(ell, m) == math.comb(m, ell)
 
 
 def test_check_index_tuple_rejects():
