@@ -42,6 +42,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("-q", "--field", required=True,
                    help='field order, "q" or "p^e" (4 = 2^2)')
@@ -74,7 +80,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-j", "--workers", type=int, default=1,
                    help="accepted and ignored: sweeps run in one process")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200,
+    p.add_argument("--samples", type=_positive_int, default=200,
                    help="sample cap for the attained-family suite")
 
     p = sub.add_parser("decompose", help="decomposability of a hyperplane")
@@ -156,25 +162,14 @@ def cmd_wdist(args) -> int:
     return 0
 
 
-def _suite_strings(spec: CodeSpec, functional: str | None) -> list[dict]:
-    field, ell, m = spec.field, spec.ell, spec.m
-    last = [a for a in spec.support if a[-1] == m]
-    if functional:
-        funcs = [parse_functional(functional, ell, m, field)]
-    else:
-        funcs = [DualFunctional.from_vector(vec, ell, m, field, last)
-                 for vec in class_representatives(field.q, len(last))]
-    return [verify_string_section(f) for f in funcs]
-
-
-def _suite_zanella(spec: CodeSpec, functional: str | None) -> list[dict]:
+def _functionals(spec: CodeSpec, functional: str | None,
+                 support: list[tuple[int, ...]]) -> list[DualFunctional]:
+    """The ``-f`` functional, or one per scalar class supported on support."""
     field, ell, m = spec.field, spec.ell, spec.m
     if functional:
-        funcs = [parse_functional(functional, ell, m, field)]
-    else:
-        funcs = [DualFunctional.from_vector(vec, ell, m, field, spec.support)
-                 for vec in class_representatives(field.q, spec.k)]
-    return [verify_zanella_incidence(f) for f in funcs]
+        return [parse_functional(functional, ell, m, field)]
+    return [DualFunctional.from_vector(vec, ell, m, field, support)
+            for vec in class_representatives(field.q, len(support))]
 
 
 def _suite_identities(spec: CodeSpec) -> list[dict]:
@@ -199,9 +194,12 @@ def cmd_verify(args) -> int:
     if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
         reports.append(verify_second_weight(spec, budget=budget))
     if suite in ("strings", "all"):
-        reports.extend(_suite_strings(spec, args.functional))
+        last = [a for a in spec.support if a[-1] == spec.m]
+        reports += [verify_string_section(f)
+                    for f in _functionals(spec, args.functional, last)]
     if suite in ("zanella", "all"):
-        reports.extend(_suite_zanella(spec, args.functional))
+        reports += [verify_zanella_incidence(f)
+                    for f in _functionals(spec, args.functional, spec.support)]
     if suite in ("identities", "all"):
         reports.extend(_suite_identities(spec))
     if suite in ("l2", "all") and (spec.ell, spec.m) == (2, 4):
@@ -264,7 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, ZeroDivisionError) as exc:
+    except (UsageError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

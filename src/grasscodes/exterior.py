@@ -9,9 +9,6 @@ where a^C is the complementary tuple and eps(a) is the sign of the
 shuffle permutation (a^C, a) of (1, ..., m).  With that sign the pairing
 of z against the row wedge of any point equals the direct evaluation
 sum(c_a p_a), which is the convention every verification suite relies on.
-The unsigned identification differs only over fields of odd
-characteristic; ``functional_to_wedge`` accepts ``signed=False`` for
-side-by-side comparison.
 """
 
 from __future__ import annotations
@@ -135,17 +132,17 @@ class WedgeElement:
         return " + ".join(terms)
 
 
-def functional_to_wedge(func: DualFunctional, signed: bool = True) -> WedgeElement:
+def functional_to_wedge(func: DualFunctional) -> WedgeElement:
     """Convert a hyperplane functional to its wedge element.
 
-    With ``signed=True`` (the package-wide convention) each coefficient
-    picks up the shuffle sign eps(a), making ``wedge_pairing`` against a
-    point's row wedge agree with ``DualFunctional.evaluate``.
+    Each coefficient picks up the shuffle sign eps(a), making
+    ``wedge_pairing`` against a point's row wedge agree with
+    ``DualFunctional.evaluate``.
     """
     field, m = func.field, func.m
     coeffs: dict[tuple[int, ...], int] = {}
     for alpha, c in func.coeffs.items():
-        if signed and shuffle_sign(alpha, m) < 0:
+        if shuffle_sign(alpha, m) < 0:
             c = field.neg(c)
         coeffs[complement(alpha, m)] = c
     return WedgeElement(field, m, m - func.ell, coeffs)
@@ -181,18 +178,8 @@ def wedge_of_vectors(field: GF, m: int, vectors: Sequence[Sequence[int]]) -> Wed
     """Iterated exterior product of row vectors; degree len(vectors)."""
     z = WedgeElement(field, m, 0, {(): 1})
     for v in vectors:
-        z = _wedge_step(z, v)
+        z = wedge_with_vector(z, v)
     return z
-
-
-def _wedge_step(z: WedgeElement, x: Sequence[int]) -> WedgeElement:
-    if z.degree == 0:
-        c = z.coeffs.get((), 0)
-        field = z.field
-        coeffs = {(j,): field.mul(c, xj)
-                  for j, xj in enumerate(x, start=1) if xj}
-        return WedgeElement(field, z.m, 1, coeffs)
-    return wedge_with_vector(z, x)
 
 
 def wedge_pairing(z: WedgeElement, w: WedgeElement) -> int:

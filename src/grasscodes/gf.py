@@ -61,24 +61,6 @@ def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def _poly_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    deg_b = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p) if p > 2 else b[-1]
-    quot = [0] * max(1, len(a) - deg_b)
-    while len(a) - 1 >= deg_b and any(a):
-        shift = len(a) - 1 - deg_b
-        factor = (a[-1] * inv_lead) % p
-        quot[shift] = factor
-        for j in range(deg_b + 1):
-            a[shift + j] = (a[shift + j] - factor * b[j]) % p
-        while a and a[-1] == 0:
-            a.pop()
-    return quot, a
-
-
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= e/2."""
     e = len(mod) - 1
@@ -88,58 +70,38 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
         return False
     for deg in range(1, e // 2 + 1):
         for code in range(p**deg):
-            div = []
-            c = code
-            for _ in range(deg):
-                div.append(c % p)
-                c //= p
-            div.append(1)  # monic
-            _, rem = _poly_divmod(list(mod), div, p)
-            if not any(rem):
+            div = tuple(code // p**i % p for i in range(deg)) + (1,)  # monic
+            if not any(_poly_mod(mod, div, p)):
                 return False
     return True
 
 
-def _find_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree e over F_p, by coefficient code."""
-    for code in range(p**e):
-        coeffs = []
-        c = code
-        for _ in range(e):
-            coeffs.append(c % p)
-            c //= p
-        mod = tuple(coeffs) + (1,)
-        if _is_irreducible(mod, p):
-            return mod
-    raise RuntimeError(f"no irreducible polynomial of degree {e} over F_{p}")
-
-
 class GF:
-    """The finite field F_q with q = p^e elements, q small.
+    """The finite field F_q with q = p^e elements.
 
-    Supports q up to ``max_order`` (default 16).  Two GF instances compare
-    equal iff they have the same characteristic, degree and modulus.
+    Orders above ``DEFAULT_MAX_ORDER`` = 16 are refused.  An extension uses
+    the fixed modulus of ``_MODULI`` unless an irreducible one is given.
+    Two GF instances compare equal iff they have the same characteristic,
+    degree and modulus.
     """
 
-    def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None,
-                 max_order: int = DEFAULT_MAX_ORDER):
+    def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if e < 1:
             raise ValueError("extension degree must be >= 1")
         q = p**e
-        if q > max_order:
-            raise ValueError(f"field order {q} exceeds maximum {max_order}")
+        if q > DEFAULT_MAX_ORDER:
+            raise ValueError(
+                f"field order {q} exceeds maximum {DEFAULT_MAX_ORDER}")
         self.p = p
         self.e = e
         self.q = q
         if e == 1:
-            # identity convention: arithmetic is plain mod p
+            # plain arithmetic mod p: polynomials of degree 0 reduced mod x
             self.modulus = (0, 1)
         else:
-            mod = tuple(modulus) if modulus is not None else _MODULI.get((p, e))
-            if mod is None:
-                mod = _find_modulus(p, e)
+            mod = tuple(modulus) if modulus is not None else _MODULI[(p, e)]
             if len(mod) != e + 1 or mod[-1] != 1:
                 raise ValueError("modulus must be monic of degree e")
             if not _is_irreducible(mod, p):
@@ -150,56 +112,37 @@ class GF:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
-    def from_string(s: str, max_order: int = DEFAULT_MAX_ORDER) -> "GF":
+    def from_string(s: str) -> "GF":
         """Parse the CLI field syntax "q" or "p^e", e.g. "3", "4", "2^2"."""
         parts = s.split("^")
+        top = DEFAULT_MAX_ORDER
         try:
             if len(parts) == 1:
                 q = int(parts[0])
-                pe = [(p, e) for p in range(2, max_order + 1) if _is_prime(p)
-                      for e in range(1, max_order.bit_length()) if p**e == q]
+                pe = [(p, e) for p in range(2, top + 1) if _is_prime(p)
+                      for e in range(1, top.bit_length()) if p**e == q]
                 if not pe:
-                    raise ValueError(f"{q} is not a prime power <= {max_order}")
-                return GF(*pe[0], max_order=max_order)
+                    raise ValueError(f"{q} is not a prime power <= {top}")
+                return GF(*pe[0])
             if len(parts) == 2:
-                return GF(int(parts[0]), int(parts[1]), max_order=max_order)
+                return GF(int(parts[0]), int(parts[1]))
         except ValueError as exc:
             raise ValueError(f"bad field spec {s!r}: {exc}") from None
         raise ValueError(f"bad field spec {s!r}")
 
     def _build_tables(self) -> None:
-        p, e, q = self.p, self.e, self.q
-        if e == 1:
-            self._add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            self._mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-            self._neg = [(-a) % p for a in range(p)]
-        else:
-            def coeffs(i: int) -> list[int]:
-                out = []
-                for _ in range(e):
-                    out.append(i % p)
-                    i //= p
-                return out
+        p = self.p
+        elems = [self.coeffs(a) for a in range(self.q)]
 
-            def idx(cs: list[int]) -> int:
-                v = 0
-                for c in reversed(cs):
-                    v = v * p + (c % p)
-                return v
+        def idx(cs) -> int:
+            return sum(c % p * p**i for i, c in enumerate(cs))
 
-            self._add = [[idx([(x + y) % p for x, y in zip(coeffs(a), coeffs(b))])
-                          for b in range(q)] for a in range(q)]
-            self._neg = [idx([(-x) % p for x in coeffs(a)]) for a in range(q)]
-            self._mul = [[idx(_poly_mod(_poly_mul(coeffs(a), coeffs(b), p),
-                                        self.modulus, p))
-                          for b in range(q)] for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
+        self._add = [[idx([x + y for x, y in zip(a, b)]) for b in elems]
+                     for a in elems]
+        self._neg = [idx([-x for x in a]) for a in elems]
+        self._mul = [[idx(_poly_mod(_poly_mul(a, b, p), self.modulus, p))
+                      for b in elems] for a in elems]
+        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
 
     # -- raw integer arithmetic (internal fast path) --------------------------
 

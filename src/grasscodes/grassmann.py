@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .gf import GF
-from .qcombin import check_index_tuple, delta, index_tuples, nabla_set
+from .qcombin import check_index_tuple, index_tuples, nabla_set
 
 __all__ = [
     "EchelonMatrix", "PluckerVector",
@@ -58,9 +58,6 @@ class EchelonMatrix:
     @property
     def ell(self) -> int:
         return len(self.rows)
-
-    def free_entry_count(self) -> int:
-        return delta(self.pivots)
 
     def __str__(self) -> str:
         fmt = self.field.format_element
@@ -149,11 +146,6 @@ class PluckerVector:
 
     def as_dict(self) -> dict[tuple[int, ...], int]:
         return dict(zip(index_tuples(self.ell, self.m), self.coords))
-
-    def to_json_dict(self) -> dict[str, str]:
-        fmt = self.field.format_element
-        return {",".join(map(str, a)): fmt(c)
-                for a, c in zip(index_tuples(self.ell, self.m), self.coords)}
 
 
 def plucker(mat: EchelonMatrix) -> PluckerVector:

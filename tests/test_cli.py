@@ -178,3 +178,18 @@ def test_verify_zanella_with_functional(capsys):
     code, out, _ = run(capsys, "verify", "-q", "2", "-l", "2", "-m", "4",
                        "--suite", "zanella", "-f", "X:1,2 + X:3,4")
     assert code == 0
+
+
+def test_samples_below_one_is_usage_error(capsys):
+    for bad in ("0", "-1", "x"):
+        code, out, err = run(capsys, "verify", "-q", "2", "-l", "2", "-m", "4",
+                             "--suite", "attained", "--samples", bad)
+        assert code == 1 and out == ""
+        assert "--samples" in err
+
+
+def test_unwritable_output_path(capsys, tmp_path):
+    code, _, err = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4",
+                       "-o", str(tmp_path / "missing" / "x.json"))
+    assert code == 1
+    assert err.startswith("error: ")

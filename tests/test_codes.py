@@ -62,6 +62,28 @@ def test_point_table_normalized(f3):
         assert next(c for c in coords if c) == 1
 
 
+@pytest.mark.parametrize("field,ell,m,alpha", [
+    # the Schubert codes of the benchmark's sweep workload
+    (GF(2), 3, 6, (2, 4, 6)), (GF(3), 2, 5, (2, 5)),
+    (GF(2, 2), 2, 5, (2, 4)), (GF(3, 2), 2, 4, (2, 4)),
+    # (1,4) over F_8 and F_9 at m = 4: at m = 5 the full table of the
+    # Grassmann code has 3-6 * 10^5 points
+    (GF(2, 3), 2, 4, (1, 4)), (GF(3, 2), 2, 4, (1, 4)),
+    (GF(2), 2, 4, (1, 3)), (GF(3), 2, 5, (1, 5)), (GF(2), 3, 6, (1, 3, 5)),
+])
+def test_schubert_table_is_linear_section(field, ell, m, alpha):
+    """Omega_alpha = {p_beta = 0 : beta not <= alpha}: the Grassmann rows
+    vanishing off the down-set, restricted to it, are the Schubert table."""
+    schubert = CodeSpec(field, ell, m, alpha)
+    support = CodeSpec(field, ell, m).support
+    keep = [i for i, a in enumerate(support) if a in schubert.support]
+    off = [i for i in range(len(support)) if i not in keep]
+    rows = [tuple(x[i] for i in keep)
+            for x in point_table(CodeSpec(field, ell, m))
+            if not any(x[i] for i in off)]
+    assert rows == point_table(schubert)
+
+
 def test_class_representatives(f3):
     reps = list(class_representatives(3, 3))
     assert len(reps) == class_count(3, 3) == 13
@@ -248,7 +270,27 @@ def test_verify_second_weight(q, ell, m):
 def test_verify_attained_family(q, ell, m):
     report = verify_attained_family(ell, m, GF(q), max_samples=50)
     assert report["pass"], report
-    assert report["checks"][0]["sampled"] > 0
+    # (q-1) q^(|Delta(theta)| - 1) members fit under the cap: all checked
+    check = report["checks"][0]
+    assert check["sampled"] == check["family"] == (q - 1) * q**2
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_verify_attained_family_rejects_empty_sample(f2, bad):
+    with pytest.raises(ValueError):
+        verify_attained_family(2, 4, f2, max_samples=bad)
+
+
+def test_attained_sample_covers_every_leading_coefficient():
+    # C(2,4) over F_16: theta = (1,4), two free tuples, 15 * 16^2 members
+    draws = list(codes._attained_sample(16, 2, 200))
+    assert len(draws) == len(set(draws)) == 200
+    assert {d[0] for d in draws} == set(range(1, 16))
+    assert all(len(d) == 3 and all(0 <= c < 16 for c in d[1:]) for d in draws)
+    assert draws == list(codes._attained_sample(16, 2, 200))  # fixed seed
+    # a family under the cap runs whole, in lexicographic order
+    assert list(codes._attained_sample(3, 1, 200)) == \
+        [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
 
 def test_verify_string_section(f2, f3):

@@ -111,13 +111,6 @@ def test_pairing_equals_direct_evaluation(f2, f3):
                 assert wedge_pairing(z, w) == func.evaluate(plucker(mat).coords)
 
 
-def test_unsigned_identification_differs_in_odd_characteristic(f3):
-    func = DualFunctional(f3, 2, 4, {(1, 3): 1})
-    signed = functional_to_wedge(func, signed=True)
-    unsigned = functional_to_wedge(func, signed=False)
-    assert signed.coeffs != unsigned.coeffs
-
-
 def test_decomposable_wedges(f2, f3):
     for field in (f2, f3):
         z = wedge_of_vectors(field, 4, [(1, 0, 1, 0), (0, 1, 1, 0)])

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from grasscodes.gf import GF
+from grasscodes.gf import GF, _is_irreducible
 
 ALL_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
               (11, 1), (13, 1), (2, 4)]
@@ -68,9 +68,7 @@ def test_enumeration_deterministic():
     assert a == b and a[0] == 0
 
 
-@pytest.mark.parametrize("p,e", ALL_ORDERS)
-def test_field_axioms_exhaustive(p, e):
-    field = GF(p, e)
+def _check_axioms(field):
     q = field.q
     for a, b, c in itertools.product(range(q), repeat=3):
         assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
@@ -80,8 +78,16 @@ def test_field_axioms_exhaustive(p, e):
     for a, b in itertools.product(range(q), repeat=2):
         assert field.add(a, b) == field.add(b, a)
         assert field.mul(a, b) == field.mul(b, a)
+    for a in range(q):
+        assert field.add(a, 0) == a and field.mul(a, 1) == a
+        assert field.add(a, field.neg(a)) == 0
     for a in range(1, q):
         assert field.mul(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("p,e", ALL_ORDERS)
+def test_field_axioms_exhaustive(p, e):
+    _check_axioms(GF(p, e))
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2)])
@@ -128,7 +134,6 @@ def test_reducible_modulus_rejected():
 def test_order_cap():
     with pytest.raises(ValueError):
         GF(5, 2)
-    GF(5, 2, max_order=25)  # explicit override works
 
 
 def test_nonprime_characteristic_rejected():
@@ -145,3 +150,50 @@ def test_from_string():
     for bad in ("six", "6", "1", "0", "-4", "25"):
         with pytest.raises(ValueError):
             GF.from_string(bad)
+
+
+def _monic_polys(p, deg):
+    """All monic polynomials of degree deg over F_p, constant term first."""
+    return [tuple(c) + (1,) for c in itertools.product(range(p), repeat=deg)]
+
+
+def _products(p, deg):
+    """Every product of two monic polynomials of positive degree summing
+    to deg: the reducible monic polynomials of degree deg."""
+    out = set()
+    for d in range(1, deg):
+        for a in _monic_polys(p, d):
+            for b in _monic_polys(p, deg - d):
+                prod = [0] * (deg + 1)
+                for i, x in enumerate(a):
+                    for j, y in enumerate(b):
+                        prod[i + j] = (prod[i + j] + x * y) % p
+                out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_irreducibility_matches_factorisation(p):
+    for deg in range(1, 5):
+        reducible = _products(p, deg)
+        for mod in _monic_polys(p, deg):
+            assert _is_irreducible(mod, p) == (mod not in reducible), mod
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_prime_field_tables_are_arithmetic_mod_p(p):
+    field = GF(p)
+    for a in range(p):
+        assert field.neg(a) == -a % p
+        for b in range(p):
+            assert field.add(a, b) == (a + b) % p
+            assert field.mul(a, b) == a * b % p
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2)])
+def test_axioms_under_every_irreducible_modulus(p, e):
+    moduli = [mod for mod in _monic_polys(p, e) if _is_irreducible(mod, p)]
+    # Gauss: the number of monic irreducibles of degree e over F_p
+    assert len(moduli) == {(2, 2): 1, (2, 3): 2, (2, 4): 3, (3, 2): 3}[(p, e)]
+    for mod in moduli:
+        _check_axioms(GF(p, e, modulus=mod))
