@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-j", "--workers", type=int, default=1,
                    help="accepted and ignored: sweeps run in one process")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
 
     p = sub.add_parser("verify", help="run a verification suite")
     _add_common(p)
@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
     p.add_argument("-o", "--output", help="report path (default stdout)")
     p.add_argument("-j", "--workers", type=int, default=1,
                    help="accepted and ignored: sweeps run in one process")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_positive_int, default=None)
     p.add_argument("--samples", type=_positive_int, default=200,
                    help="sample cap for the attained-family suite")
 

@@ -3,8 +3,9 @@ and the theorem-verification suites.
 
 The projective system of a code is the ordered list of (projectively
 normalized) Pluecker coordinate vectors of all Grassmannian or Schubert
-points; the weight of the codeword attached to a hyperplane functional is
-the number of points where the functional does not vanish.
+points, kept as one (n, k) uint8 array (``point_table``); the weight of
+the codeword attached to a hyperplane functional is the number of points
+where the functional does not vanish.
 
 Engine: ``weight_array`` gives the weight of all q^k codewords at once by
 an exact integer character transform over F_q^k = F_p^(ek) (MacWilliams
@@ -27,8 +28,7 @@ from .gf import GF
 from .linalg import rank as matrix_rank
 from .qcombin import (InvariantError, check_index_tuple, delta, delta_set,
                       gaussian_binomial, index_tuples, nabla_set)
-from .grassmann import (enumerate_grassmannian, enumerate_schubert_variety,
-                        plucker, string_fiber)
+from .grassmann import cell_arrays
 
 __all__ = [
     "CodeSpec", "GeneratorMatrix", "WeightDistribution", "BudgetExceeded",
@@ -96,44 +96,45 @@ class CodeSpec:
             return gaussian_binomial(self.m, self.ell, self.field.q)
         return sum(self.field.q ** delta(b) for b in nabla_set(self.alpha, self.m))
 
-    def points(self):
-        if self.alpha is None:
-            return enumerate_grassmannian(self.ell, self.m, self.field)
-        return enumerate_schubert_variety(self.alpha, self.m, self.field)
-
     def describe(self) -> str:
         name = f"C({self.ell},{self.m})" if self.alpha is None \
             else f"C_{self.alpha}({self.ell},{self.m})"
         return f"{name} over {self.field!r}"
 
 
-def point_table(spec: CodeSpec) -> list[tuple[int, ...]]:
-    """Normalized coordinate vectors of every point, in enumeration order;
-    building it costs more than a sweep over it, so memoize at call sites."""
-    support = spec.support
-    if spec.alpha is None:
-        keep = None
-    else:
-        all_tuples = index_tuples(spec.ell, spec.m)
-        want = set(support)
-        keep = [i for i, a in enumerate(all_tuples) if a in want]
-    table = []
-    for mat in spec.points():
+def point_table(spec: CodeSpec) -> np.ndarray:
+    """The normalized coordinates of every point, an (n, k) uint8 array.
+
+    Row i is ``plucker(mat).normalized()`` of the i-th point of
+    ``enumerate_grassmannian`` (for a Schubert code,
+    ``enumerate_schubert_variety``), restricted to the columns of
+    ``spec.support``.  Built one cell at a time with ``cell_arrays``; it
+    still costs more than most uses, so memoize at call sites.
+    """
+    field, ell, m = spec.field, spec.ell, spec.m
+    all_tuples = index_tuples(ell, m)
+    keep = [all_tuples.index(a) for a in spec.support]
+    cells = all_tuples if spec.alpha is None else nabla_set(spec.alpha, m)
+    parts = []
+    for alpha in cells:
         # a point of the Schubert variety vanishes off the support, so
-        # normalizing before restricting leaves the same leading 1
-        coords = plucker(mat).normalized().coords
-        if keep is not None:
-            coords = tuple(coords[i] for i in keep)
-        table.append(coords)
-    return table
+        # restricting keeps its leading coordinate
+        coords = cell_arrays(alpha, m, field)[1][:, keep]
+        lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+        parts.append(field.mul_array[field.inv_array[lead][:, None], coords])
+    return np.concatenate(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """k x n generator matrix whose columns are the projective points."""
+    """k x n generator matrix whose columns are the projective points.
+
+    ``columns`` is the (n, k) uint8 ``point_table``: row j of the array is
+    column j of the matrix.
+    """
 
     spec: CodeSpec
-    columns: tuple[tuple[int, ...], ...]
+    columns: np.ndarray
 
     @property
     def k(self) -> int:
@@ -144,22 +145,24 @@ class GeneratorMatrix:
         return len(self.columns)
 
     def rows(self) -> list[list[int]]:
-        return [[col[i] for col in self.columns] for i in range(self.k)]
+        return self.columns.T.tolist()
 
     def full_rank(self) -> bool:
         return matrix_rank(self.spec.field, self.rows()) == self.k
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
-    cols = tuple(point_table(spec))
+    cols = point_table(spec)
     if len(cols) != spec.n:
         raise InvariantError("point count disagrees with closed-form length")
     return GeneratorMatrix(spec, cols)
 
 
 def codeword_weight(func: DualFunctional, spec: CodeSpec,
-                    table: list[tuple[int, ...]] | None = None) -> int:
-    """Number of enumerated points where the functional does not vanish."""
+                    table: np.ndarray | None = None) -> int:
+    """Number of points of ``point_table`` where the functional does not
+    vanish: one functional against the table, the reference for
+    ``weight_array``."""
     if func.ell != spec.ell or func.m != spec.m or func.field != spec.field:
         raise ValueError("functional does not match the code parameters")
     support = spec.support
@@ -169,18 +172,7 @@ def codeword_weight(func: DualFunctional, spec: CodeSpec,
             raise ValueError("functional must be supported on the down-set of alpha")
     if table is None:
         table = point_table(spec)
-    idx = {a: i for i, a in enumerate(support)}
-    terms = [(idx[a], c) for a, c in func.coeffs.items()]
-    field = spec.field
-    weight = 0
-    for coords in table:
-        acc = 0
-        for i, c in terms:
-            if coords[i]:
-                acc = field.add(acc, field.mul(c, coords[i]))
-        if acc:
-            weight += 1
-    return weight
+    return int(np.count_nonzero(func.evaluate_rows(table, support)))
 
 
 # -- scalar-class sweep ------------------------------------------------------
@@ -207,7 +199,7 @@ def class_representatives(q: int, k: int):
             yield tuple(vec)
 
 
-def class_weights(spec: CodeSpec, table: list[tuple[int, ...]] | None = None):
+def class_weights(spec: CodeSpec, table: np.ndarray | None = None):
     """Yield (representative vector, weight) over all scalar classes, in
     ``class_representatives`` order, read off ``weight_array``."""
     weights = weight_array(spec, table)
@@ -275,7 +267,7 @@ def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
 
 
 def weight_array(spec: CodeSpec,
-                 table: list[tuple[int, ...]] | None = None) -> np.ndarray:
+                 table: np.ndarray | None = None) -> np.ndarray:
     """Weights of all q^k codewords, int64, c at index sum_i c_i q^(k-i).
 
     Raises ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
@@ -287,9 +279,9 @@ def weight_array(spec: CodeSpec,
         table = point_table(spec)
     n = len(table)
     # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0
-    labels = _trace_dual(field)[np.array(field._mul)[1:]]
+    labels = _trace_dual(field)[field.mul_array[1:]]
     places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = labels[:, np.array(table).reshape(n, k)] @ places
+    idx = labels[:, table] @ places
     acc = np.bincount(idx.ravel(), minlength=q**k)
     # acc becomes p N0(c), N0(c) = #{(x, t) : Tr(t c.x) = 0}
     # = (q-1) Z + (n-Z)(q/p-1), where Z = #{x : c.x = 0}
@@ -357,10 +349,11 @@ class WeightDistribution:
                     "second Pless moment")
 
     def to_json_dict(self) -> dict:
-        spec = {"q": self.spec.field.q, "ell": self.spec.ell, "m": self.spec.m,
-                "n": str(self.spec.n), "k": self.spec.k}
-        if self.spec.alpha is not None:
-            spec["alpha"] = ",".join(map(str, self.spec.alpha))
+        s = self.spec
+        spec = {"q": str(s.field.q), "ell": str(s.ell), "m": str(s.m),
+                "n": str(s.n), "k": str(s.k)}
+        if s.alpha is not None:
+            spec["alpha"] = ",".join(map(str, s.alpha))
         return {"spec": spec,
                 "counts": {str(w): str(c) for w, c in sorted(self.counts.items())},
                 "complete": self.complete}
@@ -516,7 +509,7 @@ def verify_attained_family(ell: int, m: int, field: GF,
     expected_meet = n_theta - q ** (ell * (m - ell) - 2)
     # Omega_theta is the linear section {p_beta = 0 : beta in Delta(theta)}
     off = [i for i, a in enumerate(spec.support) if a in dtheta]
-    omega = [x for x in table if not any(x[i] for i in off)]
+    omega = table[~table[:, off].any(axis=1)]
     failures = []
     n_checked = 0
     for c_theta, *c_free in _attained_sample(q, len(free), max_samples):
@@ -526,7 +519,7 @@ def verify_attained_family(ell: int, m: int, field: GF,
                 coeffs[a] = c
         func = DualFunctional(field, ell, m, coeffs)
         w = codeword_weight(func, spec, table)
-        meet = sum(1 for x in omega if not func.evaluate(x))
+        meet = len(omega) - int(np.count_nonzero(func.evaluate_rows(omega)))
         n_checked += 1
         if w != expected_weight or meet != expected_meet:
             failures.append({"functional": func.to_json_dict(), "weight": w,
@@ -549,21 +542,26 @@ def verify_string_section(func: DualFunctional) -> dict:
     ell, m, field = func.ell, func.m, func.field
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
-    fiber_counts = {}
-    for nu in itertools.product(range(field.q), repeat=m - ell):
-        cnt = 0
-        for mat in string_fiber(nu, ell, m, field):
-            if not func.evaluate(plucker(mat).coords):
-                cnt += 1
-        fiber_counts[nu] = cnt
+    # the fiber of nu: the points of the cells with alpha_ell = m whose last
+    # row carries nu in its m - ell free columns.  Those are the last slots
+    # of enumerate_cell, so nu is a point's index in its cell mod q^(m-ell).
+    width = field.q ** (m - ell)
+    on_h = np.zeros(width, dtype=np.int64)
+    for alpha in index_tuples(ell, m):
+        if alpha[-1] == m:
+            coords = cell_arrays(alpha, m, field)[1]
+            zero = func.evaluate_rows(coords) == 0
+            on_h += zero.reshape(-1, width).sum(axis=0)
+    fiber_counts = dict(zip(itertools.product(range(field.q), repeat=m - ell),
+                            on_h.tolist()))
     # ell = 1: the truncated code is the empty product; fibers are single
     # points and there is no reduced count to match
     sub = None
     if ell >= 2:
         reduced = DualFunctional(field, ell - 1, m - 1,
                                  {a[:-1]: c for a, c in func.coeffs.items()})
-        sub = sum(1 for mat in enumerate_grassmannian(ell - 1, m - 1, field)
-                  if not reduced.evaluate(plucker(mat).coords))
+        sub_spec = CodeSpec(field, ell - 1, m - 1)
+        sub = sub_spec.n - codeword_weight(reduced, sub_spec)
     values = set(fiber_counts.values())
     checks = [{"identity": "fibers-equal", "values": sorted(values),
                "pass": len(values) == 1}]
@@ -577,32 +575,27 @@ def verify_string_section(func: DualFunctional) -> dict:
                                        for k, v in sorted(fiber_counts.items())})
 
 
-def _point_in_kernel(mat, u, field: GF) -> bool:
-    for row in mat.rows:
-        acc = 0
-        for x, c in zip(row, u):
-            if x and c:
-                acc = field.add(acc, field.mul(x, c))
-        if acc:
-            return False
-    return True
-
-
 def verify_zanella_incidence(func: DualFunctional) -> dict:
     """Incidence-count bound for hyperplane sections over all V_{m-1}."""
     ell, m, field = func.ell, func.m, func.field
     q = field.q
-    spec = CodeSpec(field, ell, m)
-    pts = list(spec.points())
-    coords = [plucker(p).coords for p in pts]
-    on_pi = [not func.evaluate(c) for c in coords]
-    total = sum(on_pi)
+    add, mul = field.add_array, field.mul_array
+    # the echelon matrices of the points on the hyperplane
+    on_pi = []
+    for alpha in index_tuples(ell, m):
+        mats, coords = cell_arrays(alpha, m, field)
+        on_pi.append(mats[func.evaluate_rows(coords) == 0])
+    on_pi = np.concatenate(on_pi)
+    total = len(on_pi)
     sub_counts = []
-    # every (m-1)-subspace of V_m, as the kernel of a covector up to scalar
+    # every (m-1)-subspace of V_m, as the kernel of a covector up to scalar;
+    # a point lies in ker u iff each of its rows pairs to 0 with u
     for u in class_representatives(q, m):
-        cnt = sum(1 for p, hit in zip(pts, on_pi)
-                  if hit and _point_in_kernel(p, u, field))
-        sub_counts.append(cnt)
+        pairs = np.zeros(on_pi.shape[:2], dtype=np.uint8)
+        for j, c in enumerate(u):
+            if c:
+                pairs = add[pairs, mul[c][on_pi[:, :, j]]]
+        sub_counts.append(total - int(np.count_nonzero(pairs.any(axis=1))))
     a = max(sub_counts)
     # |G cap Pi| * (q^(m-ell) - 1) <= a * (q^m - 1), exact integers
     lhs = total * (q ** (m - ell) - 1)

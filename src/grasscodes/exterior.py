@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
+import numpy as np
+
 from .gf import GF
 from .linalg import kernel_basis, rank as matrix_rank
 from .qcombin import (check_index_tuple, complement, format_index_tuple,
@@ -72,6 +74,19 @@ class DualFunctional:
         for a, c in zip(index_tuples(self.ell, self.m), coords):
             if c and a in self.coeffs:
                 acc = self.field.add(acc, self.field.mul(self.coeffs[a], c))
+        return acc
+
+    def evaluate_rows(self, coords: np.ndarray,
+                      support: Sequence[tuple[int, ...]] | None = None) -> np.ndarray:
+        """``evaluate`` at every row of an (N, len(support)) uint8 array of
+        coordinates whose columns are the tuples of ``support`` (default
+        all of I(ell, m)); returns the N values as a uint8 array."""
+        tuples = list(support) if support is not None else index_tuples(self.ell, self.m)
+        col = {a: i for i, a in enumerate(tuples)}
+        add, mul = self.field.add_array, self.field.mul_array
+        acc = np.zeros(len(coords), dtype=np.uint8)
+        for a, c in self.coeffs.items():
+            acc = add[acc, mul[c][coords[:, col[a]]]]
         return acc
 
     def scaled(self, s: int) -> "DualFunctional":

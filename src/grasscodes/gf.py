@@ -7,14 +7,19 @@ polynomial representative, constant term first:
     idx = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
 All arithmetic goes through tables precomputed at construction, so a
-``GF`` instance is immutable and cheap to share.  The default moduli are
-fixed (one irreducible polynomial per supported extension), which keeps
-element encodings reproducible across runs.
+``GF`` instance is immutable and cheap to share.  The same tables are
+kept as read-only uint8 numpy arrays (``add_array``, ``mul_array``,
+``neg_array``, ``inv_array``) for arithmetic on arrays of elements:
+``mul_array[a, b]`` multiplies two arrays elementwise.  The default
+moduli are fixed (one irreducible polynomial per supported extension),
+which keeps element encodings reproducible across runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = ["GF", "FieldElement", "DEFAULT_MAX_ORDER"]
 
@@ -76,11 +81,18 @@ def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _read_only(table: list) -> np.ndarray:
+    arr = np.array(table, dtype=np.uint8)
+    arr.flags.writeable = False
+    return arr
+
+
 class GF:
     """The finite field F_q with q = p^e elements.
 
     Orders above ``DEFAULT_MAX_ORDER`` = 16 are refused.  An extension uses
-    the fixed modulus of ``_MODULI`` unless an irreducible one is given.
+    the fixed modulus of ``_MODULI`` unless an irreducible one is given; a
+    prime field takes no modulus.
     Two GF instances compare equal iff they have the same characteristic,
     degree and modulus.
     """
@@ -98,6 +110,8 @@ class GF:
         self.e = e
         self.q = q
         if e == 1:
+            if modulus is not None:
+                raise ValueError(f"the prime field F_{p} takes no modulus")
             # plain arithmetic mod p: polynomials of degree 0 reduced mod x
             self.modulus = (0, 1)
         else:
@@ -143,6 +157,8 @@ class GF:
         self._mul = [[idx(_poly_mod(_poly_mul(a, b, p), self.modulus, p))
                       for b in elems] for a in elems]
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self.add_array, self.mul_array, self.neg_array, self.inv_array = (
+            _read_only(t) for t in (self._add, self._mul, self._neg, self._inv))
 
     # -- raw integer arithmetic (internal fast path) --------------------------
 

@@ -10,6 +10,10 @@ string decomposition below come out as stated.
 Entries are stored as raw field-element indices (see ``gf``); columns are
 0-based internally while pivot tuples and Pluecker index tuples are
 1-based, matching the serialization format.
+
+``cell_arrays`` is the batched form used to tabulate codes: a whole cell
+as one uint8 array of matrices and one of their Pluecker coordinates.
+``enumerate_cell`` and ``plucker`` are its point-at-a-time reference.
 """
 
 from __future__ import annotations
@@ -18,13 +22,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .gf import GF
 from .qcombin import check_index_tuple, index_tuples, nabla_set
 
 __all__ = [
     "EchelonMatrix", "PluckerVector",
     "enumerate_cell", "enumerate_grassmannian", "enumerate_schubert_variety",
-    "plucker", "determinant",
+    "plucker", "determinant", "cell_arrays",
     "in_last_column_locus", "string_label", "string_fiber", "project_tau",
 ]
 
@@ -156,6 +162,55 @@ def plucker(mat: EchelonMatrix) -> PluckerVector:
         sub = [[mat.rows[i][a - 1] for a in alpha] for i in range(ell)]
         coords.append(determinant(field, sub))
     return PluckerVector(field, ell, m, tuple(coords))
+
+
+def cell_arrays(alpha: Sequence[int], m: int,
+                field: GF) -> tuple[np.ndarray, np.ndarray]:
+    """The cell C_alpha as arrays, rows in ``enumerate_cell`` order.
+
+    Returns its q^delta(alpha) echelon matrices, a (q^delta, ell, m) uint8
+    array, and their Pluecker coordinates (``plucker``, not normalized), a
+    (q^delta, C(m, ell)) uint8 array in ``index_tuples`` order.
+    """
+    alpha = check_index_tuple(tuple(alpha), m)
+    ell, q = len(alpha), field.q
+    slots = _free_positions(alpha, m)
+    mats = np.zeros((q ** len(slots), ell, m), dtype=np.uint8)
+    mats[:, range(ell), [p - 1 for p in alpha]] = 1
+    if slots:
+        rows, cols = zip(*slots)
+        # the point's index in base q, first slot most significant, as in
+        # itertools.product
+        digits = np.indices((q,) * len(slots), dtype=np.uint8)
+        mats[:, rows, cols] = digits.reshape(len(slots), -1).T
+    return mats, _minors(mats, field)
+
+
+def _minors(mats: np.ndarray, field: GF) -> np.ndarray:
+    """All ell x ell minors of a stack of ell x m matrices, by Laplace
+    expansion along the rows: the batched ``exterior.wedge_with_vector``.
+
+    After row i, column b of ``w`` holds the minor of rows 0..i on the
+    columns of the (i+1)-tuple b.
+    """
+    add, mul, neg = field.add_array, field.mul_array, field.neg_array
+    n, ell, m = mats.shape
+    w = np.ones((n, 1), dtype=np.uint8)
+    prev = {(): 0}
+    for i in range(ell):
+        tuples = index_tuples(i + 1, m)
+        acc = np.zeros((n, len(tuples)), dtype=np.uint8)
+        for t in range(i + 1):
+            # the term of column beta_t: v_(beta_t) moves left past the
+            # i - t larger entries of beta
+            src = [prev[b[:t] + b[t + 1:]] for b in tuples]
+            term = mul[w[:, src], mats[:, i, [b[t] - 1 for b in tuples]]]
+            if (i - t) % 2:
+                term = neg[term]
+            acc = add[acc, term]
+        w = acc
+        prev = {b: j for j, b in enumerate(tuples)}
+    return w
 
 
 # -- the string decomposition ------------------------------------------------

@@ -132,7 +132,7 @@ def test_budget_exit_two(capsys):
 def test_prime_power_field_order(capsys):
     _, out1, _ = run(capsys, "wdist", "-q", "4", "-l", "2", "-m", "4")
     _, out2, _ = run(capsys, "wdist", "-q", "2^2", "-l", "2", "-m", "4")
-    assert json.loads(out1)["spec"]["q"] == 4
+    assert json.loads(out1)["spec"]["q"] == "4"
     assert out1 == out2
     for bad in ("6", "1", "six"):
         code, _, err = run(capsys, "params", "-q", bad, "-l", "2", "-m", "4")
@@ -186,6 +186,15 @@ def test_samples_below_one_is_usage_error(capsys):
                              "--suite", "attained", "--samples", bad)
         assert code == 1 and out == ""
         assert "--samples" in err
+
+
+def test_budget_below_one_is_usage_error(capsys):
+    for command in (["wdist"], ["verify", "--suite", "nogin"]):
+        for bad in ("0", "-5", "x"):
+            code, out, err = run(capsys, *command, "-q", "2", "-l", "2",
+                                 "-m", "4", "--budget", bad)
+            assert code == 1 and out == ""
+            assert "--budget" in err
 
 
 def test_unwritable_output_path(capsys, tmp_path):

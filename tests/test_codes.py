@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
 from grasscodes import codes
@@ -20,7 +22,11 @@ from grasscodes.codes import (BudgetExceeded, CodeSpec, InvariantError,
                               weight_array, weight_distribution)
 from grasscodes.exterior import DualFunctional, parse_functional
 from grasscodes.gf import GF
+from grasscodes.grassmann import (enumerate_grassmannian,
+                                  enumerate_schubert_variety, plucker,
+                                  string_fiber)
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
+from grasscodes.qcombin import index_tuples
 
 
 def test_spec_parameters(f2, f3):
@@ -78,10 +84,75 @@ def test_schubert_table_is_linear_section(field, ell, m, alpha):
     support = CodeSpec(field, ell, m).support
     keep = [i for i, a in enumerate(support) if a in schubert.support]
     off = [i for i in range(len(support)) if i not in keep]
-    rows = [tuple(x[i] for i in keep)
-            for x in point_table(CodeSpec(field, ell, m))
+    rows = [[x[i] for i in keep]
+            for x in point_table(CodeSpec(field, ell, m)).tolist()
             if not any(x[i] for i in off)]
-    assert rows == point_table(schubert)
+    assert rows == point_table(schubert).tolist()
+
+
+# (p, e, modulus, ell, m, alpha): F_2, F_3, F_5, F_4, F_8, F_9 and F_16,
+# Grassmann and Schubert codes, ell in {1, 2, 3, m-1}
+TABLE_CODES = [
+    (2, 1, None, 3, 6, None), (2, 1, None, 3, 6, (2, 4, 6)),
+    (2, 1, None, 1, 4, None), (3, 1, None, 2, 4, None),
+    (3, 1, None, 1, 4, (3,)), (3, 1, None, 3, 4, None),
+    (3, 1, None, 2, 5, (2, 5)), (5, 1, None, 2, 4, None),
+    (5, 1, None, 2, 4, (2, 4)), (2, 2, None, 2, 5, (2, 4)),
+    (2, 2, None, 4, 5, None), (2, 3, None, 1, 3, None),
+    (2, 3, (1, 0, 1, 1), 2, 4, (1, 4)), (3, 2, None, 3, 4, None),
+    (3, 2, (2, 2, 1), 2, 4, (2, 4)), (2, 4, None, 2, 3, None),
+    (2, 4, None, 2, 4, (1, 4)),
+]
+
+
+@pytest.mark.parametrize("p,e,modulus,ell,m,alpha", TABLE_CODES,
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_point_table_matches_plucker_oracle(p, e, modulus, ell, m, alpha):
+    """The batched table is plucker(mat).normalized(), point by point,
+    restricted to the support."""
+    field = GF(p, e, modulus=modulus)
+    spec = CodeSpec(field, ell, m, alpha)
+    points = enumerate_grassmannian(ell, m, field) if alpha is None \
+        else enumerate_schubert_variety(alpha, m, field)
+    keep = [i for i, a in enumerate(index_tuples(ell, m)) if a in spec.support]
+    oracle = [[coords[i] for i in keep]
+              for coords in (plucker(mat).normalized().coords for mat in points)]
+    table = point_table(spec)
+    assert table.dtype == np.uint8 and table.shape == (spec.n, spec.k)
+    assert table.tolist() == oracle
+
+
+# (p, e) of every field up to order 9
+SMALL_FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def small_codes(draw):
+    """A Grassmann or Schubert code of at most 1500 points and a nonzero
+    functional on its support."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    field = GF(p, e)
+    m = draw(st.integers(2, 5))
+    ell = draw(st.integers(1, m - 1))
+    alpha = draw(st.sampled_from([None] + index_tuples(ell, m)))
+    spec = CodeSpec(field, ell, m, alpha)
+    assume(spec.n <= 1500)
+    vec = draw(st.lists(st.integers(0, field.q - 1), min_size=spec.k,
+                        max_size=spec.k))
+    vec[draw(st.integers(0, spec.k - 1))] = draw(st.integers(1, field.q - 1))
+    return spec, DualFunctional.from_vector(vec, ell, m, field, spec.support)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(small_codes())
+def test_codeword_weight_matches_point_count(code):
+    spec, func = code
+    points = enumerate_grassmannian(spec.ell, spec.m, spec.field) \
+        if spec.alpha is None \
+        else enumerate_schubert_variety(spec.alpha, spec.m, spec.field)
+    expected = sum(1 for mat in points if func.evaluate(plucker(mat).coords))
+    assert codeword_weight(func, spec) == expected
 
 
 def test_class_representatives(f3):
@@ -302,6 +373,27 @@ def test_verify_string_section(f2, f3):
             assert report["pass"], report
 
 
+def test_string_section_fibers_match_string_fiber(f2, f3):
+    """The suite's fiber counts are the points of each string_fiber on the
+    hyperplane, and its truncated count the points of G(ell-1, m-1)."""
+    for field, ell, m, text in [(f2, 1, 3, "X:3"), (f3, 2, 4, "X:1,4 + 2*X:3,4"),
+                                (f2, 3, 5, "X:1,2,5 + X:3,4,5"),
+                                (f3, 2, 5, "X:2,5 + X:4,5")]:
+        func = parse_functional(text, ell, m, field)
+        report = verify_string_section(func)
+        expected = {",".join(map(str, nu)):
+                    sum(1 for mat in string_fiber(nu, ell, m, field)
+                        if not func.evaluate(plucker(mat).coords))
+                    for nu in itertools.product(range(field.q), repeat=m - ell)}
+        assert report["fiber_counts"] == expected
+        if ell >= 2:
+            reduced = DualFunctional(field, ell - 1, m - 1,
+                                     {a[:-1]: c for a, c in func.coeffs.items()})
+            sub = sum(1 for mat in enumerate_grassmannian(ell - 1, m - 1, field)
+                      if not reduced.evaluate(plucker(mat).coords))
+            assert report["checks"][1]["rhs"] == sub
+
+
 def test_verify_string_section_rejects_bad_support(f2):
     func = parse_functional("X:1,2", 2, 4, f2)
     with pytest.raises(ValueError):
@@ -312,6 +404,20 @@ def test_verify_zanella_incidence(f2):
     for text in ["X:3,4", "X:1,2 + X:3,4", "X:1,4 + X:2,3"]:
         report = verify_zanella_incidence(parse_functional(text, 2, 4, f2))
         assert report["pass"], report
+
+
+def test_zanella_counts_match_point_oracle(f2, f3):
+    for field, ell, m, text in [(f2, 2, 4, "X:1,4 + X:2,3"),
+                                (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
+                                (f2, 3, 5, "X:1,2,3 + X:2,4,5")]:
+        func = parse_functional(text, ell, m, field)
+        report = verify_zanella_incidence(func)
+        on_pi = [mat for mat in enumerate_grassmannian(ell, m, field)
+                 if not func.evaluate(plucker(mat).coords)]
+        assert report["section_size"] == len(on_pi)
+        assert report["sub_counts"] == [
+            sum(1 for mat in on_pi if _point_in_kernel(mat, u))
+            for u in class_representatives(field.q, m)]
 
 
 def test_zanella_equality_case(f2):
@@ -328,6 +434,18 @@ def test_verify_l2_dichotomy(q):
     assert report["pass"], report
 
 
+def _point_in_kernel(mat, u) -> bool:
+    """Every row of the echelon matrix pairs to 0 with the covector u."""
+    field = mat.field
+    for row in mat.rows:
+        acc = 0
+        for x, c in zip(row, u):
+            acc = field.add(acc, field.mul(x, c))
+        if acc:
+            return False
+    return True
+
+
 @pytest.mark.parametrize("ell,m", [(2, 4), (3, 5)])
 def test_nondecomposable_sub_grassmannian_sections(ell, m):
     """ell = m-2: each codimension-1 sub-Grassmannian is a projective space,
@@ -337,13 +455,11 @@ def test_nondecomposable_sub_grassmannian_sections(ell, m):
     (every wedge 2-form on a 3-space factors); for m = 5 containment does
     occur, e.g. X:1,2,5 + X:3,4,5 contains all of G(3, span(v1..v4)).
     Either way the total section stays within e'(m-2, m)."""
-    from grasscodes.codes import _point_in_kernel
     from grasscodes.exterior import check_functional
-    from grasscodes.grassmann import plucker
     from grasscodes.qcombin import e_bound, e_prime_bound, gaussian_binomial
     field = GF(2)
     spec = CodeSpec(field, ell, m)
-    pts = list(spec.points())
+    pts = list(enumerate_grassmannian(ell, m, field))
     coords = [plucker(p).coords for p in pts]
     proper = e_bound(m - 2, m - 1, 2)
     full = gaussian_binomial(m - 1, m - 2, 2)
@@ -356,7 +472,7 @@ def test_nondecomposable_sub_grassmannian_sections(ell, m):
         assert sum(on_pi) <= e_prime_bound(ell, m, 2)
         for u in class_representatives(2, m):
             cnt = sum(1 for p, hit in zip(pts, on_pi)
-                      if hit and _point_in_kernel(p, u, field))
+                      if hit and _point_in_kernel(p, u))
             assert cnt in (proper, full), (func, u, cnt)
             any_contained = any_contained or cnt == full
     assert any_contained == (m == 5)
@@ -384,6 +500,8 @@ def test_distribution_serialization(f2):
     dist = weight_distribution(CodeSpec(f2, 2, 4))
     d = dist.to_json_dict()
     assert d["counts"] == {"0": "1", "16": "35", "20": "28"}
+    # every integer a string, as in the rest of the CLI's JSON
+    assert d["spec"] == {"q": "2", "ell": "2", "m": "4", "n": "35", "k": "6"}
     assert dist.to_csv().splitlines()[0] == "weight,count"
 
 

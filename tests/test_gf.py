@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from grasscodes.gf import GF, _is_irreducible
@@ -131,6 +132,11 @@ def test_reducible_modulus_rejected():
         GF(2, 2, modulus=(1, 0, 1))  # x^2+1 = (x+1)^2 over F_2
 
 
+def test_prime_field_rejects_modulus():
+    with pytest.raises(ValueError, match="no modulus"):
+        GF(3, 1, modulus=(2, 1))
+
+
 def test_order_cap():
     with pytest.raises(ValueError):
         GF(5, 2)
@@ -188,6 +194,18 @@ def test_prime_field_tables_are_arithmetic_mod_p(p):
         for b in range(p):
             assert field.add(a, b) == (a + b) % p
             assert field.mul(a, b) == a * b % p
+
+
+@pytest.mark.parametrize("p,e", ALL_ORDERS)
+def test_array_tables_match_list_tables(p, e):
+    field = GF(p, e)
+    for arr, table in ((field.add_array, field._add),
+                       (field.mul_array, field._mul),
+                       (field.neg_array, field._neg),
+                       (field.inv_array, field._inv)):
+        assert arr.dtype == np.uint8 and arr.tolist() == table
+        with pytest.raises(ValueError):  # shared by every user of the field
+            arr[0] = 1
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2)])

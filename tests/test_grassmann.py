@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from grasscodes.gf import GF
-from grasscodes.grassmann import (EchelonMatrix, determinant, enumerate_cell,
+from grasscodes.grassmann import (EchelonMatrix, cell_arrays, determinant,
+                                  enumerate_cell,
                                   enumerate_grassmannian,
                                   enumerate_schubert_variety,
                                   in_last_column_locus, plucker, project_tau,
@@ -41,6 +43,20 @@ def test_grassmannian_count(ell, m, q):
     field = GF(q)
     count = sum(1 for _ in enumerate_grassmannian(ell, m, field))
     assert count == gaussian_binomial(m, ell, q)
+
+
+@pytest.mark.parametrize("p,e,ell,m", [(2, 1, 3, 6), (3, 1, 2, 5),
+                                       (2, 2, 1, 4), (3, 2, 3, 4),
+                                       (2, 4, 2, 3)])
+def test_cell_arrays_match_enumeration(p, e, ell, m):
+    """Each cell's arrays equal enumerate_cell and plucker, row for row."""
+    field = GF(p, e)
+    for alpha in index_tuples(ell, m):
+        mats, coords = cell_arrays(alpha, m, field)
+        points = list(enumerate_cell(alpha, m, field))
+        assert mats.dtype == coords.dtype == np.uint8
+        assert mats.tolist() == [[list(r) for r in mat.rows] for mat in points]
+        assert coords.tolist() == [list(plucker(mat).coords) for mat in points]
 
 
 def test_schubert_variety_count(f2):
