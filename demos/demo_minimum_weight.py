@@ -4,11 +4,15 @@ A hyperplane of the Pluecker space cuts the Grassmannian in the largest
 possible number of points exactly when its wedge element is decomposable,
 so the codewords of minimum weight q^(ell(m-ell)) are precisely the
 decomposable classes, and there are [m ell]_q of them (as many as there
-are points of the Grassmannian itself).
+are points of the Grassmannian itself).  The decomposable classes are
+listed directly, as the points of the dual Grassmannian G(m-ell, m).
 """
 
+import numpy as np
+
 from grasscodes import CodeSpec, GF, gaussian_binomial
-from grasscodes.codes import class_weights, min_distance, point_table
+from grasscodes.codes import (decomposable_table, min_distance, point_table,
+                              weight_array)
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  functional_to_wedge, parse_functional)
 
@@ -20,16 +24,20 @@ def main() -> None:
     d = min_distance(spec)
     print(f"{spec.describe()}: minimum distance {d}")
 
-    n_min = n_dec = 0
-    for vec, w in class_weights(spec, table):
-        func = DualFunctional.from_vector(vec, 2, 4, field)
-        dec = check_functional(func)
-        n_min += w == d
-        n_dec += dec
-        assert (w == d) == dec
+    weights = weight_array(spec, table)
+    decomposables = decomposable_table(spec)
+    n_min = np.count_nonzero(weights == d) // (field.q - 1)
     print(f"minimum-weight classes: {n_min}")
-    print(f"decomposable classes:   {n_dec}")
+    print(f"decomposable classes:   {len(decomposables)}")
     print(f"[4 2]_2:                {gaussian_binomial(4, 2, 2)}")
+    print()
+
+    print("the decomposable classes, from G(2, 4) by duality:")
+    places = field.q ** np.arange(spec.k - 1, -1, -1)
+    for row in decomposables:
+        func = DualFunctional.from_vector(row.tolist(), 2, 4, field)
+        assert weights[row @ places] == d
+        print(f"  {func}")
     print()
 
     for text in ["X:3,4", "X:1,2 + X:3,4"]:

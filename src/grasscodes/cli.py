@@ -4,8 +4,9 @@ Commands: params, wdist, verify, decompose, strings.  All integer values
 are serialized as strings in JSON output (counts overflow 53-bit floats
 at modest parameters).  Exit codes: 0 success / all assertions pass,
 1 usage or domain error (and failed verification), 2 a sweep over the
-operation budget or the fixed memory ceiling.  The PLUCKER_BUDGET
-environment variable overrides the default operation budget.
+operation budget, or a sweep or point table over the fixed memory
+ceiling.  The PLUCKER_BUDGET environment variable overrides the default
+operation budget.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterator
 
 from .codes import (BudgetExceeded, CodeSpec, DEFAULT_BUDGET, check_budget,
                     verify_attained_family, verify_l2_dichotomy,
@@ -163,13 +165,15 @@ def cmd_wdist(args) -> int:
 
 
 def _functionals(spec: CodeSpec, functional: str | None,
-                 support: list[tuple[int, ...]]) -> list[DualFunctional]:
-    """The ``-f`` functional, or one per scalar class supported on support."""
+                 support: list[tuple[int, ...]]) -> Iterator[DualFunctional]:
+    """The ``-f`` functional, or one per scalar class supported on support;
+    lazily, so that the first suite call can refuse an oversized code."""
     field, ell, m = spec.field, spec.ell, spec.m
     if functional:
-        return [parse_functional(functional, ell, m, field)]
-    return [DualFunctional.from_vector(vec, ell, m, field, support)
-            for vec in class_representatives(field.q, len(support))]
+        yield parse_functional(functional, ell, m, field)
+        return
+    for vec in class_representatives(field.q, len(support)):
+        yield DualFunctional.from_vector(vec, ell, m, field, support)
 
 
 def _suite_identities(spec: CodeSpec) -> list[dict]:

@@ -11,8 +11,15 @@ Engine: ``weight_array`` gives the weight of all q^k codewords at once by
 an exact integer character transform over F_q^k = F_p^(ek) (MacWilliams
 & Sloane ch. 5): a Walsh-Hadamard butterfly for p = 2, a residue-count
 butterfly for odd p.  ``weight_distribution`` is its histogram and
-``class_weights`` a view of it.  Sweeps over the operation budget or the
-fixed memory ceiling ``MAX_SWEEP_BYTES`` are refused before any work.
+``class_weights`` a view of it.  Sweeps and point tables over the
+operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
+refused before any work.
+
+Nogin's theorem by duality: the minimum-weight classes are the decomposable
+hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
+(``decomposable_table``); the Nogin and two-weight suites compare that set
+with the weight array, and keep the rank test ``check_functional`` as a
+cross-check on every decomposable and a seeded sample of the rest.
 """
 
 from __future__ import annotations
@@ -23,18 +30,18 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exterior import DualFunctional, check_functional
+from .exterior import DualFunctional, check_functional, shuffle_sign
 from .gf import GF
-from .linalg import rank as matrix_rank
-from .qcombin import (InvariantError, check_index_tuple, delta, delta_set,
-                      gaussian_binomial, index_tuples, nabla_set)
+from .qcombin import (InvariantError, check_index_tuple, complement, delta,
+                      delta_set, gaussian_binomial, index_tuples, nabla_set)
 from .grassmann import cell_arrays
 
 __all__ = [
     "CodeSpec", "GeneratorMatrix", "WeightDistribution", "BudgetExceeded",
     "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES", "build_generator",
-    "point_table", "codeword_weight", "class_representatives",
-    "class_weights", "check_budget", "weight_array", "weight_distribution",
+    "point_table", "check_table_bytes", "decomposable_table",
+    "codeword_weight", "class_representatives", "class_weights",
+    "check_budget", "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
@@ -43,7 +50,8 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**10
 
-# Fixed ceiling on the bytes one sweep allocates (see _sweep_bytes).
+# Fixed ceiling on the bytes one sweep or one point table allocates (see
+# check_budget and check_table_bytes).
 MAX_SWEEP_BYTES = 2 * 2**30
 
 
@@ -102,6 +110,34 @@ class CodeSpec:
         return f"{name} over {self.field!r}"
 
 
+def _refuse_bytes(nbytes: int) -> None:
+    if nbytes > MAX_SWEEP_BYTES:
+        raise BudgetExceeded(nbytes, MAX_SWEEP_BYTES, "bytes")
+
+
+def check_table_bytes(spec: CodeSpec) -> None:
+    """Refuse, before any allocation, tabulating the points of ``spec`` cell
+    by cell when the peak would exceed ``MAX_SWEEP_BYTES``.
+
+    The estimate covers ``point_table`` and the strings and Zanella suites:
+    the largest cell as ``cell_arrays`` builds it (its matrices, the base-q
+    digits of its slots, about five minor arrays as wide as the widest
+    exterior power up to ell, and the normalization temporaries), plus two
+    bytes per point for every coordinate or matrix entry kept across cells.
+    """
+    field, ell, m = spec.field, spec.ell, spec.m
+    top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
+    width = max(len(index_tuples(i, m)) for i in range(1, ell + 1))
+    per_point = ell * m + top + 5 * width + 2 * spec.k + 24
+    _refuse_bytes(field.q**top * per_point + 2 * spec.n * max(spec.k, ell * m))
+
+
+def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
+    """Scale each (nonzero) row so its first nonzero entry is 1."""
+    lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
+    return field.mul_array[field.inv_array[lead][:, None], coords]
+
+
 def point_table(spec: CodeSpec) -> np.ndarray:
     """The normalized coordinates of every point, an (n, k) uint8 array.
 
@@ -109,20 +145,75 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     ``enumerate_grassmannian`` (for a Schubert code,
     ``enumerate_schubert_variety``), restricted to the columns of
     ``spec.support``.  Built one cell at a time with ``cell_arrays``; it
-    still costs more than most uses, so memoize at call sites.
+    still costs more than most uses, so memoize at call sites.  Raises
+    ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
     """
+    check_table_bytes(spec)
     field, ell, m = spec.field, spec.ell, spec.m
     all_tuples = index_tuples(ell, m)
     keep = [all_tuples.index(a) for a in spec.support]
     cells = all_tuples if spec.alpha is None else nabla_set(spec.alpha, m)
-    parts = []
-    for alpha in cells:
-        # a point of the Schubert variety vanishes off the support, so
-        # restricting keeps its leading coordinate
-        coords = cell_arrays(alpha, m, field)[1][:, keep]
-        lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-        parts.append(field.mul_array[field.inv_array[lead][:, None], coords])
-    return np.concatenate(parts)
+    # a point of the Schubert variety vanishes off the support, so
+    # restricting keeps its leading coordinate
+    return np.concatenate([
+        _normalize_rows(field, cell_arrays(alpha, m, field)[1][:, keep])
+        for alpha in cells])
+
+
+def decomposable_table(spec: CodeSpec,
+                       table: np.ndarray | None = None) -> np.ndarray:
+    """The [m ell]_q decomposable hyperplane classes of C(ell, m), one
+    normalized coefficient vector per row: an (N, k) uint8 array.
+
+    They are the points of the dual Grassmannian G(m-ell, m) (Nogin 1996):
+    a point with Pluecker coordinates p_b is the wedge element sum p_b v_b,
+    which ``functional_to_wedge`` reaches from the functional with
+    coefficient eps(a) p_b at a = complement(b), eps the shuffle sign.
+    Rows follow the points of ``point_table(CodeSpec(field, m - ell, m))``,
+    which ``table`` may supply.
+    """
+    if spec.is_schubert:
+        raise ValueError("decomposable classes are defined for Grassmann codes")
+    field, ell, m = spec.field, spec.ell, spec.m
+    if ell == m:
+        return np.ones((1, 1), dtype=np.uint8)  # G(0, m): the empty wedge
+    dual = CodeSpec(field, m - ell, m)
+    if table is None:
+        table = point_table(dual)
+    col = {b: j for j, b in enumerate(dual.support)}
+    coeffs = table[:, [col[complement(a, m)] for a in spec.support]]
+    flip = [i for i, a in enumerate(spec.support) if shuffle_sign(a, m) < 0]
+    coeffs[:, flip] = field.neg_array[coeffs[:, flip]]
+    return _normalize_rows(field, coeffs)
+
+
+def _row_reduce_rank(field: GF, rows: np.ndarray) -> int:
+    """Rank over the field of a uint8 array, by row reduction with the
+    field's array tables: each pivot row clears its column from the rows
+    still unused, which then drop that column."""
+    add, mul, neg, inv = (field.add_array, field.mul_array, field.neg_array,
+                          field.inv_array)
+    rk = 0
+    while rows.size:
+        hit = rows[:, 0] != 0
+        if hit.any():
+            below = rows[hit]
+            pivot = mul[inv[below[0, 0]], below[0, 1:]]
+            below = add[below[1:, 1:], neg[mul[below[1:, :1], pivot]]]
+            rows = np.concatenate([rows[~hit, 1:], below])
+            rk += 1
+        else:
+            rows = rows[:, 1:]
+    return rk
+
+
+def _table_rank(field: GF, table: np.ndarray) -> int:
+    """Rank of an (N, k) uint8 array.  About 4k rows spread evenly over the
+    table are reduced first: when they have rank k, so has the table."""
+    n, k = table.shape
+    if _row_reduce_rank(field, table[::max(1, n // (4 * k))]) == k:
+        return k
+    return _row_reduce_rank(field, table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,11 +235,8 @@ class GeneratorMatrix:
     def n(self) -> int:
         return len(self.columns)
 
-    def rows(self) -> list[list[int]]:
-        return self.columns.T.tolist()
-
     def full_rank(self) -> bool:
-        return matrix_rank(self.spec.field, self.rows()) == self.k
+        return _table_rank(self.spec.field, self.columns) == self.k
 
 
 def build_generator(spec: CodeSpec) -> GeneratorMatrix:
@@ -199,14 +287,24 @@ def class_representatives(q: int, k: int):
             yield tuple(vec)
 
 
+def _class_indices(q: int, k: int) -> np.ndarray:
+    """Codeword index of every ``class_representatives`` vector, in order:
+    the classes led by a 1 in position k-1-j hold indices [q^j, 2 q^j)."""
+    return np.concatenate([np.arange(q**j, 2 * q**j, dtype=np.int64)
+                           for j in reversed(range(k))])
+
+
+def _index_vector(i: int, q: int, k: int) -> list[int]:
+    """The coefficient vector of codeword index i = sum_j c_j q^(k-1-j)."""
+    return [i // q ** (k - 1 - j) % q for j in range(k)]
+
+
 def class_weights(spec: CodeSpec, table: np.ndarray | None = None):
     """Yield (representative vector, weight) over all scalar classes, in
     ``class_representatives`` order, read off ``weight_array``."""
     weights = weight_array(spec, table)
     q, k = spec.field.q, spec.k
-    # the classes led by a 1 in position k-1-j hold indices [q^j, 2 q^j)
-    indices = (i for j in reversed(range(k)) for i in range(q**j, 2 * q**j))
-    for vec, i in zip(class_representatives(q, k), indices):
+    for vec, i in zip(class_representatives(q, k), _class_indices(q, k)):
         yield vec, weights.item(i)
 
 
@@ -219,9 +317,7 @@ def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
         raise BudgetExceeded(required, budget)
     # weight_array's peak: the int64 weights and one int64 temporary, and
     # for odd p two int32 buffers of p q^k counts
-    nbytes = 16 * size + (0 if field.p == 2 else 8 * field.p * size)
-    if nbytes > MAX_SWEEP_BYTES:
-        raise BudgetExceeded(nbytes, MAX_SWEEP_BYTES, "bytes")
+    _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size))
 
 
 def _trace_dual(field: GF) -> np.ndarray:
@@ -409,30 +505,89 @@ def _suite_report(name: str, checks: list[dict], **extra) -> dict:
     return report
 
 
+# seed and size of the sample of nondecomposable classes that the rank
+# test cross-checks; fixed, so that reports reproduce
+_CROSS_CHECK_SEED = 0
+_CROSS_CHECK_SAMPLES = 200
+
+
+def _functional(spec: CodeSpec, vec) -> DualFunctional:
+    return DualFunctional.from_vector(vec, spec.ell, spec.m, spec.field,
+                                      spec.support)
+
+
+def _dual_classes(spec: CodeSpec, table: np.ndarray):
+    """The decomposable classes of a Grassmann code (``decomposable_table``),
+    a mask over the codeword indices marking all their multiples, and the
+    class indices (``_class_indices``) of every other class."""
+    q, k = spec.field.q, spec.k
+    rows = decomposable_table(spec, table if 2 * spec.ell == spec.m else None)
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    is_dec = np.zeros(q**k, dtype=bool)
+    is_dec[spec.field.mul_array[1:][:, rows] @ places] = True  # t c, t != 0
+    classes = _class_indices(q, k)
+    return rows, is_dec, classes[~is_dec[classes]]
+
+
+def _rank_cross_check(spec: CodeSpec, rows: np.ndarray,
+                      others: np.ndarray) -> dict:
+    """The rank test ``check_functional`` must call every decomposable row
+    decomposable, and every class of ``others`` in a sample of at most
+    ``_CROSS_CHECK_SAMPLES`` (drawn with ``_CROSS_CHECK_SEED``) not."""
+    q, k = spec.field.q, spec.k
+    if len(others) > _CROSS_CHECK_SAMPLES:
+        rng = random.Random(_CROSS_CHECK_SEED)
+        others = others[sorted(rng.sample(range(len(others)),
+                                          _CROSS_CHECK_SAMPLES))]
+    failures = []
+    for vec, dec in itertools.chain(
+            ((vec, True) for vec in rows.tolist()),
+            ((_index_vector(i, q, k), False) for i in others.tolist())):
+        func = _functional(spec, vec)
+        if check_functional(func) != dec:
+            failures.append({"functional": func.to_json_dict(),
+                             "decomposable": not dec})
+    return {"identity": "rank-cross-check", "decomposable": len(rows),
+            "sampled": len(others), "failures": failures,
+            "pass": not failures}
+
+
 def verify_nogin(spec: CodeSpec) -> dict:
-    """Minimum weight = q^(ell(m-ell)), attained exactly by decomposables."""
+    """Minimum weight = q^(ell(m-ell)), attained exactly by decomposables.
+
+    The codewords of weight d in ``weight_array`` must be the multiples of
+    the ``decomposable_table`` rows, and no nonzero codeword may weigh
+    less; a failure lists one functional per scalar class.
+    """
     if spec.is_schubert:
         raise ValueError("Nogin suite applies to Grassmann codes")
+    field, q, k = spec.field, spec.field.q, spec.k
     d = min_distance(spec)
     table = point_table(spec)
-    support = spec.support
-    n_dec = 0
+    weights = weight_array(spec, table)
+    rows, is_dec, others = _dual_classes(spec, table)
+    at_d = weights == d
+    bad = np.flatnonzero((weights[1:] < d) | (at_d[1:] != is_dec[1:])) + 1
     failures = []
-    for vec, w in class_weights(spec, table):
-        func = DualFunctional.from_vector(vec, spec.ell, spec.m, spec.field,
-                                          support)
-        dec = check_functional(func)
-        if dec:
-            n_dec += 1
-        if w < d or (w == d) != dec:
-            failures.append({"functional": func.to_json_dict(), "weight": w,
-                             "decomposable": dec})
-    expected_classes = gaussian_binomial(spec.m, spec.ell, spec.field.q)
+    seen = set()
+    for i, flag in zip(bad.tolist(), is_dec[bad].tolist()):
+        vec = _index_vector(i, q, k)
+        lead = field.inv(next(c for c in vec if c))
+        if (cls := tuple(field.mul(lead, c) for c in vec)) not in seen:
+            seen.add(cls)
+            func = _functional(spec, vec)
+            failures.append({"functional": func.to_json_dict(),
+                             "weight": weights.item(i), "decomposable": flag})
+    n_min = int(np.count_nonzero(at_d)) // (q - 1)
+    expected_classes = gaussian_binomial(spec.m, spec.ell, q)
     checks = [
         {"identity": "min-weight-iff-decomposable", "failures": failures,
-         "pass": not failures},
-        {"identity": "decomposable-class-count", "lhs": n_dec,
-         "rhs": expected_classes, "pass": n_dec == expected_classes},
+         # distinct rows must give (q - 1) N distinct multiples
+         "pass": not bad.size
+         and int(np.count_nonzero(is_dec)) == (q - 1) * len(rows)},
+        {"identity": "decomposable-class-count", "lhs": n_min,
+         "rhs": expected_classes, "pass": n_min == expected_classes},
+        _rank_cross_check(spec, rows, others),
     ]
     return _suite_report("nogin", checks, code=spec.describe(), d=d)
 
@@ -542,6 +697,7 @@ def verify_string_section(func: DualFunctional) -> dict:
     ell, m, field = func.ell, func.m, func.field
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
+    check_table_bytes(CodeSpec(field, ell, m))
     # the fiber of nu: the points of the cells with alpha_ell = m whose last
     # row carries nu in its m - ell free columns.  Those are the last slots
     # of enumerate_cell, so nu is a point's index in its cell mod q^(m-ell).
@@ -578,6 +734,7 @@ def verify_string_section(func: DualFunctional) -> dict:
 def verify_zanella_incidence(func: DualFunctional) -> dict:
     """Incidence-count bound for hyperplane sections over all V_{m-1}."""
     ell, m, field = func.ell, func.m, func.field
+    check_table_bytes(CodeSpec(field, ell, m))
     q = field.q
     add, mul = field.add_array, field.mul_array
     # the echelon matrices of the points on the hyperplane
@@ -611,24 +768,27 @@ def verify_zanella_incidence(func: DualFunctional) -> dict:
 
 def verify_l2_dichotomy(field: GF) -> dict:
     """Every nondecomposable hyperplane class of C(2, 4) meets G(2, V_4) in
-    exactly q^3 + q^2 + q + 1 points (the code is a two-weight code)."""
+    exactly q^3 + q^2 + q + 1 points (the code is a two-weight code).
+
+    The classes outside ``decomposable_table`` are read off
+    ``weight_array``; the rank test cross-checks them as in
+    ``verify_nogin``.
+    """
     spec = CodeSpec(field, 2, 4)
     q = field.q
-    n = spec.n
     expected_meet = q**3 + q**2 + q + 1
     table = point_table(spec)
-    support = spec.support
+    weights = weight_array(spec, table)
+    rows, _, others = _dual_classes(spec, table)
+    meets = spec.n - weights[others]
     failures = []
-    n_nondec = 0
-    for vec, w in class_weights(spec, table):
-        func = DualFunctional.from_vector(vec, 2, 4, field, support)
-        if check_functional(func):
-            continue
-        n_nondec += 1
-        if n - w != expected_meet:
-            failures.append({"functional": func.to_json_dict(),
-                             "meet": n - w})
-    checks = [{"identity": "two-weight", "nondecomposable_classes": n_nondec,
+    for i, meet in zip(others.tolist(), meets.tolist()):
+        if meet != expected_meet:
+            func = _functional(spec, _index_vector(i, q, spec.k))
+            failures.append({"functional": func.to_json_dict(), "meet": meet})
+    checks = [{"identity": "two-weight",
+               "nondecomposable_classes": len(others),
                "expected_meet": expected_meet, "failures": failures,
-               "pass": not failures}]
+               "pass": not failures},
+              _rank_cross_check(spec, rows, others)]
     return _suite_report("l2", checks, code=spec.describe())

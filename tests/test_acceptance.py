@@ -169,3 +169,13 @@ def test_10_cross_path_consistency():
                     ok = False
     _gate("10 direct evaluation vs signed wedge pairing, (2,4) q in {2,3}",
           ok, time.monotonic() - t0, 30.0)
+
+
+def test_11_nogin_by_duality_at_c36():
+    t0 = time.monotonic()
+    ok = True
+    for ell in (3, 2):
+        report = verify_nogin(CodeSpec(GF(2), ell, 6))
+        ok = ok and report["pass"]
+    _gate("11 Nogin by duality at C(3,6) and C(2,6), q=2", ok,
+          time.monotonic() - t0, 10.0)

@@ -153,6 +153,33 @@ def test_memory_ceiling_exit_two(capsys, monkeypatch):
     assert peak < 2**20
 
 
+def test_table_byte_ceiling_exit_two(capsys, monkeypatch):
+    # C(2,6) over F_16: its largest cell alone needs about 48 GiB
+    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    tracemalloc.start()
+    try:
+        for argv in (["--suite", "zanella", "-f", "X:1,2"],
+                     ["--suite", "zanella"],
+                     ["--suite", "strings", "-f", "X:1,6"],
+                     ["--suite", "attained"]):
+            code, out, err = run(capsys, "verify", "-q", "16", "-l", "2",
+                                 "-m", "6", *argv)
+            assert code == 2 and "bytes" in err and out == ""
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_verify_nogin_roadmap_target(capsys):
+    code, out, _ = run(capsys, "verify", "-q", "2", "-l", "3", "-m", "6",
+                       "--suite", "nogin")
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert report["pass"] is True
+    assert report["checks"][1]["lhs"] == report["checks"][1]["rhs"] == "1395"
+
+
 def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("PLUCKER_BUDGET", "1000")
     code, _, err = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4")

@@ -3,30 +3,35 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
-from grasscodes import codes
-from grasscodes.codes import (BudgetExceeded, CodeSpec, InvariantError,
-                              WeightDistribution, build_generator,
-                              class_count, class_representatives,
-                              class_weights, codeword_weight, min_distance,
+from grasscodes import codes, exterior
+from grasscodes.codes import (BudgetExceeded, CodeSpec, GeneratorMatrix,
+                              InvariantError, WeightDistribution,
+                              build_generator, class_count,
+                              class_representatives, class_weights,
+                              codeword_weight, decomposable_table,
+                              min_distance,
                               point_table, schubert_min_distance,
                               second_min_weight, special_theta,
                               verify_attained_family, verify_l2_dichotomy,
                               verify_nogin, verify_second_weight,
                               verify_string_section, verify_zanella_incidence,
                               weight_array, weight_distribution)
-from grasscodes.exterior import DualFunctional, parse_functional
+from grasscodes.exterior import (DualFunctional, check_functional,
+                                 parse_functional)
 from grasscodes.gf import GF
 from grasscodes.grassmann import (enumerate_grassmannian,
                                   enumerate_schubert_variety, plucker,
                                   string_fiber)
+from grasscodes.linalg import rank as matrix_rank
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
-from grasscodes.qcombin import index_tuples
+from grasscodes.qcombin import gaussian_binomial, index_tuples
 
 
 def test_spec_parameters(f2, f3):
@@ -434,6 +439,225 @@ def test_verify_l2_dichotomy(q):
     assert report["pass"], report
 
 
+# -- Nogin and two-weight suites by duality -----------------------------------
+
+def _rank_oracle(spec):
+    """The per-class path: the rank test on every scalar class.  Returns the
+    decomposable representatives and their number."""
+    found = set()
+    n_dec = 0
+    for vec in class_representatives(spec.field.q, spec.k):
+        func = DualFunctional.from_vector(vec, spec.ell, spec.m, spec.field)
+        if check_functional(func):
+            found.add(vec)
+            n_dec += 1
+    return found, n_dec
+
+
+def _multiples(field, rows):
+    """Codeword indices of every nonzero multiple of the rows."""
+    q, k = field.q, len(rows[0])
+    return sorted(sum(field.mul(t, c) * q ** (k - 1 - i)
+                      for i, c in enumerate(row))
+                  for row in rows for t in range(1, q))
+
+
+def _digits(i, q, k):
+    """The coefficient vector of codeword index i."""
+    return [i // q ** (k - 1 - j) % q for j in range(k)]
+
+
+def _vector(spec, functional_json):
+    """The coefficient vector of a functional in report form."""
+    func = DualFunctional(spec.field, spec.ell, spec.m,
+                          {tuple(map(int, a.split(","))): int(c)
+                           for a, c in functional_json.items()})
+    return func.vector()
+
+
+@pytest.mark.parametrize("field,ell,m", [
+    (GF(2), 2, 4), (GF(3), 2, 4), (GF(2, 2), 2, 4), (GF(2), 2, 5),
+    (GF(2), 3, 5)], ids=["C24-F2", "C24-F3", "C24-F4", "C25-F2", "C35-F2"])
+def test_decomposable_table_matches_rank_oracle(field, ell, m):
+    spec = CodeSpec(field, ell, m)
+    rows = decomposable_table(spec)
+    assert rows.dtype == np.uint8 and rows.shape[1] == spec.k
+    found, n_dec = _rank_oracle(spec)
+    assert set(map(tuple, rows.tolist())) == found
+    assert len(rows) == n_dec == gaussian_binomial(m, ell, field.q)
+    report = verify_nogin(spec)
+    assert report["checks"][1]["lhs"] == n_dec
+
+
+@st.composite
+def grassmann_codes(draw):
+    """A Grassmann code with at most 10^5 codewords over a field of order
+    at most 9, ell = m included."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    field = GF(p, e)
+    m = draw(st.integers(1, 6))
+    spec = CodeSpec(field, draw(st.integers(1, m)), m)
+    assume(field.q**spec.k <= 10**5)
+    return spec
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(grassmann_codes())
+def test_dual_grassmannian_is_minimum_weight_set(spec):
+    rows = decomposable_table(spec).tolist()
+    weights = weight_array(spec)
+    assert _multiples(spec.field, rows) == \
+        np.flatnonzero(weights == min_distance(spec)).tolist()
+
+
+def test_nogin_report_layout(f3):
+    spec = CodeSpec(f3, 2, 5)
+    report = verify_nogin(spec)
+    assert [c["identity"] for c in report["checks"]] == [
+        "min-weight-iff-decomposable", "decomposable-class-count",
+        "rank-cross-check"]
+    cross = report["checks"][2]
+    assert (cross["decomposable"], cross["sampled"]) == (1210, 200)
+    assert report == verify_nogin(spec)  # the sample seed is fixed
+    # fewer nondecomposable classes than the cap: all are checked
+    cross = verify_nogin(CodeSpec(GF(2), 2, 4))["checks"][2]
+    assert (cross["decomposable"], cross["sampled"]) == (35, 28)
+    checks = verify_l2_dichotomy(f3)["checks"]
+    assert [c["identity"] for c in checks] == ["two-weight", "rank-cross-check"]
+    assert checks[0]["nondecomposable_classes"] == 364 - 130
+
+
+def test_flipped_shuffle_sign_fails_nogin(monkeypatch, f3):
+    spec = CodeSpec(f3, 2, 4)
+    true_rows = set(map(tuple, decomposable_table(spec).tolist()))
+    monkeypatch.setattr(codes, "shuffle_sign",
+                        lambda a, m: -exterior.shuffle_sign(a, m)
+                        if a == (1, 2) else exterior.shuffle_sign(a, m))
+    wrong_rows = set(map(tuple, decomposable_table(spec).tolist()))
+    assert wrong_rows != true_rows
+    report = verify_nogin(spec)
+    assert not report["pass"]
+    check, _, cross = report["checks"]
+    assert not check["pass"] and not cross["pass"]
+    # one failure per class, each a class of the symmetric difference
+    listed = [_vector(spec, f["functional"]) for f in check["failures"]]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == true_rows ^ wrong_rows
+    assert [f["decomposable"] for f in check["failures"]] == \
+        [vec in wrong_rows for vec in listed]
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_corrupted_weight_array_fails_nogin(monkeypatch, f3, delta):
+    spec = CodeSpec(f3, 2, 4)
+    d, q, k = min_distance(spec), 3, spec.k
+    weights = weight_array(spec)
+    # a non-normalized codeword: twice a decomposable one (delta = 1), or
+    # twice a nondecomposable one (delta = -1)
+    target = [i for i in np.flatnonzero(weights == d if delta > 0
+                                        else weights > d).tolist()
+              if next(c for c in _digits(i, q, k) if c) == 2][0]
+    weights[target] = d + delta
+    monkeypatch.setattr(codes, "weight_array", lambda spec, table=None: weights)
+    report = verify_nogin(spec)
+    assert not report["pass"]
+    assert report["checks"][0]["failures"] == [
+        {"functional": DualFunctional.from_vector(
+            _digits(target, q, k), 2, 4, f3).to_json_dict(),
+         "weight": d + delta, "decomposable": delta > 0}]
+    assert report["checks"][2]["pass"]  # the rank test is not affected
+
+
+def test_corrupted_weight_array_fails_l2(monkeypatch, f3):
+    spec = CodeSpec(f3, 2, 4)
+    weights = weight_array(spec)
+    target = int(np.flatnonzero(weights > min_distance(spec))[0])
+    weights[target] -= 1
+    monkeypatch.setattr(codes, "weight_array", lambda spec, table=None: weights)
+    report = verify_l2_dichotomy(f3)
+    assert not report["pass"]
+    assert report["checks"][0]["failures"] == [
+        {"functional": DualFunctional.from_vector(
+            _digits(target, 3, 6), 2, 4, f3).to_json_dict(),
+         "meet": spec.n - int(weights[target])}]
+
+
+def test_rank_cross_check_reports_disagreement(monkeypatch, f2):
+    monkeypatch.setattr(codes, "check_functional", lambda func: True)
+    for report in (verify_nogin(CodeSpec(f2, 2, 4)), verify_l2_dichotomy(f2)):
+        cross = report["checks"][-1]
+        assert not report["pass"] and not cross["pass"]
+        # every nondecomposable class sampled (28 of them) is listed
+        assert len(cross["failures"]) == cross["sampled"] == 28
+        assert all(f["decomposable"] is True for f in cross["failures"])
+        assert all(c["pass"] for c in report["checks"][:-1])
+
+
+def test_decomposable_table_rejects_schubert(f2):
+    with pytest.raises(ValueError):
+        decomposable_table(CodeSpec(f2, 2, 4, alpha=(1, 4)))
+
+
+# -- generator rank and the byte ceiling on tables -------------------------------
+
+@pytest.mark.parametrize("field,ell,m", [
+    (GF(2), 3, 6), (GF(3), 2, 5), (GF(2, 2), 2, 4), (GF(3, 2), 2, 4),
+    (GF(3), 1, 3)], ids=["C36-F2", "C25-F3", "C24-F4", "C24-F9", "C13-F3"])
+def test_table_rank_matches_linalg_rank(field, ell, m):
+    table = point_table(CodeSpec(field, ell, m))
+    rng = np.random.default_rng(0)
+    mixed = table.copy()
+    # column 0 becomes c times column 1 plus column 2: rank k - 1
+    c = field.q - 1
+    mixed[:, 0] = field.add_array[field.mul_array[c, table[:, 1]], table[:, 2]] \
+        if table.shape[1] > 2 else 0
+    # full rank only through a row the evenly spread sample skips
+    lone = table.copy()
+    lone[:, 0] = 0
+    lone[1, 0] = 1
+    cases = [table, table[::-1], table[:, 1:], lone,
+             np.concatenate([table, table[:, :1]], axis=1),  # duplicated column
+             table[:3], table[rng.permutation(len(table))[:table.shape[1]]],
+             mixed, np.zeros_like(table[:5])]
+    for case in cases:
+        assert codes._table_rank(field, case) == \
+            matrix_rank(field, case.T.tolist())
+
+
+def test_full_rank_detects_deficient_generator(f3):
+    spec = CodeSpec(f3, 2, 4)
+    gen = build_generator(spec)
+    assert gen.full_rank()
+    dup = gen.columns.copy()
+    dup[:, 0] = dup[:, 5]
+    assert not GeneratorMatrix(spec, dup).full_rank()
+    assert not GeneratorMatrix(spec, gen.columns[:5]).full_rank()
+
+
+def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
+    f16 = GF(2, 4)
+    spec = CodeSpec(f16, 2, 6)  # a 16^8-point cell: about 48 GiB of minors
+
+    def no_cells(*args):
+        raise AssertionError("cell built for a refused table")
+    monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    tracemalloc.start()
+    try:
+        for call in (lambda: point_table(spec),
+                     lambda: build_generator(spec),
+                     lambda: verify_string_section(
+                         parse_functional("X:1,6", 2, 6, f16)),
+                     lambda: verify_zanella_incidence(
+                         parse_functional("X:1,2", 2, 6, f16)),
+                     lambda: verify_attained_family(2, 6, f16)):
+            with pytest.raises(BudgetExceeded, match="bytes"):
+                call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def _point_in_kernel(mat, u) -> bool:
     """Every row of the echelon matrix pairs to 0 with the covector u."""
     field = mat.field
@@ -455,8 +679,7 @@ def test_nondecomposable_sub_grassmannian_sections(ell, m):
     (every wedge 2-form on a 3-space factors); for m = 5 containment does
     occur, e.g. X:1,2,5 + X:3,4,5 contains all of G(3, span(v1..v4)).
     Either way the total section stays within e'(m-2, m)."""
-    from grasscodes.exterior import check_functional
-    from grasscodes.qcombin import e_bound, e_prime_bound, gaussian_binomial
+    from grasscodes.qcombin import e_bound, e_prime_bound
     field = GF(2)
     spec = CodeSpec(field, ell, m)
     pts = list(enumerate_grassmannian(ell, m, field))
