@@ -3,10 +3,10 @@
 Commands: params, wdist, verify, decompose, strings.  All integer values
 are serialized as strings in JSON output (counts overflow 53-bit floats
 at modest parameters).  Exit codes: 0 success / all assertions pass,
-1 usage or domain error (and failed verification), 2 a sweep over the
-operation budget, or a sweep or point table over the fixed memory
-ceiling.  The PLUCKER_BUDGET environment variable overrides the default
-operation budget.
+1 usage or domain error (and failed verification), 2 a sweep or a
+per-class strings/zanella suite over the operation budget, or a sweep or
+point table over the fixed memory ceiling.  The PLUCKER_BUDGET
+environment variable overrides the default operation budget.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import sys
 from typing import Iterator
 
 from .codes import (BudgetExceeded, CodeSpec, DEFAULT_BUDGET, check_budget,
+                    check_class_budget, check_table_bytes,
                     verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
                     verify_zanella_incidence, weight_distribution,
@@ -166,8 +167,8 @@ def cmd_wdist(args) -> int:
 
 def _functionals(spec: CodeSpec, functional: str | None,
                  support: list[tuple[int, ...]]) -> Iterator[DualFunctional]:
-    """The ``-f`` functional, or one per scalar class supported on support;
-    lazily, so that the first suite call can refuse an oversized code."""
+    """The ``-f`` functional, or one per scalar class supported on support,
+    lazily: there can be hundreds of thousands of classes."""
     field, ell, m = spec.field, spec.ell, spec.m
     if functional:
         yield parse_functional(functional, ell, m, field)
@@ -190,15 +191,23 @@ def cmd_verify(args) -> int:
     budget = _budget(args)
     suite = args.suite
     if suite in ("nogin", "second", "l2", "all"):
-        # only these suites sweep every codeword class
+        # these suites sweep every codeword class
         check_budget(spec, budget)
+    last = [a for a in spec.support if a[-1] == spec.m]
+    if not args.functional and suite in ("strings", "zanella", "all"):
+        # strings and zanella without -f run once per scalar class; the
+        # memory ceiling of their point table is reported first
+        check_table_bytes(CodeSpec(spec.field, spec.ell, spec.m))
+        for name, support in (("strings", last), ("zanella", spec.support)):
+            if suite in (name, "all"):
+                check_class_budget(spec, len(support), budget,
+                                   f"--suite {name}")
     reports: list[dict] = []
     if suite in ("nogin", "all"):
         reports.append(verify_nogin(spec))
     if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
         reports.append(verify_second_weight(spec, budget=budget))
     if suite in ("strings", "all"):
-        last = [a for a in spec.support if a[-1] == spec.m]
         reports += [verify_string_section(f)
                     for f in _functionals(spec, args.functional, last)]
     if suite in ("zanella", "all"):

@@ -41,7 +41,7 @@ __all__ = [
     "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES", "build_generator",
     "point_table", "check_table_bytes", "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
-    "check_budget", "weight_array", "weight_distribution",
+    "check_budget", "check_class_budget", "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
@@ -56,10 +56,11 @@ MAX_SWEEP_BYTES = 2 * 2**30
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when a sweep would exceed the operation budget or memory."""
+    """Raised when a sweep, a point table or a per-class suite loop would
+    exceed the operation budget or memory; ``what`` names the refused work."""
 
-    def __init__(self, required: int, budget: int, unit: str = "operations"):
-        super().__init__(f"sweep requires ~{required} {unit}, budget is {budget}")
+    def __init__(self, what: str, required: int, unit: str, budget: int):
+        super().__init__(f"{what} requires ~{required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 
@@ -110,9 +111,9 @@ class CodeSpec:
         return f"{name} over {self.field!r}"
 
 
-def _refuse_bytes(nbytes: int) -> None:
+def _refuse_bytes(nbytes: int, what: str) -> None:
     if nbytes > MAX_SWEEP_BYTES:
-        raise BudgetExceeded(nbytes, MAX_SWEEP_BYTES, "bytes")
+        raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
 
 
 def check_table_bytes(spec: CodeSpec) -> None:
@@ -129,7 +130,8 @@ def check_table_bytes(spec: CodeSpec) -> None:
     top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
     width = max(len(index_tuples(i, m)) for i in range(1, ell + 1))
     per_point = ell * m + top + 5 * width + 2 * spec.k + 24
-    _refuse_bytes(field.q**top * per_point + 2 * spec.n * max(spec.k, ell * m))
+    _refuse_bytes(field.q**top * per_point + 2 * spec.n * max(spec.k, ell * m),
+                  "point table")
 
 
 def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
@@ -308,16 +310,24 @@ def class_weights(spec: CodeSpec, table: np.ndarray | None = None):
         yield vec, weights.item(i)
 
 
+def check_class_budget(spec: CodeSpec, k: int, budget: int | None,
+                       what: str) -> None:
+    """Refuse, before any work, a pass over every scalar class of k
+    coefficients priced as classes times points, over ``budget``."""
+    required = class_count(spec.field.q, k) * spec.n
+    if budget is not None and required > budget:
+        raise BudgetExceeded(what, required, "operations", budget)
+
+
 def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
     """Refuse a full sweep before any work: over ``budget`` operations,
     counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
     field, size = spec.field, spec.field.q**spec.k
-    required = class_count(field.q, spec.k) * spec.n
-    if budget is not None and required > budget:
-        raise BudgetExceeded(required, budget)
+    check_class_budget(spec, spec.k, budget, "sweep")
     # weight_array's peak: the int64 weights and one int64 temporary, and
     # for odd p two int32 buffers of p q^k counts
-    _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size))
+    _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size),
+                  "sweep")
 
 
 def _trace_dual(field: GF) -> np.ndarray:

@@ -1,39 +1,58 @@
 """Exact MacWilliams transform, used as a global checksum on sweeps.
 
-The dual weight enumerator is computed as
+The dual weight distribution of an [n, k] code over F_q with A_i words of
+weight i is
 
-    q^(-k) * sum_i A_i (x + (q-1) y)^(n-i) (x - y)^i
+    B_j = q^(-k) * sum_i A_i K_j(i),
 
-by convolving binomial coefficient lists in exact integer arithmetic.
-A complete distribution is consistent only if every dual coefficient is a
+where K_j is the q-ary Krawtchouk polynomial of length n.  At each weight
+i with A_i != 0, the values K_0(i), ..., K_n(i) come from the three-term
+recurrence
+
+    (j+1) K_{j+1}(i) = (j + (q-1)(n-j) - q i) K_j(i) - (q-1)(n-j+1) K_{j-1}(i)
+
+with K_{-1} = 0 and K_0 = 1, in exact Python integers.  Every K_j(i) is an
+integer, so each division by j+1 is exact; a remainder is a program fault
+and raises ``InvariantError``.  The cost is O(#weights * n) big-integer
+steps.  A complete distribution is consistent only if every B_j is a
 nonnegative integer.
 """
 
 from __future__ import annotations
 
-from math import comb
+from .qcombin import InvariantError
 
 __all__ = ["dual_distribution", "check_macwilliams"]
 
 
-def _term_poly(n: int, i: int, q: int) -> list[int]:
-    """Coefficients of y^j in (x + (q-1)y)^(n-i) (x - y)^i, x-degree n-j."""
-    a = [comb(n - i, j) * (q - 1) ** j for j in range(n - i + 1)]
-    b = [(-1) ** s * comb(i, s) for s in range(i + 1)]
-    out = [0] * (n + 1)
-    for j, aj in enumerate(a):
-        if aj:
-            for s, bs in enumerate(b):
-                out[j + s] += aj * bs
-    return out
+def _krawtchouk(n: int, i: int, q: int) -> list[int]:
+    """K_0(i), ..., K_n(i) for length n over F_q."""
+    values = [1]
+    prev, cur = 0, 1
+    for j in range(n):
+        num = (j + (q - 1) * (n - j) - q * i) * cur \
+            - (q - 1) * (n - j + 1) * prev
+        nxt, rem = divmod(num, j + 1)
+        if rem:
+            raise InvariantError(
+                f"Krawtchouk recurrence not exact at K_{j + 1}({i}), n={n}, q={q}")
+        prev, cur = cur, nxt
+        values.append(cur)
+    return values
 
 
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> dict[int, int]:
-    """Weight distribution of the dual code, exact; raises on inconsistency."""
+    """Weight distribution of the dual code, exact; raises ``ValueError``
+    on a weight outside 0..n, a negative count, or an inconsistent
+    distribution."""
     acc = [0] * (n + 1)
     for i, a_i in counts.items():
+        if not 0 <= i <= n:
+            raise ValueError(f"weight {i} outside 0..{n}")
+        if a_i < 0:
+            raise ValueError(f"negative count {a_i} at weight {i}")
         if a_i:
-            for j, c in enumerate(_term_poly(n, i, q)):
+            for j, c in enumerate(_krawtchouk(n, i, q)):
                 acc[j] += a_i * c
     size = q**k
     dual = {}

@@ -15,7 +15,7 @@ from grasscodes.exterior import (DualFunctional, functional_to_wedge,
                                  wedge_of_vectors, wedge_pairing)
 from grasscodes.gf import GF
 from grasscodes.grassmann import enumerate_grassmannian, plucker
-from grasscodes.macwilliams import check_macwilliams
+from grasscodes.macwilliams import check_macwilliams, dual_distribution
 from grasscodes.qcombin import (verify_e_inequalities,
                                 verify_gaussian_identities)
 
@@ -178,4 +178,17 @@ def test_11_nogin_by_duality_at_c36():
         report = verify_nogin(CodeSpec(GF(2), ell, 6))
         ok = ok and report["pass"]
     _gate("11 Nogin by duality at C(3,6) and C(2,6), q=2", ok,
+          time.monotonic() - t0, 10.0)
+
+
+def test_12_macwilliams_frontier():
+    t0 = time.monotonic()
+    ok = True
+    for field, ell, m in [(GF(2, 3), 2, 4), (GF(2), 2, 7)]:
+        spec = CodeSpec(field, ell, m)
+        dist = weight_distribution(spec)
+        args = (dist.counts, spec.n, field.q, spec.k)
+        ok = ok and check_macwilliams(*args) is True
+        ok = ok and dual_distribution(*args)[0] == 1
+    _gate("12 MacWilliams at n = 4745 (C(2,4), q=8) and C(2,7), q=2", ok,
           time.monotonic() - t0, 10.0)

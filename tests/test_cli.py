@@ -1,7 +1,7 @@
 import json
 import tracemalloc
 
-from grasscodes import codes
+from grasscodes import cli, codes
 from grasscodes.cli import main
 
 
@@ -192,6 +192,38 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, _ = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4",
                      "--budget", "100000")
     assert code == 0
+
+
+def test_refusal_names_refused_work(capsys):
+    cases = [(["wdist", "-q", "2", "-l", "3", "-m", "6", "--budget", "1000"],
+              "sweep requires ~1462762125 operations, budget is 1000"),
+             (["wdist", "-q", "4", "-l", "2", "-m", "6", "--budget",
+               str(10**20)],
+              "sweep requires ~17179869184 bytes, budget is 2147483648"),
+             (["verify", "-q", "16", "-l", "2", "-m", "6", "--suite",
+               "zanella", "-f", "X:1,2"],
+              "point table requires ~777927917054 bytes, budget is 2147483648")]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
+    # C(2,5) over F_4: 349 525 Zanella suites of 5797 points each; one
+    # functional given with -f is not priced
+    code, _, _ = run(capsys, "verify", "-q", "4", "-l", "2", "-m", "5",
+                     "--suite", "zanella", "-f", "X:1,2", "--budget", "1000")
+    assert code == 0
+    monkeypatch.setattr(cli, "verify_zanella_incidence", None)
+    monkeypatch.setattr(cli, "verify_string_section", None)
+    report = tmp_path / "report.json"
+    for suite, price in (("zanella", 349525 * 5797), ("strings", 85 * 5797)):
+        code, out, err = run(capsys, "verify", "-q", "4", "-l", "2", "-m", "5",
+                             "--suite", suite, "--budget", "100000",
+                             "-o", str(report))
+        assert code == 2 and out == "" and not report.exists()
+        assert err == (f"error: --suite {suite} requires ~{price} operations,"
+                       " budget is 100000\n")
 
 
 def test_verify_strings_with_functional(capsys):

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
@@ -717,6 +718,127 @@ def test_macwilliams_on_grassmann(f2, f3):
         spec = CodeSpec(field, ell, m)
         dist = weight_distribution(spec)
         assert check_macwilliams(dist.counts, spec.n, field.q, spec.k)
+
+
+def test_macwilliams_rejects_weights_outside_range():
+    for weight in (9, -2):
+        counts = {0: 1, 4: 7, weight: 3}
+        assert not check_macwilliams(counts, 7, 2, 3)
+        with pytest.raises(ValueError, match=f"weight {weight} outside 0..7"):
+            dual_distribution(counts, 7, 2, 3)
+    assert not check_macwilliams({0: 1, 4: -7}, 7, 2, 3)
+    with pytest.raises(ValueError, match="negative count -7 at weight 4"):
+        dual_distribution({0: 1, 4: -7}, 7, 2, 3)
+
+
+def _dual_oracle(counts: dict[int, int], n: int, q: int,
+                 k: int) -> dict[int, int]:
+    """The dual distribution from the expanded enumerator
+    q^(-k) sum_i A_i (x + (q-1) y)^(n-i) (x - y)^i, by products of
+    binomial coefficient lists: O(#weights * n^2), for weights in 0..n."""
+    acc = [0] * (n + 1)
+    for i, a_i in counts.items():
+        if not a_i:
+            continue
+        a = [comb(n - i, j) * (q - 1) ** j for j in range(n - i + 1)]
+        b = [(-1) ** s * comb(i, s) for s in range(i + 1)]
+        for j, aj in enumerate(a):
+            for s, bs in enumerate(b):
+                acc[j + s] += a_i * aj * bs
+    size = q**k
+    dual = {}
+    for j, total in enumerate(acc):
+        if total % size != 0:
+            raise ValueError(f"MacWilliams transform not integral at weight {j}")
+        b_j = total // size
+        if b_j < 0:
+            raise ValueError(f"MacWilliams transform negative at weight {j}")
+        if b_j:
+            dual[j] = b_j
+    return dual
+
+
+# every code the tests sweep, and the Schubert codes of the benchmark's
+# sweep workload, up to n = 1210 (the oracle is quadratic in n)
+SWEPT_CODES = [(p, e, modulus, ell, m, alpha)
+               for p, e, modulus, ell, m, alpha in ENGINE_CODES + [
+                   (2, 1, None, 2, 4, None), (2, 1, None, 2, 5, None),
+                   (2, 1, None, 3, 5, None), (3, 1, None, 2, 5, None),
+                   (2, 1, None, 2, 4, (1, 4)), (2, 1, None, 2, 4, (2, 4)),
+                   (3, 1, None, 2, 4, (1, 4)), (2, 1, None, 2, 5, (2, 5)),
+                   (2, 1, None, 3, 6, (2, 4, 6)), (2, 3, None, 2, 5, (1, 4)),
+                   (3, 2, None, 2, 5, (1, 4))]
+               if CodeSpec(GF(p, e, modulus=modulus), ell, m, alpha).n <= 1210]
+
+
+@pytest.mark.parametrize("p,e,modulus,ell,m,alpha", SWEPT_CODES,
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_dual_distribution_matches_oracle(p, e, modulus, ell, m, alpha):
+    spec = CodeSpec(GF(p, e, modulus=modulus), ell, m, alpha)
+    counts = weight_distribution(spec).counts
+    args = (counts, spec.n, spec.field.q, spec.k)
+    assert dual_distribution(*args) == _dual_oracle(*args)
+    assert check_macwilliams(*args)
+
+
+@st.composite
+def count_dicts(draw):
+    """Random counts on weights 0..n; mostly inconsistent distributions,
+    and for k = 0 often consistent ones."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    n = draw(st.integers(1, 40))
+    counts = draw(st.dictionaries(st.integers(0, n), st.integers(0, 60),
+                                  max_size=5))
+    return counts, n, q, draw(st.integers(0, 3))
+
+
+def _outcome(transform, args):
+    try:
+        return transform(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(count_dicts())
+def test_dual_distribution_agrees_with_oracle(args):
+    assert _outcome(dual_distribution, args) == _outcome(_dual_oracle, args)
+
+
+class _SkewedWeight(int):
+    """A weight whose product with q comes out one too large, so that every
+    recurrence step using it computes a corrupted numerator."""
+
+    def __rmul__(self, other):
+        return int(other) * int(self) + 1
+
+
+def test_krawtchouk_recurrence_checked():
+    counts = {0: 1, _SkewedWeight(4): 7}
+    with pytest.raises(InvariantError, match="not exact"):
+        dual_distribution(counts, 7, 2, 3)
+    # not swallowed as an inconsistent distribution
+    with pytest.raises(InvariantError, match="not exact"):
+        check_macwilliams(counts, 7, 2, 3)
+
+
+def test_krawtchouk_check_survives_optimize_flag():
+    script = (
+        "from grasscodes.macwilliams import check_macwilliams\n"
+        "from grasscodes.qcombin import InvariantError\n"
+        "class Skewed(int):\n"
+        "    def __rmul__(self, other):\n"
+        "        return int(other) * int(self) + 1\n"
+        "try:\n"
+        "    check_macwilliams({0: 1, Skewed(4): 7}, 7, 2, 3)\n"
+        "except InvariantError:\n"
+        "    print('raised', __debug__)\n")
+    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["raised", "False"]
 
 
 def test_distribution_serialization(f2):
