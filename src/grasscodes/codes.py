@@ -18,8 +18,9 @@ refused before any work.
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
 (``decomposable_table``); the Nogin and two-weight suites compare that set
-with the weight array, and keep the rank test ``check_functional`` as a
-cross-check on every decomposable and a seeded sample of the rest.
+with the weight array, and keep the annihilator rank test as a
+cross-check on every decomposable and a seeded sample of the rest, all
+reduced at once by ``exterior.annihilator_ranks``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .exterior import DualFunctional, check_functional, shuffle_sign
+from .exterior import DualFunctional, annihilator_ranks, shuffle_sign
 from .gf import GF
 from .qcombin import (InvariantError, check_index_tuple, complement, delta,
                       delta_set, gaussian_binomial, index_tuples, nabla_set)
@@ -541,22 +542,25 @@ def _dual_classes(spec: CodeSpec, table: np.ndarray):
 
 def _rank_cross_check(spec: CodeSpec, rows: np.ndarray,
                       others: np.ndarray) -> dict:
-    """The rank test ``check_functional`` must call every decomposable row
+    """The annihilator rank test (Nogin 1996: f is decomposable iff its
+    annihilator has dimension m - ell) must call every decomposable row
     decomposable, and every class of ``others`` in a sample of at most
-    ``_CROSS_CHECK_SAMPLES`` (drawn with ``_CROSS_CHECK_SEED``) not."""
+    ``_CROSS_CHECK_SAMPLES`` (drawn with ``_CROSS_CHECK_SEED``) not.  One
+    call of ``annihilator_ranks`` reduces all of them; failures are listed
+    decomposable rows first, then the sampled classes in index order."""
     q, k = spec.field.q, spec.k
     if len(others) > _CROSS_CHECK_SAMPLES:
         rng = random.Random(_CROSS_CHECK_SEED)
         others = others[sorted(rng.sample(range(len(others)),
                                           _CROSS_CHECK_SAMPLES))]
-    failures = []
-    for vec, dec in itertools.chain(
-            ((vec, True) for vec in rows.tolist()),
-            ((_index_vector(i, q, k), False) for i in others.tolist())):
-        func = _functional(spec, vec)
-        if check_functional(func) != dec:
-            failures.append({"functional": func.to_json_dict(),
-                             "decomposable": not dec})
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    vecs = np.concatenate([rows, (others[:, None] // places % q).astype(np.uint8)])
+    expected = np.arange(len(vecs)) < len(rows)
+    found = annihilator_ranks(spec.field, spec.ell, spec.m, vecs) == spec.ell
+    wrong = found != expected
+    failures = [{"functional": _functional(spec, vec).to_json_dict(),
+                 "decomposable": dec}
+                for vec, dec in zip(vecs[wrong].tolist(), found[wrong].tolist())]
     return {"identity": "rank-cross-check", "decomposable": len(rows),
             "sampled": len(others), "failures": failures,
             "pass": not failures}

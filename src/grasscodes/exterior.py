@@ -28,7 +28,7 @@ __all__ = [
     "functional_to_wedge", "wedge_with_vector", "wedge_of_vectors",
     "wedge_pairing", "annihilator_matrix", "annihilator_basis",
     "annihilator_dimension", "is_decomposable", "restrict_functional",
-    "check_functional", "parse_functional",
+    "check_functional", "annihilator_ranks", "parse_functional",
 ]
 
 
@@ -273,6 +273,63 @@ def restrict_functional(func: DualFunctional,
 def check_functional(func: DualFunctional) -> bool:
     """Decomposability verdict for the hyperplane of a functional."""
     return is_decomposable(functional_to_wedge(func))
+
+
+def annihilator_ranks(field: GF, ell: int, m: int, vecs) -> np.ndarray:
+    """Rank of ``annihilator_matrix(functional_to_wedge(f))`` for every row
+    f of an (N, C(m, ell)) array of coefficient vectors (columns in
+    ``index_tuples(ell, m)`` order); f is decomposable iff its rank is ell.
+
+    All N transposed annihilator matrices are gathered at once: entry
+    (b, j), b in I(m-ell+1, m), is the coefficient of v_b in z ^ e_j, i.e.
+    z at b minus j with the sign of ``wedge_with_vector``, where z carries
+    coefficient eps(a) c_a at complement(a).  They are reduced together
+    with the field's array tables, one pass per column: each matrix scales
+    its first row with a nonzero entry there to a leading 1 and clears the
+    column in every row, that row included, which leaves it zero; the
+    cleared column is then dropped.
+    """
+    if not 1 <= ell <= m:
+        raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
+    tuples = index_tuples(ell, m)
+    vecs = np.asarray(vecs)
+    if vecs.ndim != 2 or vecs.shape[1] != len(tuples):
+        raise ValueError(f"functionals must be rows of length {len(tuples)}")
+    if ((vecs < 0) | (vecs >= field.q)).any():
+        raise ValueError("coefficients must be field element indices")
+    if not vecs.any(axis=1).all():
+        raise ValueError("functional must be nonzero")
+    col = {a: i for i, a in enumerate(tuples)}
+    rows = index_tuples(m - ell + 1, m)
+    # gather index (len(tuples) is an appended zero column) and sign of
+    # every entry: eps(a) for the wedge, then one sign per factor of b
+    # greater than j for moving v_j into place
+    src = np.full((len(rows), m), len(tuples))
+    flip = np.zeros((len(rows), m), dtype=bool)
+    for r, b in enumerate(rows):
+        for j in b:
+            # a = complement(b minus j), built directly: b minus j is empty
+            # when ell = m
+            a = tuple(x for x in range(1, m + 1) if x == j or x not in b)
+            src[r, j - 1] = col[a]
+            flip[r, j - 1] = (shuffle_sign(a, m) < 0) != (
+                sum(1 for x in b if x > j) % 2 == 1)
+    padded = np.concatenate(
+        [vecs.astype(np.uint8), np.zeros((len(vecs), 1), dtype=np.uint8)], axis=1)
+    mats = padded[:, src]
+    mats[:, flip] = field.neg_array[mats[:, flip]]
+    add, inv = field.add_array, field.inv_array
+    neg_mul = field.neg_array[field.mul_array]
+    every = np.arange(len(mats))
+    ranks = np.zeros(len(mats), dtype=np.int64)
+    for _ in range(m):
+        lead_col = mats[:, :, 0]
+        piv = (lead_col != 0).argmax(axis=1)
+        lead = lead_col[every, piv]
+        ranks += lead != 0
+        pivot = field.mul_array[inv[lead][:, None], mats[every, piv, 1:]]
+        mats = add[mats[:, :, 1:], neg_mul[lead_col[:, :, None], pivot[:, None, :]]]
+    return ranks
 
 
 def parse_functional(s: str, ell: int, m: int, field: GF) -> DualFunctional:

@@ -314,6 +314,27 @@ def test_schubert_min_distance_attained(f2, f3):
         assert dist.min_weight() == schubert_min_distance(alpha, m, field.q)
 
 
+@st.composite
+def schubert_codes(draw):
+    """A Schubert code C_alpha(ell, m) with at most 10^5 codewords over a
+    field of order at most 9."""
+    p, e = draw(st.sampled_from(SMALL_FIELDS))
+    field = GF(p, e)
+    m = draw(st.integers(1, 6))
+    ell = draw(st.integers(1, m))
+    spec = CodeSpec(field, ell, m, draw(st.sampled_from(index_tuples(ell, m))))
+    assume(field.q**spec.k <= 10**5)
+    return spec
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(schubert_codes())
+def test_schubert_min_distance_is_q_delta(spec):
+    weights = weight_array(spec)
+    assert int(weights[1:].min()) == \
+        schubert_min_distance(spec.alpha, spec.m, spec.field.q)
+
+
 def test_closed_forms(f2):
     assert min_distance(CodeSpec(f2, 2, 4)) == 16
     assert second_min_weight(CodeSpec(f2, 2, 4)) == 20
@@ -584,7 +605,9 @@ def test_corrupted_weight_array_fails_l2(monkeypatch, f3):
 
 
 def test_rank_cross_check_reports_disagreement(monkeypatch, f2):
-    monkeypatch.setattr(codes, "check_functional", lambda func: True)
+    # a rank test that calls every functional decomposable (rank ell)
+    monkeypatch.setattr(codes, "annihilator_ranks",
+                        lambda field, ell, m, vecs: np.full(len(vecs), ell))
     for report in (verify_nogin(CodeSpec(f2, 2, 4)), verify_l2_dichotomy(f2)):
         cross = report["checks"][-1]
         assert not report["pass"] and not cross["pass"]
@@ -687,6 +710,9 @@ def test_nondecomposable_sub_grassmannian_sections(ell, m):
     coords = [plucker(p).coords for p in pts]
     proper = e_bound(m - 2, m - 1, 2)
     full = gaussian_binomial(m - 1, m - 2, 2)
+    # the points of each sub-Grassmannian G(ell, ker u), computed once
+    covectors = list(class_representatives(2, m))
+    in_kernel = [[_point_in_kernel(p, u) for p in pts] for u in covectors]
     any_contained = False
     for vec in class_representatives(2, spec.k):
         func = DualFunctional.from_vector(vec, ell, m, field)
@@ -694,9 +720,8 @@ def test_nondecomposable_sub_grassmannian_sections(ell, m):
             continue
         on_pi = [not func.evaluate(c) for c in coords]
         assert sum(on_pi) <= e_prime_bound(ell, m, 2)
-        for u in class_representatives(2, m):
-            cnt = sum(1 for p, hit in zip(pts, on_pi)
-                      if hit and _point_in_kernel(p, u))
+        for u, inside in zip(covectors, in_kernel):
+            cnt = sum(1 for hit, kept in zip(on_pi, inside) if hit and kept)
             assert cnt in (proper, full), (func, u, cnt)
             any_contained = any_contained or cnt == full
     assert any_contained == (m == 5)

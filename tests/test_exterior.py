@@ -1,10 +1,14 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grasscodes.codes import class_representatives
 from grasscodes.exterior import (DualFunctional, WedgeElement,
                                  annihilator_basis, annihilator_dimension,
+                                 annihilator_matrix, annihilator_ranks,
                                  check_functional, functional_to_wedge,
                                  is_decomposable, parse_functional,
                                  restrict_functional, shuffle_sign,
@@ -12,6 +16,7 @@ from grasscodes.exterior import (DualFunctional, WedgeElement,
                                  wedge_with_vector)
 from grasscodes.gf import GF
 from grasscodes.grassmann import enumerate_grassmannian, plucker
+from grasscodes.linalg import rank as matrix_rank
 from grasscodes.qcombin import index_tuples
 
 
@@ -157,3 +162,85 @@ def test_projective_equality(f3):
     assert a.projectively_equal(b)
     c = parse_functional("X:1,4 + X:2,3", 2, 4, f3)
     assert not a.projectively_equal(c)
+
+
+# -- batched annihilator ranks --------------------------------------------------
+
+def _annihilator_rank(field, ell, m, vec):
+    """The per-functional path: rank of one annihilator matrix."""
+    func = DualFunctional.from_vector(vec, ell, m, field)
+    return matrix_rank(field, annihilator_matrix(functional_to_wedge(func)))
+
+
+def _assert_ranks_match(field, ell, m, vecs):
+    got = annihilator_ranks(field, ell, m, vecs)
+    assert got.shape == (len(vecs),)
+    assert got.tolist() == [_annihilator_rank(field, ell, m, v)
+                            for v in vecs.tolist()]
+    return got
+
+
+@pytest.mark.parametrize("field,ell,m", [
+    (GF(2), 2, 4), (GF(3), 2, 4), (GF(2, 2), 2, 4), (GF(2), 2, 5),
+    (GF(2), 3, 5), (GF(3), 1, 3), (GF(3), 3, 4), (GF(2), 4, 5)],
+    ids=["C24-F2", "C24-F3", "C24-F4", "C25-F2", "C35-F2", "C13-F3",
+         "C34-F3", "C45-F2"])
+def test_annihilator_ranks_every_class(field, ell, m):
+    k = len(index_tuples(ell, m))
+    vecs = np.array(list(class_representatives(field.q, k)), dtype=np.uint8)
+    _assert_ranks_match(field, ell, m, vecs)
+
+
+@pytest.mark.parametrize("field,ell,m", [
+    (GF(2), 3, 6), (GF(3), 2, 5), (GF(3, 2), 2, 4)],
+    ids=["C36-F2", "C25-F3", "C24-F9"])
+def test_annihilator_ranks_sample(field, ell, m):
+    k = len(index_tuples(ell, m))
+    rng = np.random.default_rng(0)
+    vecs = rng.integers(0, field.q, (600, k), dtype=np.uint8)
+    # half the rows keep about two coefficients, which makes most of them
+    # decomposable: both verdicts occur
+    vecs[300:][rng.random((300, k)) > 2 / k] = 0
+    ranks = _assert_ranks_match(field, ell, m, vecs[vecs.any(axis=1)])
+    assert (ranks == ell).any() and (ranks != ell).any()
+
+
+@st.composite
+def functional_rows(draw):
+    """Up to five nonzero coefficient vectors of C(ell, m), 1 <= ell < m <= 6,
+    over a field of order at most 9."""
+    field = GF(*draw(st.sampled_from(
+        [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])))
+    m = draw(st.integers(2, 6))
+    ell = draw(st.integers(1, m - 1))
+    k = len(index_tuples(ell, m))
+    rows = draw(st.lists(st.lists(st.integers(0, field.q - 1), min_size=k,
+                                  max_size=k).filter(any),
+                         min_size=1, max_size=5))
+    return field, ell, m, np.array(rows, dtype=np.uint8)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(functional_rows())
+def test_annihilator_ranks_agree_with_rank(args):
+    _assert_ranks_match(*args)
+
+
+def test_annihilator_ranks_decomposable_iff_rank_ell(f3):
+    vecs = np.array([parse_functional(s, 2, 4, f3).vector()
+                     for s in ("X:3,4", "X:1,2 + X:3,4", "X:1,4 + 2*X:2,3")])
+    assert annihilator_ranks(f3, 2, 4, vecs).tolist() == [2, 4, 4]
+    # ell = m: the single class X:1..m is decomposable
+    assert annihilator_ranks(f3, 4, 4, np.array([[2]])).tolist() == [4]
+
+
+def test_annihilator_ranks_rejects_bad_rows(f3):
+    with pytest.raises(ValueError, match="length 6"):
+        annihilator_ranks(f3, 2, 4, np.ones((2, 5), dtype=np.uint8))
+    with pytest.raises(ValueError, match="nonzero"):
+        annihilator_ranks(f3, 2, 4, np.array([[1, 0, 0, 0, 0, 0],
+                                              [0, 0, 0, 0, 0, 0]]))
+    with pytest.raises(ValueError):  # as for the zero wedge
+        annihilator_matrix(WedgeElement(f3, 4, 2, {}))
+    with pytest.raises(ValueError, match="field element"):
+        annihilator_ranks(f3, 2, 4, np.array([[3, 0, 0, 0, 0, 0]]))
