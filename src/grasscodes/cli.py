@@ -6,7 +6,8 @@ at modest parameters).  Exit codes: 0 success / all assertions pass,
 1 usage or domain error (and failed verification), 2 a sweep or a
 per-class strings/zanella suite over the operation budget, or a sweep or
 point table over the fixed memory ceiling.  The PLUCKER_BUDGET
-environment variable overrides the default operation budget.
+environment variable, an integer >= 1 like ``--budget``, overrides the
+default operation budget.
 """
 
 from __future__ import annotations
@@ -100,7 +101,13 @@ def _build_parser() -> _Parser:
 def _budget(args) -> int:
     if getattr(args, "budget", None) is not None:
         return args.budget
-    return int(os.environ.get("PLUCKER_BUDGET", DEFAULT_BUDGET))
+    text = os.environ.get("PLUCKER_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"PLUCKER_BUDGET {exc}") from None
 
 
 def _spec(args) -> CodeSpec:

@@ -8,8 +8,10 @@ the codeword attached to a hyperplane functional is the number of points
 where the functional does not vanish.
 
 Engine: ``weight_array`` gives the weight of all q^k codewords at once by
-an exact integer character transform over F_q^k = F_p^(ek) (MacWilliams
-& Sloane ch. 5): a Walsh-Hadamard butterfly for p = 2, a residue-count
+an exact int32 character transform over F_q^k = F_p^(ek) (MacWilliams
+& Sloane ch. 5): for p = 2 a Walsh-Hadamard transform in two phases, on
+a bit-swapped layout and then, after one transposed copy, in natural
+order, so that every butterfly runs over whole rows; a residue-count
 butterfly for odd p.  ``weight_distribution`` is its histogram and
 ``class_weights`` a view of it.  Sweeps and point tables over the
 operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
@@ -325,8 +327,9 @@ def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
     counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
     field, size = spec.field, spec.field.q**spec.k
     check_class_budget(spec, spec.k, budget, "sweep")
-    # weight_array's peak: the int64 weights and one int64 temporary, and
-    # for odd p two int32 buffers of p q^k counts
+    # priced at 16 B per codeword, a deliberate upper bound: weight_array's
+    # peak is the int32 weights and one int32 copy (8 B), and for odd p
+    # two int32 buffers of p q^k counts
     _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size),
                   "sweep")
 
@@ -341,15 +344,42 @@ def _trace_dual(field: GF) -> np.ndarray:
                      for a in range(field.q)])
 
 
-def _walsh_hadamard(f: np.ndarray) -> None:
-    """In place: f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, len(f) = 2^r."""
-    h = 1
+def _butterfly_rows(f: np.ndarray, width: int) -> None:
+    """In place, on a contiguous array read as rows of ``width`` entries:
+    f[c] <- sum_y f[y] (-1)^<c, y> over the bits of the row index, so that
+    every butterfly runs over whole rows."""
+    h = width
     while h < f.size:
         a, b = f.reshape(-1, 2, h).swapaxes(0, 1)  # views
         a += b
         b *= -2
         b += a  # (a + b) - 2b = a - b
         h *= 2
+
+
+def _swap_halves(idx: np.ndarray, r: int) -> np.ndarray:
+    """Position of y in F_2^r in the layout ``_walsh_hadamard_swapped``
+    reads: the low r // 2 bits of y and its high bits trade places."""
+    lo = r // 2
+    return (idx & ((1 << lo) - 1)) << (r - lo) | idx >> lo
+
+
+def _walsh_hadamard_swapped(f: np.ndarray, r: int) -> np.ndarray:
+    """f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, with f(y) held at
+    ``_swap_halves(y, r)``; overwrites f and returns the transform in
+    natural order.  Viewed as (2^lo, 2^hi), the stages on the low bits of
+    y run over rows of 2^hi entries; one transposed copy restores natural
+    order for the stages on the high bits, over rows of 2^lo."""
+    lo = r // 2
+    hi = r - lo
+    _butterfly_rows(f, 1 << hi)
+    rows = f.reshape(1 << lo, 1 << hi)
+    out = np.empty((1 << hi, 1 << lo), dtype=f.dtype)
+    for i in range(0, 1 << lo, 64):  # 64 rows at a time: the writes stay cached
+        out[:, i:i + 64] = rows[i:i + 64].T
+    out = out.ravel()
+    _butterfly_rows(out, 1 << lo)
+    return out
 
 
 def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
@@ -375,39 +405,46 @@ def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
 
 def weight_array(spec: CodeSpec,
                  table: np.ndarray | None = None) -> np.ndarray:
-    """Weights of all q^k codewords, int64, c at index sum_i c_i q^(k-i).
+    """Weights of all q^k codewords, int32, c at index sum_i c_i q^(k-i).
 
     Raises ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
     """
     field = spec.field
-    q, p, k = field.q, field.p, spec.k
+    q, p, e, k = field.q, field.p, field.e, spec.k
     check_budget(spec, None)
     if table is None:
         table = point_table(spec)
     n = len(table)
+    # every count below lies within +-p (q-1) n, exact in int32; the byte
+    # ceiling keeps it there, since (q-1) n < q^k
+    if p * (q - 1) * n >= 2**31:
+        raise InvariantError(f"{spec.describe()}: counts overflow int32")
     # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0
     labels = _trace_dual(field)[field.mul_array[1:]]
     places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = labels[:, table] @ places
-    acc = np.bincount(idx.ravel(), minlength=q**k)
-    # acc becomes p N0(c), N0(c) = #{(x, t) : Tr(t c.x) = 0}
-    # = (q-1) Z + (n-Z)(q/p-1), where Z = #{x : c.x = 0}
+    idx = (labels[:, table] @ places).ravel()
+    # with Z = #{x : c.x = 0}, N0(c) = #{(x, t) : Tr(t c.x) = 0}
+    # = (q-1) Z + (n-Z)(q/p-1); the transform of the label histogram over
+    # F_p^(ek) gives N0 - N1 = q Z - n for p = 2 and N0 for odd p
     if p == 2:
-        _walsh_hadamard(acc)  # N0 - N1, with N0 + N1 = (q-1) n
-        acc += (q - 1) * n
+        f = np.zeros(q**k, dtype=np.int32)
+        np.add.at(f, _swap_halves(idx, e * k), 1)
+        f = _walsh_hadamard_swapped(f, e * k)
+        f += n  # = q Z
     else:
-        # int32 is exact: counts are at most (q-1) n < q^k, and the byte
-        # ceiling keeps q^k below 2^31
         buf = np.zeros((p, q**k), dtype=np.int32)
-        buf[0], acc = acc, None
-        acc = np.multiply(_residue_butterfly(buf, p)[0], p, dtype=np.int64)
+        np.add.at(buf[0], idx, 1)
+        f = np.multiply(_residue_butterfly(buf, p)[0], p)
         del buf
-    acc -= n * (q - p)  # = Z q (p-1)
+        f -= n * (q - p)  # = q (p-1) Z
     den = q * (p - 1)
-    if (acc % den).any():
+    if (f & (q - 1) if p == 2 else f % den).any():
         raise InvariantError(f"{spec.describe()}: counts not divisible by {den}")
-    acc //= den
-    return np.subtract(n, acc, out=acc)
+    if p == 2:
+        f >>= e
+    else:
+        f //= den
+    return np.subtract(n, f, out=f)
 
 
 # -- full weight distribution ------------------------------------------------

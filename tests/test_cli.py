@@ -256,6 +256,17 @@ def test_budget_below_one_is_usage_error(capsys):
             assert "--budget" in err
 
 
+def test_budget_env_var_below_one_is_usage_error(capsys, monkeypatch):
+    for bad in ("0", "-5", "abc"):
+        monkeypatch.setenv("PLUCKER_BUDGET", bad)
+        for command in (["wdist"], ["verify", "--suite", "nogin"]):
+            code, out, err = run(capsys, *command, "-q", "2", "-l", "2",
+                                 "-m", "4")
+            assert (code, out) == (1, "")
+            assert err == ("error: PLUCKER_BUDGET must be an integer >= 1,"
+                           f" got {bad!r}\n")
+
+
 def test_unwritable_output_path(capsys, tmp_path):
     code, _, err = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4",
                        "-o", str(tmp_path / "missing" / "x.json"))

@@ -250,7 +250,7 @@ def test_weight_array_matches_codeword_weight(p, e, modulus, ell, m, alpha):
     q, k = field.q, spec.k
     table = point_table(spec)
     weights = weight_array(spec, table)
-    assert weights.shape == (q**k,) and weights.dtype == np.int64
+    assert weights.shape == (q**k,) and weights.dtype == np.int32
     assert np.flatnonzero(weights == 0).tolist() == [0]
     # seeded samples from every weight class, so that a wrong labelling,
     # which permutes the codewords, also meets the rare minimum weight
@@ -914,3 +914,110 @@ def test_transform_divisibility_checked(monkeypatch):
                         lambda field: np.array([0, 1, 2, 3, 4, 5, 6, 7, 7]))
     with pytest.raises(InvariantError, match="divisible"):
         weight_array(CodeSpec(GF(3, 2), 2, 4))
+
+
+def test_walsh_hadamard_divisibility_checked(monkeypatch):
+    # a label map that is not the trace dual still gives counts divisible
+    # by q for p = 2; an off-by-one in one transform entry does not
+    transform = codes._walsh_hadamard_swapped
+
+    def skewed(f, r):
+        f = transform(f, r)
+        f[1] += 1
+        return f
+    monkeypatch.setattr(codes, "_walsh_hadamard_swapped", skewed)
+    with pytest.raises(InvariantError, match="divisible by 4"):
+        weight_array(CodeSpec(GF(2, 2), 2, 4))
+
+
+def test_walsh_hadamard_check_survives_optimize_flag():
+    script = (
+        "from grasscodes import codes\n"
+        "from grasscodes.codes import CodeSpec, InvariantError, weight_array\n"
+        "from grasscodes.gf import GF\n"
+        "transform = codes._walsh_hadamard_swapped\n"
+        "def skewed(f, r):\n"
+        "    f = transform(f, r)\n"
+        "    f[1] += 1\n"
+        "    return f\n"
+        "codes._walsh_hadamard_swapped = skewed\n"
+        "try:\n"
+        "    weight_array(CodeSpec(GF(2, 2), 2, 4))\n"
+        "except InvariantError:\n"
+        "    print('raised', __debug__)\n")
+    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["raised", "False"]
+
+
+def test_int32_bound_checked(monkeypatch):
+    # p (q-1) n = 2^31: a broadcast table has 2^30 rows but no memory, and
+    # the bound must refuse it before any work
+    def no_labels(field):
+        raise AssertionError("labels built past the int32 bound")
+    monkeypatch.setattr(codes, "_trace_dual", no_labels)
+    spec = CodeSpec(GF(2), 2, 4)
+    table = np.broadcast_to(np.zeros(spec.k, dtype=np.uint8), (2**30, spec.k))
+    with pytest.raises(InvariantError, match="overflow int32"):
+        weight_array(spec, table)
+
+
+def _walsh_hadamard_oracle(f: np.ndarray) -> None:
+    """In place: f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, one stage per
+    bit, stage h over runs of h entries."""
+    h = 1
+    while h < f.size:
+        a, b = f.reshape(-1, 2, h).swapaxes(0, 1)  # views
+        a += b
+        b *= -2
+        b += a  # (a + b) - 2b = a - b
+        h *= 2
+
+
+@pytest.mark.parametrize("r", range(1, 15))
+def test_two_phase_walsh_hadamard_matches_oracle(r):
+    values = np.random.default_rng(r).integers(-50, 51, size=2**r)
+    expected = values.copy()
+    _walsh_hadamard_oracle(expected)
+    if r <= 6:
+        y = np.arange(2**r)
+        parity = np.array([[bin(c & v).count("1") % 2 for v in y] for c in y])
+        assert np.array_equal((1 - 2 * parity) @ values, expected)
+    f = np.zeros(2**r, dtype=np.int32)
+    f[codes._swap_halves(np.arange(2**r), r)] = values
+    out = codes._walsh_hadamard_swapped(f, r)
+    assert out.dtype == np.int32 and np.array_equal(out, expected)
+
+
+def _alternating_count(n: int, r: int, q: int) -> int:
+    """A(n, 2r): the n x n alternating matrices of rank 2r over F_q."""
+    num = q ** (r * (r - 1))
+    for i in range(2 * r):
+        num *= q ** (n - i) - 1
+    den = 1
+    for i in range(1, r + 1):
+        den *= q ** (2 * i) - 1
+    assert num % den == 0
+    return num // den
+
+
+def _nogin_distribution(m: int, q: int) -> dict[int, int]:
+    """Nogin (1996): a codeword of C(2, m) whose alternating form has rank
+    2r weighs q^(2(m-r-1)) (q^(2r) - 1) / (q^2 - 1)."""
+    return {q ** (2 * (m - r - 1)) * (q ** (2 * r) - 1) // (q**2 - 1):
+            _alternating_count(m, r, q) for r in range(m // 2 + 1)}
+
+
+# C(2, m) and its dual C(m-2, m), which has the same distribution
+@pytest.mark.parametrize("p,e,ell,m", [(2, 4, 2, 4), (2, 1, 2, 7),
+                                       (2, 2, 2, 5), (2, 3, 2, 4),
+                                       (2, 1, 5, 7), (2, 1, 4, 6)],
+                         ids=["C24-F16", "C27-F2", "C25-F4", "C24-F8",
+                              "C57-F2", "C46-F2"])
+def test_weight_array_matches_nogin_closed_form(p, e, ell, m):
+    field = GF(p, e)
+    hist = np.bincount(weight_array(CodeSpec(field, ell, m)))
+    counts = {w: c for w, c in enumerate(hist.tolist()) if c}
+    assert counts == _nogin_distribution(m, field.q)
