@@ -7,12 +7,14 @@ points, kept as one (n, k) uint8 array (``point_table``); the weight of
 the codeword attached to a hyperplane functional is the number of points
 where the functional does not vanish.
 
-Engine: ``weight_array`` gives the weight of all q^k codewords at once by
-an exact int32 character transform over F_q^k = F_p^(ek) (MacWilliams
-& Sloane ch. 5): for p = 2 a Walsh-Hadamard transform in two phases, on
-a bit-swapped layout and then, after one transposed copy, in natural
-order, so that every butterfly runs over whole rows; a residue-count
-butterfly for odd p.  ``weight_distribution`` is its histogram and
+Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
+once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
+& Sloane ch. 5), a Walsh-Hadamard transform for p = 2 and a residue-count
+butterfly for odd p.  Both run in two phases, on a digit-swapped layout
+and then, after one transposed copy, in natural order, so that every step
+runs over whole rows of at least p^(ek // 2) entries.  The transform runs
+in int16 when (q-1) n < 2^15, since its values lie within +-(q-1) n, and
+in int32 above.  ``weight_distribution`` is its histogram and
 ``class_weights`` a view of it.  Sweeps and point tables over the
 operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
 refused before any work.
@@ -327,9 +329,10 @@ def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
     counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
     field, size = spec.field, spec.field.q**spec.k
     check_class_budget(spec, spec.k, budget, "sweep")
-    # priced at 16 B per codeword, a deliberate upper bound: weight_array's
-    # peak is the int32 weights and one int32 copy (8 B), and for odd p
-    # two int32 buffers of p q^k counts
+    # 16 B per codeword, plus 8p B for odd p, is still a deliberate upper
+    # bound: besides the 4 B int32 weights, weight_array holds for p = 2
+    # the transform and its transposed copy, 2 or 4 B each in the int16 or
+    # int32 lane, and for odd p two buffers of p q^k counts at 2 or 4 B
     _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size),
                   "sweep")
 
@@ -344,10 +347,26 @@ def _trace_dual(field: GF) -> np.ndarray:
                      for a in range(field.q)])
 
 
+def _swap_digits(idx: np.ndarray, p: int, s: int) -> np.ndarray:
+    """Position of y in F_p^s in the layout the transforms read: the low
+    s // 2 base-p digits of y and its high digits trade places."""
+    lo = p ** (s // 2)
+    return idx % lo * (p**s // lo) + idx // lo
+
+
+def _transpose_into(out: np.ndarray, rows: np.ndarray) -> None:
+    """out[..., j, i] = rows[..., i, j], copied 64 rows of ``rows`` at a
+    time so that the writes to the contiguous ``out`` stay cached."""
+    for i in range(0, rows.shape[-2], 64):
+        out[..., i:i + 64] = rows[..., i:i + 64, :].swapaxes(-1, -2)
+
+
 def _butterfly_rows(f: np.ndarray, width: int) -> None:
     """In place, on a contiguous array read as rows of ``width`` entries:
     f[c] <- sum_y f[y] (-1)^<c, y> over the bits of the row index, so that
-    every butterfly runs over whole rows."""
+    every butterfly runs over whole rows.  In an int16 array b * -2 may
+    wrap around; two's complement still leaves the exact a - b whenever
+    that fits, as every true value of the transform does."""
     h = width
     while h < f.size:
         a, b = f.reshape(-1, 2, h).swapaxes(0, 1)  # views
@@ -357,39 +376,29 @@ def _butterfly_rows(f: np.ndarray, width: int) -> None:
         h *= 2
 
 
-def _swap_halves(idx: np.ndarray, r: int) -> np.ndarray:
-    """Position of y in F_2^r in the layout ``_walsh_hadamard_swapped``
-    reads: the low r // 2 bits of y and its high bits trade places."""
-    lo = r // 2
-    return (idx & ((1 << lo) - 1)) << (r - lo) | idx >> lo
-
-
 def _walsh_hadamard_swapped(f: np.ndarray, r: int) -> np.ndarray:
     """f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, with f(y) held at
-    ``_swap_halves(y, r)``; overwrites f and returns the transform in
+    ``_swap_digits(y, 2, r)``; overwrites f and returns the transform in
     natural order.  Viewed as (2^lo, 2^hi), the stages on the low bits of
     y run over rows of 2^hi entries; one transposed copy restores natural
     order for the stages on the high bits, over rows of 2^lo."""
     lo = r // 2
     hi = r - lo
     _butterfly_rows(f, 1 << hi)
-    rows = f.reshape(1 << lo, 1 << hi)
-    out = np.empty((1 << hi, 1 << lo), dtype=f.dtype)
-    for i in range(0, 1 << lo, 64):  # 64 rows at a time: the writes stay cached
-        out[:, i:i + 64] = rows[i:i + 64].T
-    out = out.ravel()
+    out = np.empty_like(f)
+    _transpose_into(out.reshape(1 << hi, 1 << lo),
+                    f.reshape(1 << lo, 1 << hi))
     _butterfly_rows(out, 1 << lo)
     return out
 
 
-def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
-    """N[r, c] = #{y : <c, y> = r mod p} over F_p^s, y counted buf[0, y]
-    times; buf has shape (p, p^s), zero below row 0.  One step per digit:
-    N'[r, .., c_d, ..] = sum_y N[r - c_d y, .., y, ..]."""
-    src, dst = buf, np.empty_like(buf)
-    lo = 1
-    while lo < src.shape[1]:
-        a, b = src.reshape(p, -1, p, lo), dst.reshape(p, -1, p, lo)
+def _residue_steps(src: np.ndarray, dst: np.ndarray, p: int,
+                   stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The digit steps of ``_residue_butterfly_swapped`` on the digits of
+    stride ``stride`` and up, from src into dst and back; returns the
+    buffer holding the result and the free one."""
+    while stride < src.shape[1]:
+        a, b = src.reshape(p, -1, p, stride), dst.reshape(p, -1, p, stride)
         for c in range(p):
             out = b[:, :, c]
             out[...] = a[:, :, 0]
@@ -399,15 +408,56 @@ def _residue_butterfly(buf: np.ndarray, p: int) -> np.ndarray:
                 if s:
                     out[:s] += a[p - s:, :, y]
         src, dst = dst, src
-        lo *= p
-    return src
+        stride *= p
+    return src, dst
+
+
+def _residue_butterfly_swapped(buf: np.ndarray, p: int, s: int) -> np.ndarray:
+    """N[r, c] = #{y : <c, y> = r mod p} over F_p^s, y counted
+    buf[0, _swap_digits(y, p, s)] times; buf has shape (p, p^s), zero below
+    row 0.  One step per digit:
+    N'[r, .., c_d, ..] = sum_y N[r - c_d y, .., y, ..].
+    Viewed as (p, p^lo, p^hi), the steps on the low digits of y run from
+    stride p^hi; one transposed copy of each residue row restores natural
+    order for the steps on the high digits, from stride p^lo, so no step
+    has an inner loop shorter than p^(s // 2).  Overwrites buf and returns
+    N in natural order.  Every entry is a count, so int16 holds it exactly
+    while the total stays below 2^15."""
+    lo = s // 2
+    hi = s - lo
+    src, dst = _residue_steps(buf, np.empty_like(buf), p, p**hi)
+    _transpose_into(dst.reshape(p, p**hi, p**lo),
+                    src.reshape(p, p**lo, p**hi))
+    return _residue_steps(dst, src, p, p**lo)[0]
+
+
+def _label_histogram(field: GF, table: np.ndarray, rows: int,
+                     lane: type) -> np.ndarray:
+    """A (rows, q^k) array of dtype ``lane``, zero below row 0, where row 0
+    counts the labelled multiples of the points of ``table`` at each
+    codeword index, in the layout of ``_swap_digits``."""
+    q, k = field.q, table.shape[1]
+    # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0,
+    # at the base-q index of its labelled coordinates, built one at a time
+    labels = _trace_dual(field)[field.mul_array[1:]]
+    idx = np.zeros((q - 1, len(table)), dtype=np.int64)
+    for column in table.T:
+        idx *= q
+        idx += labels[:, column]
+    hist = np.zeros((rows, q**k), dtype=lane)
+    np.add.at(hist[0], _swap_digits(idx.ravel(), field.p, field.e * k), 1)
+    return hist
 
 
 def weight_array(spec: CodeSpec,
                  table: np.ndarray | None = None) -> np.ndarray:
     """Weights of all q^k codewords, int32, c at index sum_i c_i q^(k-i).
 
-    Raises ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
+    The transform runs in int16 when (q-1) n < 2^15 and in int32 above:
+    each of its values is a signed (p = 2) or nonnegative (odd p) partial
+    sum of the (q-1) n labels, so it lies within +-(q-1) n.  The first
+    step after it widens to int32.  Raises ``BudgetExceeded`` over
+    ``MAX_SWEEP_BYTES``, before allocating.
     """
     field = spec.field
     q, p, e, k = field.q, field.p, field.e, spec.k
@@ -419,22 +469,18 @@ def weight_array(spec: CodeSpec,
     # ceiling keeps it there, since (q-1) n < q^k
     if p * (q - 1) * n >= 2**31:
         raise InvariantError(f"{spec.describe()}: counts overflow int32")
-    # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0
-    labels = _trace_dual(field)[field.mul_array[1:]]
-    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = (labels[:, table] @ places).ravel()
+    lane = np.int16 if (q - 1) * n < 2**15 else np.int32
     # with Z = #{x : c.x = 0}, N0(c) = #{(x, t) : Tr(t c.x) = 0}
     # = (q-1) Z + (n-Z)(q/p-1); the transform of the label histogram over
     # F_p^(ek) gives N0 - N1 = q Z - n for p = 2 and N0 for odd p
     if p == 2:
-        f = np.zeros(q**k, dtype=np.int32)
-        np.add.at(f, _swap_halves(idx, e * k), 1)
-        f = _walsh_hadamard_swapped(f, e * k)
-        f += n  # = q Z
+        f = _walsh_hadamard_swapped(
+            _label_histogram(field, table, 1, lane)[0], e * k)
+        f = np.add(f, n, dtype=np.int32)  # = q Z
     else:
-        buf = np.zeros((p, q**k), dtype=np.int32)
-        np.add.at(buf[0], idx, 1)
-        f = np.multiply(_residue_butterfly(buf, p)[0], p)
+        buf = _residue_butterfly_swapped(
+            _label_histogram(field, table, p, lane), p, e * k)
+        f = np.multiply(buf[0], p, dtype=np.int32)
         del buf
         f -= n * (q - p)  # = q (p-1) Z
     den = q * (p - 1)

@@ -252,14 +252,22 @@ def test_weight_array_matches_codeword_weight(p, e, modulus, ell, m, alpha):
     weights = weight_array(spec, table)
     assert weights.shape == (q**k,) and weights.dtype == np.int32
     assert np.flatnonzero(weights == 0).tolist() == [0]
-    # seeded samples from every weight class, so that a wrong labelling,
-    # which permutes the codewords, also meets the rare minimum weight
-    rng = random.Random(f"{p}^{e}:{modulus}:{ell}:{m}:{alpha}")
+    _assert_codeword_weights(spec, table, weights,
+                             f"{p}^{e}:{modulus}:{ell}:{m}:{alpha}")
+
+
+def _assert_codeword_weights(spec, table, weights, seed):
+    """``weights`` agrees with ``codeword_weight`` on seeded samples from
+    every weight class, so that a wrong labelling, which permutes the
+    codewords, also meets the rare minimum weight."""
+    q, k = spec.field.q, spec.k
+    rng = random.Random(seed)
     for w in np.unique(weights[1:]):
         hits = np.flatnonzero(weights == w)
         for idx in (int(hits[rng.randrange(len(hits))]) for _ in range(6)):
             vec = [idx // q ** (k - 1 - i) % q for i in range(k)]
-            func = DualFunctional.from_vector(vec, ell, m, field, spec.support)
+            func = DualFunctional.from_vector(vec, spec.ell, spec.m,
+                                              spec.field, spec.support)
             assert codeword_weight(func, spec, table) == w, vec
 
 
@@ -848,6 +856,15 @@ def test_krawtchouk_recurrence_checked():
         check_macwilliams(counts, 7, 2, 3)
 
 
+def _optimized_output(script: str) -> list[str]:
+    """The words ``script`` prints when run under ``python -O``."""
+    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout.split()
+
+
 def test_krawtchouk_check_survives_optimize_flag():
     script = (
         "from grasscodes.macwilliams import check_macwilliams\n"
@@ -859,11 +876,7 @@ def test_krawtchouk_check_survives_optimize_flag():
         "    check_macwilliams({0: 1, Skewed(4): 7}, 7, 2, 3)\n"
         "except InvariantError:\n"
         "    print('raised', __debug__)\n")
-    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["raised", "False"]
+    assert _optimized_output(script) == ["raised", "False"]
 
 
 def test_distribution_serialization(f2):
@@ -901,11 +914,7 @@ def test_invariants_survive_optimize_flag():
         "    dist.check_invariants()\n"
         "except InvariantError:\n"
         "    print('raised', __debug__)\n")
-    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["raised", "False"]
+    assert _optimized_output(script) == ["raised", "False"]
 
 
 def test_transform_divisibility_checked(monkeypatch):
@@ -945,11 +954,39 @@ def test_walsh_hadamard_check_survives_optimize_flag():
         "    weight_array(CodeSpec(GF(2, 2), 2, 4))\n"
         "except InvariantError:\n"
         "    print('raised', __debug__)\n")
-    src = os.path.dirname(os.path.dirname(grasscodes.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["raised", "False"]
+    assert _optimized_output(script) == ["raised", "False"]
+
+
+def test_residue_butterfly_divisibility_checked(monkeypatch):
+    # an off-by-one in one odd-p count: p N0 - n (q - p) moves by p = 3,
+    # which q (p - 1) = 6 does not divide
+    transform = codes._residue_butterfly_swapped
+
+    def skewed(buf, p, s):
+        out = transform(buf, p, s)
+        out[0, 1] += 1
+        return out
+    monkeypatch.setattr(codes, "_residue_butterfly_swapped", skewed)
+    with pytest.raises(InvariantError, match="divisible by 6"):
+        weight_array(CodeSpec(GF(3), 2, 4))
+
+
+def test_residue_butterfly_check_survives_optimize_flag():
+    script = (
+        "from grasscodes import codes\n"
+        "from grasscodes.codes import CodeSpec, InvariantError, weight_array\n"
+        "from grasscodes.gf import GF\n"
+        "transform = codes._residue_butterfly_swapped\n"
+        "def skewed(buf, p, s):\n"
+        "    out = transform(buf, p, s)\n"
+        "    out[0, 1] += 1\n"
+        "    return out\n"
+        "codes._residue_butterfly_swapped = skewed\n"
+        "try:\n"
+        "    weight_array(CodeSpec(GF(3), 2, 4))\n"
+        "except InvariantError:\n"
+        "    print('raised', __debug__)\n")
+    assert _optimized_output(script) == ["raised", "False"]
 
 
 def test_int32_bound_checked(monkeypatch):
@@ -986,9 +1023,110 @@ def test_two_phase_walsh_hadamard_matches_oracle(r):
         parity = np.array([[bin(c & v).count("1") % 2 for v in y] for c in y])
         assert np.array_equal((1 - 2 * parity) @ values, expected)
     f = np.zeros(2**r, dtype=np.int32)
-    f[codes._swap_halves(np.arange(2**r), r)] = values
+    f[codes._swap_digits(np.arange(2**r), 2, r)] = values
     out = codes._walsh_hadamard_swapped(f, r)
     assert out.dtype == np.int32 and np.array_equal(out, expected)
+
+
+def _residue_butterfly_oracle(buf: np.ndarray, p: int) -> np.ndarray:
+    """N[r, c] = #{y : <c, y> = r mod p} over F_p^s, y counted buf[0, y]
+    times, all in natural order; buf has shape (p, p^s), zero below row 0.
+    One step per digit, the step of stride lo over runs of lo entries."""
+    src, dst = buf, np.empty_like(buf)
+    lo = 1
+    while lo < src.shape[1]:
+        a, b = src.reshape(p, -1, p, lo), dst.reshape(p, -1, p, lo)
+        for c in range(p):
+            out = b[:, :, c]
+            out[...] = a[:, :, 0]
+            for y in range(1, p):
+                s = c * y % p
+                out[s:] += a[:p - s, :, y]
+                if s:
+                    out[:s] += a[p - s:, :, y]
+        src, dst = dst, src
+        lo *= p
+    return src
+
+
+# every digit count s up to 3^10, 5^6 and 7^4; s = 1 has an empty low half
+RESIDUE_SIZES = [(p, s) for p, top in ((3, 10), (5, 6), (7, 4))
+                 for s in range(1, top + 1)]
+
+
+@pytest.mark.parametrize("lane", [np.int16, np.int32], ids=["int16", "int32"])
+@pytest.mark.parametrize("p,s", RESIDUE_SIZES,
+                         ids=[f"{p}^{s}" for p, s in RESIDUE_SIZES])
+def test_swapped_residue_butterfly_matches_oracle(p, s, lane):
+    size = p**s
+    # int16 holds any total mass below 2^15; int32 gets far more
+    mass = 2**15 - 1 if lane is np.int16 else 2**24
+    values = np.random.default_rng([p, s]).multinomial(
+        mass, np.full(size, 1 / size))
+    expected = np.zeros((p, size), dtype=np.int64)
+    expected[0] = values
+    expected = _residue_butterfly_oracle(expected, p)
+    if size <= 125:
+        digits = np.arange(size)[:, None] // p ** np.arange(s) % p
+        dots = digits @ digits.T % p  # dots[c, y] = <c, y>
+        brute = [[values[dots[c] == r].sum() for c in range(size)]
+                 for r in range(p)]
+        assert np.array_equal(brute, expected)
+    buf = np.zeros((p, size), dtype=lane)
+    buf[0, codes._swap_digits(np.arange(size), p, s)] = values
+    out = codes._residue_butterfly_swapped(buf, p, s)
+    assert out.dtype == lane and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 12])
+def test_int16_walsh_hadamard_wraps_exactly(r):
+    # total mass 2^15 - 1, 20 000 of it at y = 2^r - 1: that entry is a b
+    # of the first stage, where b * -2 leaves int16 and wraps around
+    values = np.random.default_rng(r).multinomial(
+        2**15 - 1 - 20000, np.full(2**r, 2.0**-r))
+    values[-1] += 20000
+    pos = codes._swap_digits(np.arange(2**r), 2, r)
+    out = {}
+    for lane in (np.int16, np.int32):
+        f = np.zeros(2**r, dtype=lane)
+        f[pos] = values
+        out[lane] = codes._walsh_hadamard_swapped(f, r)
+    expected = values.copy()
+    _walsh_hadamard_oracle(expected)
+    assert out[np.int16].dtype == np.int16
+    assert np.array_equal(out[np.int16], out[np.int32])
+    assert np.array_equal(out[np.int32], expected)
+
+
+@pytest.mark.parametrize("e,m,lane", [(3, 4, np.int32), (2, 5, np.int16)],
+                         ids=["C24-F8", "C25-F4"])
+def test_weight_array_lane(monkeypatch, e, m, lane):
+    spec = CodeSpec(GF(2, e), 2, m)
+    # (q-1) n: 7 * 4745 = 33 215 for C(2,4)/F_8, 3 * 5797 for C(2,5)/F_4
+    assert ((spec.field.q - 1) * spec.n >= 2**15) == (lane is np.int32)
+    seen = []
+    transform = codes._walsh_hadamard_swapped
+
+    def recording(f, r):
+        seen.append(f.dtype)
+        return transform(f, r)
+    monkeypatch.setattr(codes, "_walsh_hadamard_swapped", recording)
+    table = point_table(spec)
+    weights = weight_array(spec, table)
+    assert seen == [lane] and weights.dtype == np.int32
+    _assert_codeword_weights(spec, table, weights, f"lane:{e}:{m}")
+
+
+# every point of C(2,4) repeated: (q-1) n just below and just above 2^15
+@pytest.mark.parametrize("q,reps", [(2, 936), (2, 937), (3, 126), (3, 127)])
+def test_weight_array_exact_at_lane_edge(q, reps):
+    spec = CodeSpec(GF(q), 2, 4)
+    table = point_table(spec)
+    repeated = np.tile(table, (reps, 1))
+    assert ((q - 1) * len(repeated) < 2**15) == (reps in (936, 126))
+    weights = weight_array(spec, repeated)
+    assert weights.dtype == np.int32
+    assert np.array_equal(weights, reps * weight_array(spec, table))
 
 
 def _alternating_count(n: int, r: int, q: int) -> int:
@@ -1013,9 +1151,10 @@ def _nogin_distribution(m: int, q: int) -> dict[int, int]:
 # C(2, m) and its dual C(m-2, m), which has the same distribution
 @pytest.mark.parametrize("p,e,ell,m", [(2, 4, 2, 4), (2, 1, 2, 7),
                                        (2, 2, 2, 5), (2, 3, 2, 4),
+                                       (3, 1, 2, 6),
                                        (2, 1, 5, 7), (2, 1, 4, 6)],
                          ids=["C24-F16", "C27-F2", "C25-F4", "C24-F8",
-                              "C57-F2", "C46-F2"])
+                              "C26-F3", "C57-F2", "C46-F2"])
 def test_weight_array_matches_nogin_closed_form(p, e, ell, m):
     field = GF(p, e)
     hist = np.bincount(weight_array(CodeSpec(field, ell, m)))

@@ -1,0 +1,136 @@
+"""Per-layer timings of a full sweep on a fixed parameter matrix, as JSON.
+
+    PYTHONPATH=src python tools/bench_layers.py --label after --out BENCH.json
+
+For every code of the matrix it times the public layers of a sweep, best
+of 3 in one process: the point table (``codes.point_table``), the
+codeword-weight transform (``codes.weight_array``), the histogram
+(``np.bincount``) and the dual distribution
+(``macwilliams.dual_distribution``), and the Nogin suite where the matrix
+asks for it.  It also records the tracemalloc peak of one untimed
+``weight_array`` call, and whether the default operation budget refuses
+the sweep (``codes.check_budget``, as ``wdist`` and ``verify`` call it),
+with the ``BudgetExceeded`` text.  A layer that refuses its own work is
+recorded as refused, and the layers that need its result are skipped.
+
+The run is stored under ``runs[label]`` of the output file, beside the
+runs already there, so one file can hold the same matrix before and after
+a change: run the script once with PYTHONPATH at each source tree.
+Integers are written as strings.  Needs only the standard library and
+numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import time
+import tracemalloc
+
+import numpy as np
+
+from grasscodes.codes import (BudgetExceeded, CodeSpec, check_budget,
+                              point_table, verify_nogin, weight_array)
+from grasscodes.gf import GF
+from grasscodes.macwilliams import dual_distribution
+
+# (p, e, ell, m, time the Nogin suite): the fixed matrix, C(2,7) over F_2,
+# and C(2,8) over F_2, which the memory ceiling refuses
+MATRIX = [
+    (2, 1, 3, 6, False), (3, 1, 2, 5, True), (2, 2, 2, 5, False),
+    (5, 1, 2, 4, False), (2, 3, 2, 4, False), (3, 2, 2, 4, False),
+    (2, 4, 2, 4, False), (3, 1, 2, 6, False), (2, 1, 2, 7, False),
+    (2, 1, 2, 8, False),
+]
+REPEATS = 3
+
+
+def best_of(fn):
+    """(least wall time over REPEATS calls in seconds, last result)."""
+    times = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - start)
+    return min(times), result
+
+
+def peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def host_info() -> dict:
+    model = None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {"cpu_model": model, "nproc": str(os.cpu_count()),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
+
+
+def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
+    spec = CodeSpec(GF(p, e), ell, m)
+    q, n, k = spec.field.q, spec.n, spec.k
+    row = {"code": spec.describe(), "q": str(q), "ell": str(ell),
+           "m": str(m), "n": str(n), "k": str(k), "codewords": str(q**k)}
+    try:
+        check_budget(spec)
+        row["default_budget"] = "allowed"
+    except BudgetExceeded as exc:
+        row["default_budget"] = f"refused: {exc}"
+    layers = row["layers_s"] = {}
+    layers["point_table"], table = best_of(lambda: point_table(spec))
+    try:
+        layers["weight_array"], weights = best_of(
+            lambda: weight_array(spec, table))
+    except BudgetExceeded as exc:
+        layers["weight_array"] = f"refused: {exc}"
+        return row
+    row["weight_array_peak_bytes"] = str(
+        peak_bytes(lambda: weight_array(spec, table)))
+    layers["histogram"], hist = best_of(lambda: np.bincount(weights))
+    counts = {w: c for w, c in enumerate(hist.tolist()) if c}
+    layers["dual_distribution"], _ = best_of(
+        lambda: dual_distribution(counts, n, q, k))
+    if nogin:
+        layers["verify_nogin"], _ = best_of(lambda: verify_nogin(spec))
+    return row
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--label", required=True,
+                    help="name of this run in the output file")
+    ap.add_argument("--out", required=True, help="JSON file to update")
+    args = ap.parse_args()
+    try:
+        with open(args.out) as fh:
+            record = json.load(fh)
+    except FileNotFoundError:
+        record = {"runs": {}}
+    run = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+           "host": host_info(), "repeats": str(REPEATS), "codes": []}
+    for case in MATRIX:
+        run["codes"].append(bench_code(*case))
+        print(json.dumps(run["codes"][-1]), flush=True)
+    record["runs"][args.label] = run
+    with open(args.out, "w") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()
