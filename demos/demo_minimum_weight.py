@@ -10,9 +10,8 @@ listed directly, as the points of the dual Grassmannian G(m-ell, m).
 
 import numpy as np
 
-from grasscodes import CodeSpec, GF, gaussian_binomial
-from grasscodes.codes import (decomposable_table, min_distance, point_table,
-                              weight_array)
+from grasscodes import Code, CodeSpec, GF, gaussian_binomial
+from grasscodes.codes import min_distance
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  functional_to_wedge, parse_functional)
 
@@ -20,12 +19,12 @@ from grasscodes.exterior import (DualFunctional, check_functional,
 def main() -> None:
     field = GF(2)
     spec = CodeSpec(field, 2, 4)
-    table = point_table(spec)
+    code = Code(spec)
     d = min_distance(spec)
     print(f"{spec.describe()}: minimum distance {d}")
 
-    weights = weight_array(spec, table)
-    decomposables = decomposable_table(spec)
+    weights = code.weights
+    decomposables = code.decomposables
     n_min = np.count_nonzero(weights == d) // (field.q - 1)
     print(f"minimum-weight classes: {n_min}")
     print(f"decomposable classes:   {len(decomposables)}")

@@ -6,7 +6,7 @@ of the smaller Grassmannian G(ell-1, V_{m-1}).  For a hyperplane supported
 on coordinates ending at m, all fibers meet the hyperplane equally.
 """
 
-from grasscodes import GF
+from grasscodes import Code, CodeSpec, GF
 from grasscodes.codes import verify_string_section
 from grasscodes.exterior import parse_functional
 from grasscodes.grassmann import (enumerate_grassmannian,
@@ -37,7 +37,7 @@ def main() -> None:
     print()
 
     func = parse_functional("X:1,4 + X:3,4", ell, m, field)
-    report = verify_string_section(func)
+    report = verify_string_section(Code(CodeSpec(field, ell, m)), func)
     print(f"functional {func}: fibers meet the hyperplane in "
           f"{report['fiber_counts']}")
     print(f"all equal and matching the truncated count: {report['pass']}")

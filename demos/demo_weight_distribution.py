@@ -7,14 +7,14 @@ points) and still finishes in seconds.
 
 import time
 
-from grasscodes import CodeSpec, GF
+from grasscodes import Code, CodeSpec, GF
 from grasscodes.codes import weight_distribution
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
 
 
 def show(spec: CodeSpec) -> None:
     t0 = time.monotonic()
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     elapsed = time.monotonic() - t0
     print(f"{spec.describe()}  ({elapsed:.2f}s)")
     for w, c in sorted(dist.counts.items()):

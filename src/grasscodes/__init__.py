@@ -19,7 +19,7 @@ from .exterior import (DualFunctional, WedgeElement, functional_to_wedge,
                        annihilator_dimension, annihilator_basis,
                        is_decomposable, restrict_functional, check_functional,
                        parse_functional)
-from .codes import (CodeSpec, GeneratorMatrix, WeightDistribution,
+from .codes import (CodeSpec, Code, GeneratorMatrix, WeightDistribution,
                     BudgetExceeded, build_generator, point_table,
                     decomposable_table, codeword_weight, weight_distribution, min_distance,
                     second_min_weight, schubert_min_distance, verify_nogin,

@@ -1,8 +1,9 @@
 """Command-line driver: construction, enumeration, and verification jobs.
 
-Commands: params, wdist, verify, decompose, strings.  All integer values
-are serialized as strings in JSON output (counts overflow 53-bit floats
-at modest parameters).  Exit codes: 0 success / all assertions pass,
+Commands: params, wdist, verify, decompose, strings; verify and strings
+refuse a proper Schubert ``--alpha``.  All integer values are serialized
+as strings in JSON output (counts overflow 53-bit floats at modest
+parameters).  Exit codes: 0 success / all assertions pass,
 1 usage or domain error (and failed verification), 2 a sweep or a
 per-class strings/zanella suite over the operation budget, or a sweep or
 point table over the fixed memory ceiling.  The PLUCKER_BUDGET
@@ -18,8 +19,8 @@ import os
 import sys
 from typing import Iterator
 
-from .codes import (BudgetExceeded, CodeSpec, DEFAULT_BUDGET, check_budget,
-                    check_class_budget, check_table_bytes,
+from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
+                    check_budget, check_class_budget, check_table_bytes,
                     verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
                     verify_zanella_incidence, weight_distribution,
@@ -116,6 +117,14 @@ def _spec(args) -> CodeSpec:
     return CodeSpec(field, args.ell, args.m, alpha)
 
 
+def _grassmann_spec(args, what: str) -> CodeSpec:
+    spec = _spec(args)
+    if spec.is_schubert:
+        raise UsageError(f"{what} applies to Grassmann codes, "
+                         f"not to the Schubert code {spec.describe()}")
+    return CodeSpec(spec.field, spec.ell, spec.m)  # drops a top-cell alpha
+
+
 def _emit(payload: str, path: str | None) -> None:
     if path:
         with open(path, "w") as fh:
@@ -163,8 +172,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_wdist(args) -> int:
-    spec = _spec(args)
-    dist = weight_distribution(spec, budget=_budget(args))
+    dist = weight_distribution(Code(_spec(args)), budget=_budget(args))
     if args.format == "csv":
         _emit(dist.to_csv(), args.output)
     else:
@@ -194,39 +202,39 @@ def _suite_identities(spec: CodeSpec) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    spec = _spec(args)
-    budget = _budget(args)
     suite = args.suite
+    spec = _grassmann_spec(args, f"--suite {suite}")
+    budget = _budget(args)
     if suite in ("nogin", "second", "l2", "all"):
         # these suites sweep every codeword class
         check_budget(spec, budget)
     last = [a for a in spec.support if a[-1] == spec.m]
     if not args.functional and suite in ("strings", "zanella", "all"):
         # strings and zanella without -f run once per scalar class; the
-        # memory ceiling of their point table is reported first
-        check_table_bytes(CodeSpec(spec.field, spec.ell, spec.m))
+        # memory ceiling of their cells is reported first
+        check_table_bytes(spec)
         for name, support in (("strings", last), ("zanella", spec.support)):
             if suite in (name, "all"):
                 check_class_budget(spec, len(support), budget,
                                    f"--suite {name}")
+    code = Code(spec)
     reports: list[dict] = []
     if suite in ("nogin", "all"):
-        reports.append(verify_nogin(spec))
+        reports.append(verify_nogin(code))
     if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
-        reports.append(verify_second_weight(spec, budget=budget))
+        reports.append(verify_second_weight(code, budget=budget))
     if suite in ("strings", "all"):
-        reports += [verify_string_section(f)
+        reports += [verify_string_section(code, f)
                     for f in _functionals(spec, args.functional, last)]
     if suite in ("zanella", "all"):
-        reports += [verify_zanella_incidence(f)
+        reports += [verify_zanella_incidence(code, f)
                     for f in _functionals(spec, args.functional, spec.support)]
     if suite in ("identities", "all"):
         reports.extend(_suite_identities(spec))
     if suite in ("l2", "all") and (spec.ell, spec.m) == (2, 4):
-        reports.append(verify_l2_dichotomy(spec.field))
+        reports.append(verify_l2_dichotomy(code))
     if suite in ("attained", "all") and 2 <= spec.ell <= spec.m - 2:
-        reports.append(verify_attained_family(spec.ell, spec.m, spec.field,
-                                              max_samples=args.samples))
+        reports.append(verify_attained_family(code, max_samples=args.samples))
     if not reports:
         raise UsageError(f"suite {suite!r} not applicable to these parameters")
     ok = all(r["pass"] for r in reports)
@@ -253,7 +261,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_strings(args) -> int:
-    spec = _spec(args)
+    spec = _grassmann_spec(args, "the string partition")
     field, ell, m = spec.field, spec.ell, spec.m
     sub = 0
     fibers: dict[str, list[str] | int] = {}

@@ -7,6 +7,9 @@ points, kept as one (n, k) uint8 array (``point_table``); the weight of
 the codeword attached to a hyperplane functional is the number of points
 where the functional does not vanish.
 
+A ``Code`` builds each array the suites read once, on first use; a
+command makes one.
+
 Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
 once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
 & Sloane ch. 5), a Walsh-Hadamard transform for p = 2 and a residue-count
@@ -32,19 +35,21 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
 from .exterior import DualFunctional, annihilator_ranks, shuffle_sign
 from .gf import GF
+from .linalg import ranks
 from .qcombin import (InvariantError, check_index_tuple, complement, delta,
                       delta_set, gaussian_binomial, index_tuples, nabla_set)
 from .grassmann import cell_arrays
 
 __all__ = [
-    "CodeSpec", "GeneratorMatrix", "WeightDistribution", "BudgetExceeded",
-    "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES", "build_generator",
-    "point_table", "check_table_bytes", "decomposable_table",
+    "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
+    "BudgetExceeded", "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES",
+    "build_generator", "point_table", "check_table_bytes", "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
     "check_budget", "check_class_budget", "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
@@ -125,11 +130,11 @@ def check_table_bytes(spec: CodeSpec) -> None:
     """Refuse, before any allocation, tabulating the points of ``spec`` cell
     by cell when the peak would exceed ``MAX_SWEEP_BYTES``.
 
-    The estimate covers ``point_table`` and the strings and Zanella suites:
-    the largest cell as ``cell_arrays`` builds it (its matrices, the base-q
-    digits of its slots, about five minor arrays as wide as the widest
-    exterior power up to ell, and the normalization temporaries), plus two
-    bytes per point for every coordinate or matrix entry kept across cells.
+    The estimate covers ``point_table`` and ``Code.cells``: the largest
+    cell as ``cell_arrays`` builds it (its matrices, the base-q digits of
+    its slots, about five minor arrays as wide as the widest exterior power
+    up to ell, and the normalization temporaries), plus two bytes per point
+    for every coordinate or matrix entry kept across cells.
     """
     field, ell, m = spec.field, spec.ell, spec.m
     top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
@@ -151,24 +156,58 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     Row i is ``plucker(mat).normalized()`` of the i-th point of
     ``enumerate_grassmannian`` (for a Schubert code,
     ``enumerate_schubert_variety``), restricted to the columns of
-    ``spec.support``.  Built one cell at a time with ``cell_arrays``; it
-    still costs more than most uses, so memoize at call sites.  Raises
-    ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before allocating.
+    ``spec.support``.  Built one cell at a time with ``cell_arrays``;
+    ``Code.table`` keeps it for the suites.  Raises ``BudgetExceeded``
+    over ``MAX_SWEEP_BYTES``, before allocating.
     """
     check_table_bytes(spec)
     field, ell, m = spec.field, spec.ell, spec.m
     all_tuples = index_tuples(ell, m)
     keep = [all_tuples.index(a) for a in spec.support]
-    cells = all_tuples if spec.alpha is None else nabla_set(spec.alpha, m)
-    # a point of the Schubert variety vanishes off the support, so
-    # restricting keeps its leading coordinate
+    # the cells of the code are its support; a point of the Schubert
+    # variety vanishes off the support, so restricting keeps its leading
+    # coordinate
     return np.concatenate([
         _normalize_rows(field, cell_arrays(alpha, m, field)[1][:, keep])
-        for alpha in cells])
+        for alpha in spec.support])
 
 
-def decomposable_table(spec: CodeSpec,
-                       table: np.ndarray | None = None) -> np.ndarray:
+@dataclass(eq=False)
+class Code:
+    """A code and the arrays its suites read, each built on first use and
+    kept as long as the object; a member may be assigned before its first
+    use.  The members call the module's functions by name, so that a
+    wrapper installed on them sees every build."""
+
+    spec: CodeSpec
+    table = cached_property(lambda self: point_table(self.spec))
+    weights = cached_property(lambda self: weight_array(self))
+    decomposables = cached_property(lambda self: decomposable_table(self))
+
+    @cached_property
+    def cells(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
+        """``cell_arrays`` of every cell, by pivot tuple in ``point_table``
+        order; refused like the table, before any cell is built."""
+        check_table_bytes(self.spec)
+        return {alpha: cell_arrays(alpha, self.spec.m, self.spec.field)
+                for alpha in self.spec.support}
+
+    @cached_property
+    def dual(self) -> Code:
+        """C(m-ell, m); this code itself when 2 ell = m."""
+        s = self.spec
+        if 2 * s.ell == s.m:
+            return self
+        return Code(CodeSpec(s.field, s.m - s.ell, s.m))
+
+    @cached_property
+    def truncation(self) -> Code:
+        """C(ell-1, m-1)."""
+        s = self.spec
+        return Code(CodeSpec(s.field, s.ell - 1, s.m - 1))
+
+
+def decomposable_table(code: Code) -> np.ndarray:
     """The [m ell]_q decomposable hyperplane classes of C(ell, m), one
     normalized coefficient vector per row: an (N, k) uint8 array.
 
@@ -176,51 +215,29 @@ def decomposable_table(spec: CodeSpec,
     a point with Pluecker coordinates p_b is the wedge element sum p_b v_b,
     which ``functional_to_wedge`` reaches from the functional with
     coefficient eps(a) p_b at a = complement(b), eps the shuffle sign.
-    Rows follow the points of ``point_table(CodeSpec(field, m - ell, m))``,
-    which ``table`` may supply.
+    Rows follow the points of ``code.dual.table``.
     """
+    spec = code.spec
     if spec.is_schubert:
         raise ValueError("decomposable classes are defined for Grassmann codes")
     field, ell, m = spec.field, spec.ell, spec.m
     if ell == m:
         return np.ones((1, 1), dtype=np.uint8)  # G(0, m): the empty wedge
-    dual = CodeSpec(field, m - ell, m)
-    if table is None:
-        table = point_table(dual)
-    col = {b: j for j, b in enumerate(dual.support)}
-    coeffs = table[:, [col[complement(a, m)] for a in spec.support]]
+    dual = code.dual
+    col = {b: j for j, b in enumerate(dual.spec.support)}
+    coeffs = dual.table[:, [col[complement(a, m)] for a in spec.support]]
     flip = [i for i, a in enumerate(spec.support) if shuffle_sign(a, m) < 0]
     coeffs[:, flip] = field.neg_array[coeffs[:, flip]]
     return _normalize_rows(field, coeffs)
-
-
-def _row_reduce_rank(field: GF, rows: np.ndarray) -> int:
-    """Rank over the field of a uint8 array, by row reduction with the
-    field's array tables: each pivot row clears its column from the rows
-    still unused, which then drop that column."""
-    add, mul, neg, inv = (field.add_array, field.mul_array, field.neg_array,
-                          field.inv_array)
-    rk = 0
-    while rows.size:
-        hit = rows[:, 0] != 0
-        if hit.any():
-            below = rows[hit]
-            pivot = mul[inv[below[0, 0]], below[0, 1:]]
-            below = add[below[1:, 1:], neg[mul[below[1:, :1], pivot]]]
-            rows = np.concatenate([rows[~hit, 1:], below])
-            rk += 1
-        else:
-            rows = rows[:, 1:]
-    return rk
 
 
 def _table_rank(field: GF, table: np.ndarray) -> int:
     """Rank of an (N, k) uint8 array.  About 4k rows spread evenly over the
     table are reduced first: when they have rank k, so has the table."""
     n, k = table.shape
-    if _row_reduce_rank(field, table[::max(1, n // (4 * k))]) == k:
+    if ranks(field, table[None, ::max(1, n // (4 * k))])[0] == k:
         return k
-    return _row_reduce_rank(field, table)
+    return int(ranks(field, table[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,10 +271,9 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
 
 
 def codeword_weight(func: DualFunctional, spec: CodeSpec,
-                    table: np.ndarray | None = None) -> int:
-    """Number of points of ``point_table`` where the functional does not
-    vanish: one functional against the table, the reference for
-    ``weight_array``."""
+                    table: np.ndarray) -> int:
+    """Number of points of ``table``, the code's ``point_table``, where the
+    functional does not vanish: the reference for ``weight_array``."""
     if func.ell != spec.ell or func.m != spec.m or func.field != spec.field:
         raise ValueError("functional does not match the code parameters")
     support = spec.support
@@ -265,8 +281,6 @@ def codeword_weight(func: DualFunctional, spec: CodeSpec,
         allowed = set(support)
         if any(a not in allowed for a in func.coeffs):
             raise ValueError("functional must be supported on the down-set of alpha")
-    if table is None:
-        table = point_table(spec)
     return int(np.count_nonzero(func.evaluate_rows(table, support)))
 
 
@@ -306,11 +320,11 @@ def _index_vector(i: int, q: int, k: int) -> list[int]:
     return [i // q ** (k - 1 - j) % q for j in range(k)]
 
 
-def class_weights(spec: CodeSpec, table: np.ndarray | None = None):
+def class_weights(code: Code):
     """Yield (representative vector, weight) over all scalar classes, in
-    ``class_representatives`` order, read off ``weight_array``."""
-    weights = weight_array(spec, table)
-    q, k = spec.field.q, spec.k
+    ``class_representatives`` order, read off ``code.weights``."""
+    weights = code.weights
+    q, k = code.spec.field.q, code.spec.k
     for vec, i in zip(class_representatives(q, k), _class_indices(q, k)):
         yield vec, weights.item(i)
 
@@ -449,8 +463,7 @@ def _label_histogram(field: GF, table: np.ndarray, rows: int,
     return hist
 
 
-def weight_array(spec: CodeSpec,
-                 table: np.ndarray | None = None) -> np.ndarray:
+def weight_array(code: Code) -> np.ndarray:
     """Weights of all q^k codewords, int32, c at index sum_i c_i q^(k-i).
 
     The transform runs in int16 when (q-1) n < 2^15 and in int32 above:
@@ -459,11 +472,11 @@ def weight_array(spec: CodeSpec,
     step after it widens to int32.  Raises ``BudgetExceeded`` over
     ``MAX_SWEEP_BYTES``, before allocating.
     """
+    spec = code.spec
     field = spec.field
     q, p, e, k = field.q, field.p, field.e, spec.k
     check_budget(spec, None)
-    if table is None:
-        table = point_table(spec)
+    table = code.table
     n = len(table)
     # every count below lies within +-p (q-1) n, exact in int32; the byte
     # ceiling keeps it there, since (q-1) n < q^k
@@ -501,7 +514,6 @@ class WeightDistribution:
 
     spec: CodeSpec
     counts: dict[int, int] = dc_field(default_factory=dict)
-    complete: bool = True
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -516,9 +528,9 @@ class WeightDistribution:
         return nonzero[1]
 
     def check_invariants(self) -> None:
-        """Raise ``InvariantError`` unless the counts are consistent; a
-        complete distribution must meet the Pless power moments 0-2 of a
-        projective code (MacWilliams & Sloane ch. 5), cross-multiplied."""
+        """Raise ``InvariantError`` unless the counts are consistent: they
+        must meet the Pless power moments 0-2 of a projective code
+        (MacWilliams & Sloane ch. 5), cross-multiplied."""
         q, k, n = self.spec.field.q, self.spec.k, self.spec.n
 
         def require(ok: bool, what: str) -> None:
@@ -530,13 +542,12 @@ class WeightDistribution:
             if w:
                 require(0 < w <= n, f"weight {w} outside (0, n]")
                 require(c % (q - 1) == 0, "nonzero counts divide by q-1")
-        if self.complete:
-            m0, m1, m2 = (sum(w**j * c for w, c in self.counts.items())
-                          for j in range(3))
-            require(m0 == q**k, "counts must sum to q^k")
-            require(m1 == (q - 1) * q ** (k - 1) * n, "first Pless moment")
-            require(q * q * m2 == (q - 1) * q**k * n * ((q - 1) * n + 1),
-                    "second Pless moment")
+        m0, m1, m2 = (sum(w**j * c for w, c in self.counts.items())
+                      for j in range(3))
+        require(m0 == q**k, "counts must sum to q^k")
+        require(m1 == (q - 1) * q ** (k - 1) * n, "first Pless moment")
+        require(q * q * m2 == (q - 1) * q**k * n * ((q - 1) * n + 1),
+                "second Pless moment")
 
     def to_json_dict(self) -> dict:
         s = self.spec
@@ -546,7 +557,7 @@ class WeightDistribution:
             spec["alpha"] = ",".join(map(str, s.alpha))
         return {"spec": spec,
                 "counts": {str(w): str(c) for w, c in sorted(self.counts.items())},
-                "complete": self.complete}
+                "complete": True}
 
     def to_csv(self) -> str:
         lines = ["weight,count"]
@@ -554,13 +565,13 @@ class WeightDistribution:
         return "\n".join(lines) + "\n"
 
 
-def weight_distribution(spec: CodeSpec,
+def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact counts for all q^k codewords of the code."""
-    check_budget(spec, budget)
-    hist = np.bincount(weight_array(spec)).tolist()
+    check_budget(code.spec, budget)
+    hist = np.bincount(code.weights).tolist()
     counts = {w: c for w, c in enumerate(hist) if c}
-    dist = WeightDistribution(spec, counts, complete=True)
+    dist = WeightDistribution(code.spec, counts)
     dist.check_invariants()
     return dist
 
@@ -610,12 +621,13 @@ def _functional(spec: CodeSpec, vec) -> DualFunctional:
                                       spec.support)
 
 
-def _dual_classes(spec: CodeSpec, table: np.ndarray):
-    """The decomposable classes of a Grassmann code (``decomposable_table``),
+def _dual_classes(code: Code):
+    """The decomposable classes of a Grassmann code (``code.decomposables``),
     a mask over the codeword indices marking all their multiples, and the
     class indices (``_class_indices``) of every other class."""
+    spec = code.spec
     q, k = spec.field.q, spec.k
-    rows = decomposable_table(spec, table if 2 * spec.ell == spec.m else None)
+    rows = code.decomposables
     places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     is_dec = np.zeros(q**k, dtype=bool)
     is_dec[spec.field.mul_array[1:][:, rows] @ places] = True  # t c, t != 0
@@ -649,20 +661,18 @@ def _rank_cross_check(spec: CodeSpec, rows: np.ndarray,
             "pass": not failures}
 
 
-def verify_nogin(spec: CodeSpec) -> dict:
+def verify_nogin(code: Code) -> dict:
     """Minimum weight = q^(ell(m-ell)), attained exactly by decomposables.
 
-    The codewords of weight d in ``weight_array`` must be the multiples of
-    the ``decomposable_table`` rows, and no nonzero codeword may weigh
+    The codewords of weight d in ``code.weights`` must be the multiples of
+    the ``code.decomposables`` rows, and no nonzero codeword may weigh
     less; a failure lists one functional per scalar class.
     """
-    if spec.is_schubert:
-        raise ValueError("Nogin suite applies to Grassmann codes")
+    spec = code.spec
     field, q, k = spec.field, spec.field.q, spec.k
     d = min_distance(spec)
-    table = point_table(spec)
-    weights = weight_array(spec, table)
-    rows, is_dec, others = _dual_classes(spec, table)
+    weights = code.weights
+    rows, is_dec, others = _dual_classes(code)
     at_d = weights == d
     bad = np.flatnonzero((weights[1:] < d) | (at_d[1:] != is_dec[1:])) + 1
     failures = []
@@ -689,12 +699,13 @@ def verify_nogin(spec: CodeSpec) -> dict:
     return _suite_report("nogin", checks, code=spec.describe(), d=d)
 
 
-def verify_second_weight(spec: CodeSpec,
+def verify_second_weight(code: Code,
                          budget: int = DEFAULT_BUDGET) -> dict:
     """No weight strictly inside (d, d + q^(ell(m-ell)-2)]; bound attained."""
+    spec = code.spec
     d = min_distance(spec)
     d2 = second_min_weight(spec)
-    dist = weight_distribution(spec, budget=budget)
+    dist = weight_distribution(code, budget=budget)
     gap = [w for w in dist.counts if d < w < d2]
     checks = [
         {"identity": "min-weight", "lhs": dist.min_weight(), "rhs": d,
@@ -737,8 +748,7 @@ def _attained_sample(q: int, nfree: int, max_samples: int):
                                           per + (c_theta <= extra))))
 
 
-def verify_attained_family(ell: int, m: int, field: GF,
-                           max_samples: int = 200) -> dict:
+def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     """Second-weight family: c_t X_theta + sum over Delta(theta) + X_gamma.
 
     Checks the functionals of ``_attained_sample`` (nonzero theta
@@ -748,15 +758,16 @@ def verify_attained_family(ell: int, m: int, field: GF,
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
+    spec = code.spec
+    field, ell, m = spec.field, spec.ell, spec.m
+    expected_weight = second_min_weight(spec)
     theta = special_theta(ell, m)
     gamma = tuple(range(m - ell, m))
-    spec = CodeSpec(field, ell, m)
-    table = point_table(spec)
+    table = code.table
     dtheta = delta_set(theta, m)
     free = [a for a in dtheta if a != gamma]
     q = field.q
     family = (q - 1) * q ** len(free)
-    expected_weight = q ** (ell * (m - ell)) + q ** (ell * (m - ell) - 2)
     n_theta = CodeSpec(field, ell, m, alpha=theta).n
     expected_meet = n_theta - q ** (ell * (m - ell) - 2)
     # Omega_theta is the linear section {p_beta = 0 : beta in Delta(theta)}
@@ -783,7 +794,7 @@ def verify_attained_family(ell: int, m: int, field: GF,
                          expected_omega_meet=expected_meet)
 
 
-def verify_string_section(func: DualFunctional) -> dict:
+def verify_string_section(code: Code, func: DualFunctional) -> dict:
     """Fiberwise hyperplane sections against the truncated Grassmannian.
 
     Requires the functional supported on tuples with last entry m (the
@@ -792,33 +803,32 @@ def verify_string_section(func: DualFunctional) -> dict:
     the re-indexed functional on G(ell-1, V_{m-1}).
     """
     ell, m, field = func.ell, func.m, func.field
+    if code.spec != CodeSpec(field, ell, m):
+        raise ValueError("functional must be of the Grassmann code")
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
-    check_table_bytes(CodeSpec(field, ell, m))
     # the fiber of nu: the points of the cells with alpha_ell = m whose last
     # row carries nu in its m - ell free columns.  Those are the last slots
     # of enumerate_cell, so nu is a point's index in its cell mod q^(m-ell).
     width = field.q ** (m - ell)
     on_h = np.zeros(width, dtype=np.int64)
-    for alpha in index_tuples(ell, m):
+    for alpha, (_, coords) in code.cells.items():
         if alpha[-1] == m:
-            coords = cell_arrays(alpha, m, field)[1]
             zero = func.evaluate_rows(coords) == 0
             on_h += zero.reshape(-1, width).sum(axis=0)
     fiber_counts = dict(zip(itertools.product(range(field.q), repeat=m - ell),
                             on_h.tolist()))
-    # ell = 1: the truncated code is the empty product; fibers are single
-    # points and there is no reduced count to match
-    sub = None
-    if ell >= 2:
-        reduced = DualFunctional(field, ell - 1, m - 1,
-                                 {a[:-1]: c for a, c in func.coeffs.items()})
-        sub_spec = CodeSpec(field, ell - 1, m - 1)
-        sub = sub_spec.n - codeword_weight(reduced, sub_spec)
     values = set(fiber_counts.values())
     checks = [{"identity": "fibers-equal", "values": sorted(values),
                "pass": len(values) == 1}]
-    if sub is not None:
+    # ell = 1: the truncated code is the empty product; fibers are single
+    # points and there is no reduced count to match
+    if ell >= 2:
+        reduced = DualFunctional(field, ell - 1, m - 1,
+                                 {a[:-1]: c for a, c in func.coeffs.items()})
+        sub_code = code.truncation
+        sub = sub_code.spec.n - codeword_weight(reduced, sub_code.spec,
+                                                sub_code.table)
         v = next(iter(values))
         checks.append({"identity": "fiber-matches-truncation", "lhs": v,
                        "rhs": sub, "pass": v == sub})
@@ -828,18 +838,16 @@ def verify_string_section(func: DualFunctional) -> dict:
                                        for k, v in sorted(fiber_counts.items())})
 
 
-def verify_zanella_incidence(func: DualFunctional) -> dict:
+def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
     """Incidence-count bound for hyperplane sections over all V_{m-1}."""
     ell, m, field = func.ell, func.m, func.field
-    check_table_bytes(CodeSpec(field, ell, m))
+    if code.spec != CodeSpec(field, ell, m):
+        raise ValueError("functional must be of the Grassmann code")
     q = field.q
     add, mul = field.add_array, field.mul_array
     # the echelon matrices of the points on the hyperplane
-    on_pi = []
-    for alpha in index_tuples(ell, m):
-        mats, coords = cell_arrays(alpha, m, field)
-        on_pi.append(mats[func.evaluate_rows(coords) == 0])
-    on_pi = np.concatenate(on_pi)
+    on_pi = np.concatenate([mats[func.evaluate_rows(coords) == 0]
+                            for mats, coords in code.cells.values()])
     total = len(on_pi)
     sub_counts = []
     # every (m-1)-subspace of V_m, as the kernel of a covector up to scalar;
@@ -863,21 +871,21 @@ def verify_zanella_incidence(func: DualFunctional) -> dict:
                          max_sub_count=a, sub_counts=sub_counts)
 
 
-def verify_l2_dichotomy(field: GF) -> dict:
+def verify_l2_dichotomy(code: Code) -> dict:
     """Every nondecomposable hyperplane class of C(2, 4) meets G(2, V_4) in
     exactly q^3 + q^2 + q + 1 points (the code is a two-weight code).
 
-    The classes outside ``decomposable_table`` are read off
-    ``weight_array``; the rank test cross-checks them as in
+    The classes outside ``code.decomposables`` are read off
+    ``code.weights``; the rank test cross-checks them as in
     ``verify_nogin``.
     """
-    spec = CodeSpec(field, 2, 4)
-    q = field.q
+    spec = code.spec
+    if (spec.ell, spec.m) != (2, 4):
+        raise ValueError("l2 suite applies to C(2, 4)")
+    q = spec.field.q
     expected_meet = q**3 + q**2 + q + 1
-    table = point_table(spec)
-    weights = weight_array(spec, table)
-    rows, _, others = _dual_classes(spec, table)
-    meets = spec.n - weights[others]
+    rows, _, others = _dual_classes(code)
+    meets = spec.n - code.weights[others]
     failures = []
     for i, meet in zip(others.tolist(), meets.tolist()):
         if meet != expected_meet:

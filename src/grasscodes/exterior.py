@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf import GF
-from .linalg import kernel_basis, rank as matrix_rank
+from .linalg import kernel_basis, rank as matrix_rank, ranks
 from .qcombin import (check_index_tuple, complement, format_index_tuple,
                       index_tuples, nabla_set, parse_index_tuple)
 
@@ -283,11 +283,8 @@ def annihilator_ranks(field: GF, ell: int, m: int, vecs) -> np.ndarray:
     All N transposed annihilator matrices are gathered at once: entry
     (b, j), b in I(m-ell+1, m), is the coefficient of v_b in z ^ e_j, i.e.
     z at b minus j with the sign of ``wedge_with_vector``, where z carries
-    coefficient eps(a) c_a at complement(a).  They are reduced together
-    with the field's array tables, one pass per column: each matrix scales
-    its first row with a nonzero entry there to a leading 1 and clears the
-    column in every row, that row included, which leaves it zero; the
-    cleared column is then dropped.
+    coefficient eps(a) c_a at complement(a).  ``linalg.ranks`` reduces
+    them together.
     """
     if not 1 <= ell <= m:
         raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
@@ -318,18 +315,7 @@ def annihilator_ranks(field: GF, ell: int, m: int, vecs) -> np.ndarray:
         [vecs.astype(np.uint8), np.zeros((len(vecs), 1), dtype=np.uint8)], axis=1)
     mats = padded[:, src]
     mats[:, flip] = field.neg_array[mats[:, flip]]
-    add, inv = field.add_array, field.inv_array
-    neg_mul = field.neg_array[field.mul_array]
-    every = np.arange(len(mats))
-    ranks = np.zeros(len(mats), dtype=np.int64)
-    for _ in range(m):
-        lead_col = mats[:, :, 0]
-        piv = (lead_col != 0).argmax(axis=1)
-        lead = lead_col[every, piv]
-        ranks += lead != 0
-        pivot = field.mul_array[inv[lead][:, None], mats[every, piv, 1:]]
-        mats = add[mats[:, :, 1:], neg_mul[lead_col[:, :, None], pivot[:, None, :]]]
-    return ranks
+    return ranks(field, mats)
 
 
 def parse_functional(s: str, ell: int, m: int, field: GF) -> DualFunctional:

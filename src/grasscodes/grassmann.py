@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .gf import GF
+from .linalg import determinant  # plucker calls it through this global
 from .qcombin import check_index_tuple, index_tuples, nabla_set
 
 __all__ = [
@@ -104,28 +105,6 @@ def enumerate_schubert_variety(alpha: Sequence[int], m: int,
     alpha = check_index_tuple(tuple(alpha), m)
     for beta in nabla_set(alpha, m):
         yield from enumerate_cell(beta, m, field)
-
-
-def determinant(field: GF, rows: list[list[int]]) -> int:
-    """Determinant over GF by Gaussian elimination (raw element indices)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = field.neg(det)
-        det = field.mul(det, a[col][col])
-        inv = field.inv(a[col][col])
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = field.mul(a[r][col], inv)
-                for c in range(col, n):
-                    a[r][c] = field.sub(a[r][c], field.mul(f, a[col][c]))
-    return det
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Dense exact linear algebra over a GF, on raw element indices.
 
-Sizes here are tiny (matrices bounded by binomial(8, 4) columns), so
-plain Gaussian elimination is used throughout.
+The list-based functions work on tiny matrices by plain Gaussian
+elimination; ``ranks`` row-reduces a whole stack of uint8 matrices.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .gf import GF
 
-__all__ = ["row_reduce", "rank", "kernel_basis"]
+__all__ = ["row_reduce", "rank", "ranks", "kernel_basis", "determinant"]
 
 
 def row_reduce(field: GF, rows: list[list[int]]) -> tuple[list[list[int]], int]:
@@ -38,6 +40,24 @@ def rank(field: GF, rows: list[list[int]]) -> int:
     return row_reduce(field, rows)[1]
 
 
+def ranks(field: GF, mats: np.ndarray) -> np.ndarray:
+    """Rank of every matrix of an (N, r, c) uint8 stack, as N int64s: one
+    pass per column clears it in every row with the matrix's first row
+    that is nonzero there (leaving that row zero), then drops it."""
+    add, mul, inv = field.add_array, field.mul_array, field.inv_array
+    neg_mul = field.neg_array[mul]
+    every = np.arange(len(mats))
+    rk = np.zeros(len(mats), dtype=np.int64)
+    for _ in range(mats.shape[2]):
+        lead_col = mats[:, :, 0]
+        piv = (lead_col != 0).argmax(axis=1)
+        lead = lead_col[every, piv]
+        rk += lead != 0
+        pivot = mul[inv[lead][:, None], mats[every, piv, 1:]]
+        mats = add[mats[:, :, 1:], neg_mul[lead_col[:, :, None], pivot[:, None, :]]]
+    return rk
+
+
 def kernel_basis(field: GF, rows: list[list[int]]) -> list[tuple[int, ...]]:
     """Basis of {x : M x = 0} for the matrix with the given rows."""
     if not rows:
@@ -60,3 +80,25 @@ def kernel_basis(field: GF, rows: list[list[int]]) -> list[tuple[int, ...]]:
             vec[pc] = field.neg(reduced[r][f])
         basis.append(tuple(vec))
     return basis
+
+
+def determinant(field: GF, rows: list[list[int]]) -> int:
+    """Determinant over GF by Gaussian elimination (raw element indices)."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = field.neg(det)
+        det = field.mul(det, a[col][col])
+        inv = field.inv(a[col][col])
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = field.mul(a[r][col], inv)
+                for c in range(col, n):
+                    a[r][c] = field.sub(a[r][c], field.mul(f, a[col][c]))
+    return det

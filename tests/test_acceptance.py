@@ -7,7 +7,7 @@ tolerances are the wall-clock budgets.
 
 import time
 
-from grasscodes.codes import (CodeSpec, class_weights, point_table,
+from grasscodes.codes import (Code, CodeSpec, class_weights,
                               verify_attained_family, verify_l2_dichotomy,
                               verify_nogin, verify_string_section,
                               weight_distribution)
@@ -31,7 +31,7 @@ def _gate(name: str, ok: bool, elapsed: float, limit: float) -> None:
 def test_01_c24_q2_distribution():
     t0 = time.monotonic()
     spec = CodeSpec(GF(2), 2, 4)
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     ok = (dist.counts == {0: 1, 16: 35, 20: 28}
           and dist.min_weight() == 16
           and dist.second_weight() == 20)
@@ -45,7 +45,7 @@ def test_02_minimum_weight_classification():
     ok = True
     for q, ell, m in sets:
         field = GF(2, 2) if q == 4 else GF(q)
-        report = verify_nogin(CodeSpec(field, ell, m))
+        report = verify_nogin(Code(CodeSpec(field, ell, m)))
         ok = ok and report["pass"]
     _gate("02 minimum weight iff decomposable, 5 parameter sets", ok,
           time.monotonic() - t0, 30.0)
@@ -57,7 +57,7 @@ def test_03_second_weight_gap():
     ok = True
     for q, ell, m in sets:
         spec = CodeSpec(GF(q), ell, m)
-        dist = weight_distribution(spec)
+        dist = weight_distribution(Code(spec))
         d = q ** (ell * (m - ell))
         d2 = d + q ** (ell * (m - ell) - 2)
         ok = ok and dist.min_weight() == d and dist.second_weight() == d2
@@ -69,7 +69,7 @@ def test_03_second_weight_gap():
 def test_04_c36_q2_performance():
     t0 = time.monotonic()
     spec = CodeSpec(GF(2), 3, 6)
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     ok = (dist.min_weight() == 512
           and dist.second_weight() == 640
           and dist.total() == 2**20
@@ -102,6 +102,7 @@ def test_06_string_decomposition():
     ok = True
     for q, ell, m in [(2, 2, 4), (2, 2, 5), (2, 3, 5), (3, 2, 4)]:
         field = GF(q)
+        code = Code(CodeSpec(field, ell, m))
         # partition: fibers disjoint, correct size, cover the locus
         seen = set()
         for nu in itertools.product(range(q), repeat=m - ell):
@@ -116,7 +117,7 @@ def test_06_string_decomposition():
         last = [a for a in index_tuples(ell, m) if a[-1] == m]
         for vec in class_representatives(q, len(last)):
             func = DualFunctional.from_vector(vec, ell, m, field, last)
-            ok = ok and verify_string_section(func)["pass"]
+            ok = ok and verify_string_section(code, func)["pass"]
     _gate("06 string decomposition partition and fiberwise sections, 4 sets",
           ok, time.monotonic() - t0, 60.0)
 
@@ -124,7 +125,7 @@ def test_06_string_decomposition():
 def test_07_schubert_code():
     t0 = time.monotonic()
     spec = CodeSpec(GF(2), 2, 4, alpha=(1, 4))
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     ok = spec.n == 7 and spec.k == 3 and dist.min_weight() == 4
     _gate("07 Schubert code at theta=(1,4): [7, 3, 4] over F_2", ok,
           time.monotonic() - t0, 1.0)
@@ -134,7 +135,8 @@ def test_08_attained_family():
     t0 = time.monotonic()
     ok = True
     for ell, m in [(2, 4), (2, 5)]:
-        report = verify_attained_family(ell, m, GF(2), max_samples=200)
+        report = verify_attained_family(Code(CodeSpec(GF(2), ell, m)),
+                                        max_samples=200)
         ok = ok and report["pass"] and report["checks"][0]["sampled"] > 0
     _gate("08 attained second-weight family at (2,4), (2,5), q=2", ok,
           time.monotonic() - t0, 10.0)
@@ -145,7 +147,7 @@ def test_09_two_weight_property():
     ok = True
     for q in (2, 3, 4):
         field = GF(2, 2) if q == 4 else GF(q)
-        ok = ok and verify_l2_dichotomy(field)["pass"]
+        ok = ok and verify_l2_dichotomy(Code(CodeSpec(field, 2, 4)))["pass"]
     _gate("09 C(2,4) two-weight: nondecomposables meet in q^3+q^2+q+1", ok,
           time.monotonic() - t0, 30.0)
 
@@ -155,13 +157,12 @@ def test_10_cross_path_consistency():
     ok = True
     for q in (2, 3):
         field = GF(q)
-        spec = CodeSpec(field, 2, 4)
-        table = point_table(spec)
+        code = Code(CodeSpec(field, 2, 4))
         wedges = [wedge_of_vectors(field, 4, [list(r) for r in mat.rows])
                   for mat in enumerate_grassmannian(2, 4, field)]
         coords = [plucker(mat).coords
                   for mat in enumerate_grassmannian(2, 4, field)]
-        for vec, _ in class_weights(spec, table):
+        for vec, _ in class_weights(code):
             func = DualFunctional.from_vector(vec, 2, 4, field)
             z = functional_to_wedge(func)
             for w, c in zip(wedges, coords):
@@ -175,7 +176,7 @@ def test_11_nogin_by_duality_at_c36():
     t0 = time.monotonic()
     ok = True
     for ell in (3, 2):
-        report = verify_nogin(CodeSpec(GF(2), ell, 6))
+        report = verify_nogin(Code(CodeSpec(GF(2), ell, 6)))
         ok = ok and report["pass"]
     _gate("11 Nogin by duality at C(3,6) and C(2,6), q=2", ok,
           time.monotonic() - t0, 10.0)
@@ -186,7 +187,7 @@ def test_12_macwilliams_frontier():
     ok = True
     for field, ell, m in [(GF(2, 3), 2, 4), (GF(2), 2, 7)]:
         spec = CodeSpec(field, ell, m)
-        dist = weight_distribution(spec)
+        dist = weight_distribution(Code(spec))
         args = (dist.counts, spec.n, field.q, spec.k)
         ok = ok and check_macwilliams(*args) is True
         ok = ok and dual_distribution(*args)[0] == 1

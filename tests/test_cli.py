@@ -272,3 +272,44 @@ def test_unwritable_output_path(capsys, tmp_path):
                        "-o", str(tmp_path / "missing" / "x.json"))
     assert code == 1
     assert err.startswith("error: ")
+
+
+def test_verify_all_builds_each_array_once(capsys, monkeypatch):
+    # one command, one Code: each point table and the weight array are
+    # built once, and each cell at most once per use (point tables of
+    # C(2,4) and C(1,3), and the cells the strings and Zanella suites keep)
+    log = []
+    for name in ("point_table", "weight_array", "cell_arrays"):
+        def counted(*args, _name=name, _fn=getattr(codes, name)):
+            log.append((_name, args[0]))
+            return _fn(*args)
+        monkeypatch.setattr(codes, name, counted)
+    code, out, _ = run(capsys, "verify", "-q", "2", "-l", "2", "-m", "4",
+                       "--suite", "all")
+    assert code == 0 and json.loads(out)["pass"] is True
+    tables = sorted((s.ell, s.m) for name, s in log if name == "point_table")
+    assert tables == [(1, 3), (2, 4)]
+    assert [name for name, _ in log].count("weight_array") == 1
+    assert [name for name, _ in log].count("cell_arrays") <= 15
+
+
+def test_schubert_alpha_refused_before_work(capsys, monkeypatch):
+    for name in ("point_table", "cell_arrays", "weight_array"):
+        monkeypatch.setattr(codes, name, None)  # must not be reached
+    monkeypatch.setattr(cli, "enumerate_grassmannian", None)
+    schubert = ["-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"]
+    for suite in cli.SUITES:
+        code, out, err = run(capsys, "verify", *schubert, "--suite", suite)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: --suite {suite} applies to Grassmann")
+    code, out, err = run(capsys, "strings", *schubert)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the string partition applies to Grassmann")
+
+
+def test_top_cell_alpha_is_the_grassmann_code(capsys):
+    grassmann = ["-q", "2", "-l", "2", "-m", "4"]
+    for argv in (["verify", "--suite", "all"], ["strings"]):
+        _, plain, _ = run(capsys, *argv, *grassmann)
+        code, out, _ = run(capsys, *argv, *grassmann, "--alpha", "3,4")
+        assert code == 0 and out == plain

@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
 from grasscodes import codes, exterior
-from grasscodes.codes import (BudgetExceeded, CodeSpec, GeneratorMatrix,
+from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               InvariantError, WeightDistribution,
                               build_generator, class_count,
                               class_representatives, class_weights,
@@ -158,7 +158,7 @@ def test_codeword_weight_matches_point_count(code):
         if spec.alpha is None \
         else enumerate_schubert_variety(spec.alpha, spec.m, spec.field)
     expected = sum(1 for mat in points if func.evaluate(plucker(mat).coords))
-    assert codeword_weight(func, spec) == expected
+    assert codeword_weight(func, spec, point_table(spec)) == expected
 
 
 def test_class_representatives(f3):
@@ -185,25 +185,25 @@ def test_codeword_weight_schubert_support_check(f2):
     spec = CodeSpec(f2, 2, 4, alpha=(1, 4))
     func = parse_functional("X:3,4", 2, 4, f2)
     with pytest.raises(ValueError):
-        codeword_weight(func, spec)
+        codeword_weight(func, spec, point_table(spec))
 
 
 def test_weight_distribution_c24_q2(f2):
-    dist = weight_distribution(CodeSpec(f2, 2, 4))
+    dist = weight_distribution(Code(CodeSpec(f2, 2, 4)))
     assert dist.counts == {0: 1, 16: 35, 20: 28}
     dist.check_invariants()
     assert dist.min_weight() == 16 and dist.second_weight() == 20
 
 
 def test_weight_distribution_c24_q3(f3):
-    dist = weight_distribution(CodeSpec(f3, 2, 4))
+    dist = weight_distribution(Code(CodeSpec(f3, 2, 4)))
     assert dist.counts == {0: 1, 81: 260, 90: 468}
     assert dist.total() == 3**6
 
 
 def test_weight_distribution_c24_q4():
     f4 = GF(2, 2)
-    dist = weight_distribution(CodeSpec(f4, 2, 4))
+    dist = weight_distribution(Code(CodeSpec(f4, 2, 4)))
     q = 4
     assert dist.min_weight() == q**4
     assert dist.second_weight() == q**4 + q**2
@@ -214,16 +214,16 @@ def test_weight_distribution_c24_q4():
 def test_wht_agrees_with_direct_sweep(f2):
     """The histogram and the per-class view of the weight array agree."""
     spec = CodeSpec(f2, 2, 5)
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     counts = {}
-    for _, w in class_weights(spec):
+    for _, w in class_weights(Code(spec)):
         counts[w] = counts.get(w, 0) + 1
     counts[0] = 1
     assert dist.counts == counts
 
 
 def test_weight_distribution_c24_q7():
-    dist = weight_distribution(CodeSpec(GF(7), 2, 4))
+    dist = weight_distribution(Code(CodeSpec(GF(7), 2, 4)))
     assert dist.counts == {0: 1, 2401: 17100, 2450: 100548}
 
 
@@ -248,8 +248,9 @@ def test_weight_array_matches_codeword_weight(p, e, modulus, ell, m, alpha):
     field = GF(p, e, modulus=modulus)
     spec = CodeSpec(field, ell, m, alpha)
     q, k = field.q, spec.k
-    table = point_table(spec)
-    weights = weight_array(spec, table)
+    code = Code(spec)
+    table = code.table
+    weights = weight_array(code)
     assert weights.shape == (q**k,) and weights.dtype == np.int32
     assert np.flatnonzero(weights == 0).tolist() == [0]
     _assert_codeword_weights(spec, table, weights,
@@ -276,9 +277,9 @@ def _assert_codeword_weights(spec, table, weights, seed):
                          ids=["C24-F3", "C24-alpha24-F4"])
 def test_class_weights_order(spec):
     q, k = spec.field.q, spec.k
-    pairs = list(class_weights(spec))
+    pairs = list(class_weights(Code(spec)))
     assert [vec for vec, _ in pairs] == list(class_representatives(q, k))
-    weights = weight_array(spec)
+    weights = weight_array(Code(spec))
     for vec, w in pairs:
         assert w == weights[sum(c * q ** (k - 1 - i) for i, c in enumerate(vec))]
 
@@ -290,25 +291,25 @@ def test_memory_ceiling_refuses_before_allocating(monkeypatch):
         raise AssertionError("point table built for a refused sweep")
     monkeypatch.setattr(codes, "point_table", no_table)
     with pytest.raises(BudgetExceeded, match="bytes"):
-        weight_array(spec)
+        weight_array(Code(spec))
     with pytest.raises(BudgetExceeded, match="bytes"):
-        weight_distribution(spec, budget=10**20)
+        weight_distribution(Code(spec), budget=10**20)
     with pytest.raises(BudgetExceeded, match="bytes"):
-        next(class_weights(spec))
+        next(class_weights(Code(spec)))
 
 
 def test_budget_enforced(f2):
     with pytest.raises(BudgetExceeded) as exc:
-        weight_distribution(CodeSpec(f2, 2, 4), budget=100)
+        weight_distribution(Code(CodeSpec(f2, 2, 4)), budget=100)
     assert exc.value.required > 100
     # generous budget passes
-    weight_distribution(CodeSpec(f2, 2, 4), budget=10**7)
+    weight_distribution(Code(CodeSpec(f2, 2, 4)), budget=10**7)
 
 
 def test_schubert_distribution_c14(f2):
     """C_(1,4)(2, 4) over F_2 is a [7, 3, 4] code (a simplex code)."""
     spec = CodeSpec(f2, 2, 4, alpha=(1, 4))
-    dist = weight_distribution(spec)
+    dist = weight_distribution(Code(spec))
     assert dist.counts == {0: 1, 4: 7}
     assert schubert_min_distance((1, 4), 4, 2) == 4
 
@@ -318,7 +319,7 @@ def test_schubert_min_distance_attained(f2, f3):
                             (f2, (2, 5), 5)]:
         ell = len(alpha)
         spec = CodeSpec(field, ell, m, alpha=alpha)
-        dist = weight_distribution(spec)
+        dist = weight_distribution(Code(spec))
         assert dist.min_weight() == schubert_min_distance(alpha, m, field.q)
 
 
@@ -338,7 +339,7 @@ def schubert_codes(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(schubert_codes())
 def test_schubert_min_distance_is_q_delta(spec):
-    weights = weight_array(spec)
+    weights = weight_array(Code(spec))
     assert int(weights[1:].min()) == \
         schubert_min_distance(spec.alpha, spec.m, spec.field.q)
 
@@ -362,19 +363,20 @@ def test_special_theta(f2):
 
 @pytest.mark.parametrize("q,ell,m", [(2, 2, 4), (3, 2, 4), (2, 2, 5), (2, 3, 5)])
 def test_verify_nogin(q, ell, m):
-    report = verify_nogin(CodeSpec(GF(q), ell, m))
+    report = verify_nogin(Code(CodeSpec(GF(q), ell, m)))
     assert report["pass"], report
 
 
 @pytest.mark.parametrize("q,ell,m", [(2, 2, 4), (3, 2, 4), (2, 2, 5)])
 def test_verify_second_weight(q, ell, m):
-    report = verify_second_weight(CodeSpec(GF(q), ell, m))
+    report = verify_second_weight(Code(CodeSpec(GF(q), ell, m)))
     assert report["pass"], report
 
 
 @pytest.mark.parametrize("q,ell,m", [(2, 2, 4), (2, 2, 5), (3, 2, 4)])
 def test_verify_attained_family(q, ell, m):
-    report = verify_attained_family(ell, m, GF(q), max_samples=50)
+    report = verify_attained_family(Code(CodeSpec(GF(q), ell, m)),
+                                    max_samples=50)
     assert report["pass"], report
     # (q-1) q^(|Delta(theta)| - 1) members fit under the cap: all checked
     check = report["checks"][0]
@@ -384,7 +386,7 @@ def test_verify_attained_family(q, ell, m):
 @pytest.mark.parametrize("bad", [0, -1])
 def test_verify_attained_family_rejects_empty_sample(f2, bad):
     with pytest.raises(ValueError):
-        verify_attained_family(2, 4, f2, max_samples=bad)
+        verify_attained_family(Code(CodeSpec(f2, 2, 4)), max_samples=bad)
 
 
 def test_attained_sample_covers_every_leading_coefficient():
@@ -401,10 +403,11 @@ def test_attained_sample_covers_every_leading_coefficient():
 
 def test_verify_string_section(f2, f3):
     for field, ell, m in [(f2, 2, 4), (f3, 2, 4), (f2, 3, 5)]:
-        last = [a for a in CodeSpec(field, ell, m).support if a[-1] == m]
+        code = Code(CodeSpec(field, ell, m))
+        last = [a for a in code.spec.support if a[-1] == m]
         for vec in class_representatives(field.q, len(last)):
             func = DualFunctional.from_vector(vec, ell, m, field, last)
-            report = verify_string_section(func)
+            report = verify_string_section(code, func)
             assert report["pass"], report
 
 
@@ -415,7 +418,7 @@ def test_string_section_fibers_match_string_fiber(f2, f3):
                                 (f2, 3, 5, "X:1,2,5 + X:3,4,5"),
                                 (f3, 2, 5, "X:2,5 + X:4,5")]:
         func = parse_functional(text, ell, m, field)
-        report = verify_string_section(func)
+        report = verify_string_section(Code(CodeSpec(field, ell, m)), func)
         expected = {",".join(map(str, nu)):
                     sum(1 for mat in string_fiber(nu, ell, m, field)
                         if not func.evaluate(plucker(mat).coords))
@@ -432,12 +435,14 @@ def test_string_section_fibers_match_string_fiber(f2, f3):
 def test_verify_string_section_rejects_bad_support(f2):
     func = parse_functional("X:1,2", 2, 4, f2)
     with pytest.raises(ValueError):
-        verify_string_section(func)
+        verify_string_section(Code(CodeSpec(f2, 2, 4)), func)
 
 
 def test_verify_zanella_incidence(f2):
+    code = Code(CodeSpec(f2, 2, 4))
     for text in ["X:3,4", "X:1,2 + X:3,4", "X:1,4 + X:2,3"]:
-        report = verify_zanella_incidence(parse_functional(text, 2, 4, f2))
+        report = verify_zanella_incidence(code,
+                                          parse_functional(text, 2, 4, f2))
         assert report["pass"], report
 
 
@@ -446,7 +451,7 @@ def test_zanella_counts_match_point_oracle(f2, f3):
                                 (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
                                 (f2, 3, 5, "X:1,2,3 + X:2,4,5")]:
         func = parse_functional(text, ell, m, field)
-        report = verify_zanella_incidence(func)
+        report = verify_zanella_incidence(Code(CodeSpec(field, ell, m)), func)
         on_pi = [mat for mat in enumerate_grassmannian(ell, m, field)
                  if not func.evaluate(plucker(mat).coords)]
         assert report["section_size"] == len(on_pi)
@@ -457,7 +462,8 @@ def test_zanella_counts_match_point_oracle(f2, f3):
 
 def test_zanella_equality_case(f2):
     # all covector counts coincide for v1^v2 + v3^v4, forcing equality
-    report = verify_zanella_incidence(parse_functional("X:1,2 + X:3,4", 2, 4, f2))
+    report = verify_zanella_incidence(Code(CodeSpec(f2, 2, 4)),
+                                      parse_functional("X:1,2 + X:3,4", 2, 4, f2))
     names = [c["identity"] for c in report["checks"]]
     assert "incidence-equality" in names
 
@@ -465,7 +471,7 @@ def test_zanella_equality_case(f2):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_verify_l2_dichotomy(q):
     field = GF(2, 2) if q == 4 else GF(q)
-    report = verify_l2_dichotomy(field)
+    report = verify_l2_dichotomy(Code(CodeSpec(field, 2, 4)))
     assert report["pass"], report
 
 
@@ -510,12 +516,12 @@ def _vector(spec, functional_json):
     (GF(2), 3, 5)], ids=["C24-F2", "C24-F3", "C24-F4", "C25-F2", "C35-F2"])
 def test_decomposable_table_matches_rank_oracle(field, ell, m):
     spec = CodeSpec(field, ell, m)
-    rows = decomposable_table(spec)
+    rows = decomposable_table(Code(spec))
     assert rows.dtype == np.uint8 and rows.shape[1] == spec.k
     found, n_dec = _rank_oracle(spec)
     assert set(map(tuple, rows.tolist())) == found
     assert len(rows) == n_dec == gaussian_binomial(m, ell, field.q)
-    report = verify_nogin(spec)
+    report = verify_nogin(Code(spec))
     assert report["checks"][1]["lhs"] == n_dec
 
 
@@ -534,38 +540,38 @@ def grassmann_codes(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)
 @given(grassmann_codes())
 def test_dual_grassmannian_is_minimum_weight_set(spec):
-    rows = decomposable_table(spec).tolist()
-    weights = weight_array(spec)
+    rows = decomposable_table(Code(spec)).tolist()
+    weights = weight_array(Code(spec))
     assert _multiples(spec.field, rows) == \
         np.flatnonzero(weights == min_distance(spec)).tolist()
 
 
 def test_nogin_report_layout(f3):
     spec = CodeSpec(f3, 2, 5)
-    report = verify_nogin(spec)
+    report = verify_nogin(Code(spec))
     assert [c["identity"] for c in report["checks"]] == [
         "min-weight-iff-decomposable", "decomposable-class-count",
         "rank-cross-check"]
     cross = report["checks"][2]
     assert (cross["decomposable"], cross["sampled"]) == (1210, 200)
-    assert report == verify_nogin(spec)  # the sample seed is fixed
+    assert report == verify_nogin(Code(spec))  # the sample seed is fixed
     # fewer nondecomposable classes than the cap: all are checked
-    cross = verify_nogin(CodeSpec(GF(2), 2, 4))["checks"][2]
+    cross = verify_nogin(Code(CodeSpec(GF(2), 2, 4)))["checks"][2]
     assert (cross["decomposable"], cross["sampled"]) == (35, 28)
-    checks = verify_l2_dichotomy(f3)["checks"]
+    checks = verify_l2_dichotomy(Code(CodeSpec(f3, 2, 4)))["checks"]
     assert [c["identity"] for c in checks] == ["two-weight", "rank-cross-check"]
     assert checks[0]["nondecomposable_classes"] == 364 - 130
 
 
 def test_flipped_shuffle_sign_fails_nogin(monkeypatch, f3):
     spec = CodeSpec(f3, 2, 4)
-    true_rows = set(map(tuple, decomposable_table(spec).tolist()))
+    true_rows = set(map(tuple, decomposable_table(Code(spec)).tolist()))
     monkeypatch.setattr(codes, "shuffle_sign",
                         lambda a, m: -exterior.shuffle_sign(a, m)
                         if a == (1, 2) else exterior.shuffle_sign(a, m))
-    wrong_rows = set(map(tuple, decomposable_table(spec).tolist()))
+    wrong_rows = set(map(tuple, decomposable_table(Code(spec)).tolist()))
     assert wrong_rows != true_rows
-    report = verify_nogin(spec)
+    report = verify_nogin(Code(spec))
     assert not report["pass"]
     check, _, cross = report["checks"]
     assert not check["pass"] and not cross["pass"]
@@ -581,15 +587,15 @@ def test_flipped_shuffle_sign_fails_nogin(monkeypatch, f3):
 def test_corrupted_weight_array_fails_nogin(monkeypatch, f3, delta):
     spec = CodeSpec(f3, 2, 4)
     d, q, k = min_distance(spec), 3, spec.k
-    weights = weight_array(spec)
+    weights = weight_array(Code(spec))
     # a non-normalized codeword: twice a decomposable one (delta = 1), or
     # twice a nondecomposable one (delta = -1)
     target = [i for i in np.flatnonzero(weights == d if delta > 0
                                         else weights > d).tolist()
               if next(c for c in _digits(i, q, k) if c) == 2][0]
     weights[target] = d + delta
-    monkeypatch.setattr(codes, "weight_array", lambda spec, table=None: weights)
-    report = verify_nogin(spec)
+    monkeypatch.setattr(codes, "weight_array", lambda code: weights)
+    report = verify_nogin(Code(spec))
     assert not report["pass"]
     assert report["checks"][0]["failures"] == [
         {"functional": DualFunctional.from_vector(
@@ -600,11 +606,11 @@ def test_corrupted_weight_array_fails_nogin(monkeypatch, f3, delta):
 
 def test_corrupted_weight_array_fails_l2(monkeypatch, f3):
     spec = CodeSpec(f3, 2, 4)
-    weights = weight_array(spec)
+    weights = weight_array(Code(spec))
     target = int(np.flatnonzero(weights > min_distance(spec))[0])
     weights[target] -= 1
-    monkeypatch.setattr(codes, "weight_array", lambda spec, table=None: weights)
-    report = verify_l2_dichotomy(f3)
+    monkeypatch.setattr(codes, "weight_array", lambda code: weights)
+    report = verify_l2_dichotomy(Code(spec))
     assert not report["pass"]
     assert report["checks"][0]["failures"] == [
         {"functional": DualFunctional.from_vector(
@@ -616,7 +622,8 @@ def test_rank_cross_check_reports_disagreement(monkeypatch, f2):
     # a rank test that calls every functional decomposable (rank ell)
     monkeypatch.setattr(codes, "annihilator_ranks",
                         lambda field, ell, m, vecs: np.full(len(vecs), ell))
-    for report in (verify_nogin(CodeSpec(f2, 2, 4)), verify_l2_dichotomy(f2)):
+    for report in (verify_nogin(Code(CodeSpec(f2, 2, 4))),
+                   verify_l2_dichotomy(Code(CodeSpec(f2, 2, 4)))):
         cross = report["checks"][-1]
         assert not report["pass"] and not cross["pass"]
         # every nondecomposable class sampled (28 of them) is listed
@@ -627,7 +634,7 @@ def test_rank_cross_check_reports_disagreement(monkeypatch, f2):
 
 def test_decomposable_table_rejects_schubert(f2):
     with pytest.raises(ValueError):
-        decomposable_table(CodeSpec(f2, 2, 4, alpha=(1, 4)))
+        decomposable_table(Code(CodeSpec(f2, 2, 4, alpha=(1, 4))))
 
 
 # -- generator rank and the byte ceiling on tables -------------------------------
@@ -678,10 +685,10 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
         for call in (lambda: point_table(spec),
                      lambda: build_generator(spec),
                      lambda: verify_string_section(
-                         parse_functional("X:1,6", 2, 6, f16)),
+                         Code(spec), parse_functional("X:1,6", 2, 6, f16)),
                      lambda: verify_zanella_incidence(
-                         parse_functional("X:1,2", 2, 6, f16)),
-                     lambda: verify_attained_family(2, 6, f16)):
+                         Code(spec), parse_functional("X:1,2", 2, 6, f16)),
+                     lambda: verify_attained_family(Code(spec))):
             with pytest.raises(BudgetExceeded, match="bytes"):
                 call()
         peak = tracemalloc.get_traced_memory()[1]
@@ -749,7 +756,7 @@ def test_macwilliams_rejects_inconsistent():
 def test_macwilliams_on_grassmann(f2, f3):
     for field, ell, m in [(f2, 2, 4), (f3, 2, 4), (f2, 2, 5)]:
         spec = CodeSpec(field, ell, m)
-        dist = weight_distribution(spec)
+        dist = weight_distribution(Code(spec))
         assert check_macwilliams(dist.counts, spec.n, field.q, spec.k)
 
 
@@ -809,7 +816,7 @@ SWEPT_CODES = [(p, e, modulus, ell, m, alpha)
                          if isinstance(v, tuple) else str(v))
 def test_dual_distribution_matches_oracle(p, e, modulus, ell, m, alpha):
     spec = CodeSpec(GF(p, e, modulus=modulus), ell, m, alpha)
-    counts = weight_distribution(spec).counts
+    counts = weight_distribution(Code(spec)).counts
     args = (counts, spec.n, spec.field.q, spec.k)
     assert dual_distribution(*args) == _dual_oracle(*args)
     assert check_macwilliams(*args)
@@ -880,7 +887,7 @@ def test_krawtchouk_check_survives_optimize_flag():
 
 
 def test_distribution_serialization(f2):
-    dist = weight_distribution(CodeSpec(f2, 2, 4))
+    dist = weight_distribution(Code(CodeSpec(f2, 2, 4)))
     d = dist.to_json_dict()
     assert d["counts"] == {"0": "1", "16": "35", "20": "28"}
     # every integer a string, as in the rest of the CLI's JSON
@@ -922,7 +929,7 @@ def test_transform_divisibility_checked(monkeypatch):
     monkeypatch.setattr(codes, "_trace_dual",
                         lambda field: np.array([0, 1, 2, 3, 4, 5, 6, 7, 7]))
     with pytest.raises(InvariantError, match="divisible"):
-        weight_array(CodeSpec(GF(3, 2), 2, 4))
+        weight_array(Code(CodeSpec(GF(3, 2), 2, 4)))
 
 
 def test_walsh_hadamard_divisibility_checked(monkeypatch):
@@ -936,13 +943,14 @@ def test_walsh_hadamard_divisibility_checked(monkeypatch):
         return f
     monkeypatch.setattr(codes, "_walsh_hadamard_swapped", skewed)
     with pytest.raises(InvariantError, match="divisible by 4"):
-        weight_array(CodeSpec(GF(2, 2), 2, 4))
+        weight_array(Code(CodeSpec(GF(2, 2), 2, 4)))
 
 
 def test_walsh_hadamard_check_survives_optimize_flag():
     script = (
         "from grasscodes import codes\n"
-        "from grasscodes.codes import CodeSpec, InvariantError, weight_array\n"
+        "from grasscodes.codes import Code, CodeSpec, InvariantError, "
+        "weight_array\n"
         "from grasscodes.gf import GF\n"
         "transform = codes._walsh_hadamard_swapped\n"
         "def skewed(f, r):\n"
@@ -951,7 +959,7 @@ def test_walsh_hadamard_check_survives_optimize_flag():
         "    return f\n"
         "codes._walsh_hadamard_swapped = skewed\n"
         "try:\n"
-        "    weight_array(CodeSpec(GF(2, 2), 2, 4))\n"
+        "    weight_array(Code(CodeSpec(GF(2, 2), 2, 4)))\n"
         "except InvariantError:\n"
         "    print('raised', __debug__)\n")
     assert _optimized_output(script) == ["raised", "False"]
@@ -968,13 +976,14 @@ def test_residue_butterfly_divisibility_checked(monkeypatch):
         return out
     monkeypatch.setattr(codes, "_residue_butterfly_swapped", skewed)
     with pytest.raises(InvariantError, match="divisible by 6"):
-        weight_array(CodeSpec(GF(3), 2, 4))
+        weight_array(Code(CodeSpec(GF(3), 2, 4)))
 
 
 def test_residue_butterfly_check_survives_optimize_flag():
     script = (
         "from grasscodes import codes\n"
-        "from grasscodes.codes import CodeSpec, InvariantError, weight_array\n"
+        "from grasscodes.codes import Code, CodeSpec, InvariantError, "
+        "weight_array\n"
         "from grasscodes.gf import GF\n"
         "transform = codes._residue_butterfly_swapped\n"
         "def skewed(buf, p, s):\n"
@@ -983,7 +992,7 @@ def test_residue_butterfly_check_survives_optimize_flag():
         "    return out\n"
         "codes._residue_butterfly_swapped = skewed\n"
         "try:\n"
-        "    weight_array(CodeSpec(GF(3), 2, 4))\n"
+        "    weight_array(Code(CodeSpec(GF(3), 2, 4)))\n"
         "except InvariantError:\n"
         "    print('raised', __debug__)\n")
     assert _optimized_output(script) == ["raised", "False"]
@@ -996,9 +1005,11 @@ def test_int32_bound_checked(monkeypatch):
         raise AssertionError("labels built past the int32 bound")
     monkeypatch.setattr(codes, "_trace_dual", no_labels)
     spec = CodeSpec(GF(2), 2, 4)
-    table = np.broadcast_to(np.zeros(spec.k, dtype=np.uint8), (2**30, spec.k))
+    code = Code(spec)
+    code.table = np.broadcast_to(np.zeros(spec.k, dtype=np.uint8),
+                                 (2**30, spec.k))
     with pytest.raises(InvariantError, match="overflow int32"):
-        weight_array(spec, table)
+        weight_array(code)
 
 
 def _walsh_hadamard_oracle(f: np.ndarray) -> None:
@@ -1111,8 +1122,9 @@ def test_weight_array_lane(monkeypatch, e, m, lane):
         seen.append(f.dtype)
         return transform(f, r)
     monkeypatch.setattr(codes, "_walsh_hadamard_swapped", recording)
-    table = point_table(spec)
-    weights = weight_array(spec, table)
+    code = Code(spec)
+    table = code.table
+    weights = weight_array(code)
     assert seen == [lane] and weights.dtype == np.int32
     _assert_codeword_weights(spec, table, weights, f"lane:{e}:{m}")
 
@@ -1121,12 +1133,12 @@ def test_weight_array_lane(monkeypatch, e, m, lane):
 @pytest.mark.parametrize("q,reps", [(2, 936), (2, 937), (3, 126), (3, 127)])
 def test_weight_array_exact_at_lane_edge(q, reps):
     spec = CodeSpec(GF(q), 2, 4)
-    table = point_table(spec)
-    repeated = np.tile(table, (reps, 1))
+    code, repeated_code = Code(spec), Code(spec)
+    repeated = repeated_code.table = np.tile(code.table, (reps, 1))
     assert ((q - 1) * len(repeated) < 2**15) == (reps in (936, 126))
-    weights = weight_array(spec, repeated)
+    weights = weight_array(repeated_code)
     assert weights.dtype == np.int32
-    assert np.array_equal(weights, reps * weight_array(spec, table))
+    assert np.array_equal(weights, reps * weight_array(code))
 
 
 def _alternating_count(n: int, r: int, q: int) -> int:
@@ -1157,6 +1169,6 @@ def _nogin_distribution(m: int, q: int) -> dict[int, int]:
                               "C26-F3", "C57-F2", "C46-F2"])
 def test_weight_array_matches_nogin_closed_form(p, e, ell, m):
     field = GF(p, e)
-    hist = np.bincount(weight_array(CodeSpec(field, ell, m)))
+    hist = np.bincount(weight_array(Code(CodeSpec(field, ell, m))))
     counts = {w: c for w, c in enumerate(hist.tolist()) if c}
     assert counts == _nogin_distribution(m, field.q)

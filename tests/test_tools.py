@@ -1,0 +1,38 @@
+"""The demos and the per-layer benchmark script still run against the
+library API."""
+
+import glob
+import importlib.util
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    src = os.path.join(ROOT, "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_runs(path):
+    done = subprocess.run([sys.executable, path], env=_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_bench_layers_runs_one_code():
+    path = os.path.join(ROOT, "tools", "bench_layers.py")
+    spec = importlib.util.spec_from_file_location("bench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    row = module.bench_code(2, 1, 2, 4, True)  # C(2,4) over F_2
+    assert row["default_budget"] == "allowed"
+    assert set(row["layers_s"]) == {"point_table", "weight_array", "histogram",
+                                    "dual_distribution", "verify_nogin"}

@@ -31,7 +31,7 @@ import tracemalloc
 
 import numpy as np
 
-from grasscodes.codes import (BudgetExceeded, CodeSpec, check_budget,
+from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, check_budget,
                               point_table, verify_nogin, weight_array)
 from grasscodes.gf import GF
 from grasscodes.macwilliams import dual_distribution
@@ -92,21 +92,21 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     except BudgetExceeded as exc:
         row["default_budget"] = f"refused: {exc}"
     layers = row["layers_s"] = {}
-    layers["point_table"], table = best_of(lambda: point_table(spec))
+    code = Code(spec)
+    layers["point_table"], code.table = best_of(lambda: point_table(spec))
     try:
-        layers["weight_array"], weights = best_of(
-            lambda: weight_array(spec, table))
+        layers["weight_array"], weights = best_of(lambda: weight_array(code))
     except BudgetExceeded as exc:
         layers["weight_array"] = f"refused: {exc}"
         return row
     row["weight_array_peak_bytes"] = str(
-        peak_bytes(lambda: weight_array(spec, table)))
+        peak_bytes(lambda: weight_array(code)))
     layers["histogram"], hist = best_of(lambda: np.bincount(weights))
     counts = {w: c for w, c in enumerate(hist.tolist()) if c}
     layers["dual_distribution"], _ = best_of(
         lambda: dual_distribution(counts, n, q, k))
     if nogin:
-        layers["verify_nogin"], _ = best_of(lambda: verify_nogin(spec))
+        layers["verify_nogin"], _ = best_of(lambda: verify_nogin(Code(spec)))
     return row
 
 
