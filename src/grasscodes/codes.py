@@ -17,7 +17,9 @@ butterfly for odd p.  Both run in two phases, on a digit-swapped layout
 and then, after one transposed copy, in natural order, so that every step
 runs over whole rows of at least p^(ek // 2) entries.  The transform runs
 in int16 when (q-1) n < 2^15, since its values lie within +-(q-1) n, and
-in int32 above.  ``weight_distribution`` is its histogram and
+in int32 above.  The transform (``_table_weights``) weighs the rows of any
+uint8 array; the attained-family suite runs it on the ell + 2 columns its
+family uses.  ``weight_distribution`` is its histogram and
 ``class_weights`` a view of it.  Sweeps and point tables over the
 operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
 refused before any work.
@@ -147,7 +149,7 @@ def check_table_bytes(spec: CodeSpec) -> None:
 def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
     """Scale each (nonzero) row so its first nonzero entry is 1."""
     lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-    return field.mul_array[field.inv_array[lead][:, None], coords]
+    return field.vmul(field.inv_array[lead][:, None], coords)
 
 
 def point_table(spec: CodeSpec) -> np.ndarray:
@@ -459,51 +461,63 @@ def _label_histogram(field: GF, table: np.ndarray, rows: int,
         idx *= q
         idx += labels[:, column]
     hist = np.zeros((rows, q**k), dtype=lane)
-    np.add.at(hist[0], _swap_digits(idx.ravel(), field.p, field.e * k), 1)
+    # a 1 of the histogram's own dtype keeps ``add.at`` on its uncast
+    # loop; a Python int 1 is read as int64, which is ~30x slower
+    np.add.at(hist[0], _swap_digits(idx.ravel(), field.p, field.e * k),
+              lane(1))
     return hist
 
 
-def weight_array(code: Code) -> np.ndarray:
-    """Weights of all q^k codewords, int32, c at index sum_i c_i q^(k-i).
+def _table_weights(field: GF, rows: np.ndarray, what: str) -> np.ndarray:
+    """Weights of all q^K codewords over the rows of an (N, K) uint8 array,
+    int32, c at index sum_i c_i q^(K-i): the number of rows x, counted with
+    multiplicity, where c.x != 0.  Rows may repeat or be zero.
 
-    The transform runs in int16 when (q-1) n < 2^15 and in int32 above:
+    The transform runs in int16 when (q-1) N < 2^15 and in int32 above:
     each of its values is a signed (p = 2) or nonnegative (odd p) partial
-    sum of the (q-1) n labels, so it lies within +-(q-1) n.  The first
-    step after it widens to int32.  Raises ``BudgetExceeded`` over
-    ``MAX_SWEEP_BYTES``, before allocating.
+    sum of the (q-1) N labels, so it lies within +-(q-1) N.  The first
+    step after it widens to int32.  ``what`` names the rows in the
+    ``InvariantError`` of a failed check.
     """
-    spec = code.spec
-    field = spec.field
-    q, p, e, k = field.q, field.p, field.e, spec.k
-    check_budget(spec, None)
-    table = code.table
-    n = len(table)
-    # every count below lies within +-p (q-1) n, exact in int32; the byte
-    # ceiling keeps it there, since (q-1) n < q^k
+    q, p, e = field.q, field.p, field.e
+    n, k = rows.shape
+    # every count below lies within +-p (q-1) n, exact in int32; for a
+    # code's table the byte ceiling keeps it there, since (q-1) n < q^k
     if p * (q - 1) * n >= 2**31:
-        raise InvariantError(f"{spec.describe()}: counts overflow int32")
+        raise InvariantError(f"{what}: counts overflow int32")
     lane = np.int16 if (q - 1) * n < 2**15 else np.int32
     # with Z = #{x : c.x = 0}, N0(c) = #{(x, t) : Tr(t c.x) = 0}
-    # = (q-1) Z + (n-Z)(q/p-1); the transform of the label histogram over
-    # F_p^(ek) gives N0 - N1 = q Z - n for p = 2 and N0 for odd p
+    # = (q-1) Z + (n-Z)(q/p-1), for any multiset of rows; the transform of
+    # the label histogram over F_p^(ek) gives N0 - N1 = q Z - n for p = 2
+    # and N0 for odd p
     if p == 2:
         f = _walsh_hadamard_swapped(
-            _label_histogram(field, table, 1, lane)[0], e * k)
+            _label_histogram(field, rows, 1, lane)[0], e * k)
         f = np.add(f, n, dtype=np.int32)  # = q Z
     else:
         buf = _residue_butterfly_swapped(
-            _label_histogram(field, table, p, lane), p, e * k)
+            _label_histogram(field, rows, p, lane), p, e * k)
         f = np.multiply(buf[0], p, dtype=np.int32)
         del buf
         f -= n * (q - p)  # = q (p-1) Z
     den = q * (p - 1)
     if (f & (q - 1) if p == 2 else f % den).any():
-        raise InvariantError(f"{spec.describe()}: counts not divisible by {den}")
+        raise InvariantError(f"{what}: counts not divisible by {den}")
     if p == 2:
         f >>= e
     else:
         f //= den
     return np.subtract(n, f, out=f)
+
+
+def weight_array(code: Code) -> np.ndarray:
+    """Weights of all q^k codewords, int32, c at index sum_i c_i q^(k-i):
+    ``_table_weights`` of ``code.table``.  Raises ``BudgetExceeded`` over
+    ``MAX_SWEEP_BYTES``, before allocating.
+    """
+    spec = code.spec
+    check_budget(spec, None)
+    return _table_weights(spec.field, code.table, spec.describe())
 
 
 # -- full weight distribution ------------------------------------------------
@@ -755,6 +769,13 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     coefficient, unit gamma coefficient); each must have full-code weight
     d + q^(ell(m-ell)-2) and must meet the Schubert variety at theta in
     exactly n_theta - q^(ell(m-ell)-2) points.
+
+    The family lives on the ell + 2 coordinates theta, gamma and the rest
+    of Delta(theta), so two ``_table_weights`` calls weigh every functional
+    on them at once: one over those columns of ``code.table``, one over
+    the same columns of the points of Omega_theta.  A sampled member is
+    read off both at the index of its coefficients (c_theta, 1, c_free...);
+    only a failure builds its ``DualFunctional``.
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
@@ -770,24 +791,28 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     family = (q - 1) * q ** len(free)
     n_theta = CodeSpec(field, ell, m, alpha=theta).n
     expected_meet = n_theta - q ** (ell * (m - ell) - 2)
+    col = {a: i for i, a in enumerate(spec.support)}
+    family_cols = [col[a] for a in (theta, gamma, *free)]
     # Omega_theta is the linear section {p_beta = 0 : beta in Delta(theta)}
-    off = [i for i, a in enumerate(spec.support) if a in dtheta]
-    omega = table[~table[:, off].any(axis=1)]
+    omega = table[~table[:, [col[a] for a in dtheta]].any(axis=1)]
+    what = f"{spec.describe()} attained family"
+    weights = _table_weights(field, table[:, family_cols], what)
+    omega_weights = _table_weights(field, omega[:, family_cols], what)
+    # (c_theta, c_free...) -> (c_theta, 1, c_free...) -> codeword index
+    sample = np.array(list(_attained_sample(q, len(free), max_samples)),
+                      dtype=np.int64)
+    idx = np.insert(sample, 1, 1, axis=1) @ (
+        q ** np.arange(len(family_cols) - 1, -1, -1, dtype=np.int64))
+    w = weights[idx]
+    meet = len(omega) - omega_weights[idx]
     failures = []
-    n_checked = 0
-    for c_theta, *c_free in _attained_sample(q, len(free), max_samples):
-        coeffs = {theta: c_theta, gamma: 1}
-        for a, c in zip(free, c_free):
-            if c:
-                coeffs[a] = c
-        func = DualFunctional(field, ell, m, coeffs)
-        w = codeword_weight(func, spec, table)
-        meet = len(omega) - int(np.count_nonzero(func.evaluate_rows(omega)))
-        n_checked += 1
-        if w != expected_weight or meet != expected_meet:
-            failures.append({"functional": func.to_json_dict(), "weight": w,
-                             "omega_meet": meet})
-    checks = [{"identity": "attained-family", "sampled": n_checked,
+    for i in np.flatnonzero((w != expected_weight) | (meet != expected_meet)):
+        c_theta, *c_free = sample[i].tolist()
+        coeffs = {theta: c_theta, gamma: 1, **dict(zip(free, c_free))}
+        failures.append({
+            "functional": DualFunctional(field, ell, m, coeffs).to_json_dict(),
+            "weight": w.item(i), "omega_meet": meet.item(i)})
+    checks = [{"identity": "attained-family", "sampled": len(sample),
                "family": family, "failures": failures, "pass": not failures}]
     return _suite_report("attained", checks, theta=theta, gamma=gamma,
                          expected_weight=expected_weight,
@@ -844,7 +869,7 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
     if code.spec != CodeSpec(field, ell, m):
         raise ValueError("functional must be of the Grassmann code")
     q = field.q
-    add, mul = field.add_array, field.mul_array
+    mul = field.mul_array
     # the echelon matrices of the points on the hyperplane
     on_pi = np.concatenate([mats[func.evaluate_rows(coords) == 0]
                             for mats, coords in code.cells.values()])
@@ -856,7 +881,7 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
         pairs = np.zeros(on_pi.shape[:2], dtype=np.uint8)
         for j, c in enumerate(u):
             if c:
-                pairs = add[pairs, mul[c][on_pi[:, :, j]]]
+                pairs = field.vadd(pairs, mul[c][on_pi[:, :, j]])
         sub_counts.append(total - int(np.count_nonzero(pairs.any(axis=1))))
     a = max(sub_counts)
     # |G cap Pi| * (q^(m-ell) - 1) <= a * (q^m - 1), exact integers

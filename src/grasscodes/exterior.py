@@ -83,10 +83,10 @@ class DualFunctional:
         all of I(ell, m)); returns the N values as a uint8 array."""
         tuples = list(support) if support is not None else index_tuples(self.ell, self.m)
         col = {a: i for i, a in enumerate(tuples)}
-        add, mul = self.field.add_array, self.field.mul_array
+        field = self.field
         acc = np.zeros(len(coords), dtype=np.uint8)
         for a, c in self.coeffs.items():
-            acc = add[acc, mul[c][coords[:, col[a]]]]
+            acc = field.vadd(acc, field.mul_array[c][coords[:, col[a]]])
         return acc
 
     def scaled(self, s: int) -> "DualFunctional":

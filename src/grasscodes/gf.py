@@ -10,7 +10,11 @@ All arithmetic goes through tables precomputed at construction, so a
 ``GF`` instance is immutable and cheap to share.  The same tables are
 kept as read-only uint8 numpy arrays (``add_array``, ``mul_array``,
 ``neg_array``, ``inv_array``) for arithmetic on arrays of elements:
-``mul_array[a, b]`` multiplies two arrays elementwise.  The default
+``mul_array[c][x]`` multiplies an array by one element, and ``vadd(a, b)``
+and ``vmul(a, b)`` combine two uint8 arrays elementwise by one gather
+from the flattened table at a * q + b.  Since q <= 16 that index is at
+most q^2 - 1 <= 255, so it is computed in uint8, one byte per entry.  The
+default
 moduli are fixed (one irreducible polynomial per supported extension),
 which keeps element encodings reproducible across runs.
 """
@@ -159,6 +163,19 @@ class GF:
         self._inv = [0] + [row.index(1) for row in self._mul[1:]]
         self.add_array, self.mul_array, self.neg_array, self.inv_array = (
             _read_only(t) for t in (self._add, self._mul, self._neg, self._inv))
+        # read-only views, entry a * q + b
+        self._add_flat = self.add_array.ravel()
+        self._mul_flat = self.mul_array.ravel()
+
+    # -- elementwise arithmetic on arrays -------------------------------------
+
+    def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b elementwise for uint8 arrays of elements (broadcast)."""
+        return self._add_flat[a * self.q + b]
+
+    def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a * b elementwise for uint8 arrays of elements (broadcast)."""
+        return self._mul_flat[a * self.q + b]
 
     # -- raw integer arithmetic (internal fast path) --------------------------
 

@@ -165,14 +165,29 @@ def cell_arrays(alpha: Sequence[int], m: int,
     return mats, _minors(mats, field)
 
 
+# matrices per block of ``_minors``: bounds its temporaries at any cell size
+_MINORS_BLOCK = 4096
+
+
 def _minors(mats: np.ndarray, field: GF) -> np.ndarray:
+    """All ell x ell minors of a stack of ell x m matrices, in lex order:
+    ``_block_minors`` of every ``_MINORS_BLOCK`` matrices."""
+    n, ell, m = mats.shape
+    out = np.empty((n, len(index_tuples(ell, m))), dtype=np.uint8)
+    for s in range(0, n, _MINORS_BLOCK):
+        out[s:s + _MINORS_BLOCK] = _block_minors(mats[s:s + _MINORS_BLOCK],
+                                                 field)
+    return out
+
+
+def _block_minors(mats: np.ndarray, field: GF) -> np.ndarray:
     """All ell x ell minors of a stack of ell x m matrices, by Laplace
     expansion along the rows: the batched ``exterior.wedge_with_vector``.
 
     After row i, column b of ``w`` holds the minor of rows 0..i on the
     columns of the (i+1)-tuple b.
     """
-    add, mul, neg = field.add_array, field.mul_array, field.neg_array
+    neg = field.neg_array
     n, ell, m = mats.shape
     w = np.ones((n, 1), dtype=np.uint8)
     prev = {(): 0}
@@ -183,10 +198,11 @@ def _minors(mats: np.ndarray, field: GF) -> np.ndarray:
             # the term of column beta_t: v_(beta_t) moves left past the
             # i - t larger entries of beta
             src = [prev[b[:t] + b[t + 1:]] for b in tuples]
-            term = mul[w[:, src], mats[:, i, [b[t] - 1 for b in tuples]]]
+            term = field.vmul(w[:, src],
+                              mats[:, i, [b[t] - 1 for b in tuples]])
             if (i - t) % 2:
                 term = neg[term]
-            acc = add[acc, term]
+            acc = field.vadd(acc, term)
         w = acc
         prev = {b: j for j, b in enumerate(tuples)}
     return w

@@ -44,8 +44,7 @@ def ranks(field: GF, mats: np.ndarray) -> np.ndarray:
     """Rank of every matrix of an (N, r, c) uint8 stack, as N int64s: one
     pass per column clears it in every row with the matrix's first row
     that is nonzero there (leaving that row zero), then drops it."""
-    add, mul, inv = field.add_array, field.mul_array, field.inv_array
-    neg_mul = field.neg_array[mul]
+    neg, inv = field.neg_array, field.inv_array
     every = np.arange(len(mats))
     rk = np.zeros(len(mats), dtype=np.int64)
     for _ in range(mats.shape[2]):
@@ -53,8 +52,10 @@ def ranks(field: GF, mats: np.ndarray) -> np.ndarray:
         piv = (lead_col != 0).argmax(axis=1)
         lead = lead_col[every, piv]
         rk += lead != 0
-        pivot = mul[inv[lead][:, None], mats[every, piv, 1:]]
-        mats = add[mats[:, :, 1:], neg_mul[lead_col[:, :, None], pivot[:, None, :]]]
+        # the pivot row scaled to lead 1, negated
+        pivot = neg[field.vmul(inv[lead][:, None], mats[every, piv, 1:])]
+        mats = field.vadd(mats[:, :, 1:],
+                          field.vmul(lead_col[:, :, None], pivot[:, None, :]))
     return rk
 
 

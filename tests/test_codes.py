@@ -32,7 +32,7 @@ from grasscodes.grassmann import (enumerate_grassmannian,
                                   string_fiber)
 from grasscodes.linalg import rank as matrix_rank
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
-from grasscodes.qcombin import gaussian_binomial, index_tuples
+from grasscodes.qcombin import delta_set, gaussian_binomial, index_tuples
 
 
 def test_spec_parameters(f2, f3):
@@ -381,6 +381,65 @@ def test_verify_attained_family(q, ell, m):
     # (q-1) q^(|Delta(theta)| - 1) members fit under the cap: all checked
     check = report["checks"][0]
     assert check["sampled"] == check["family"] == (q - 1) * q**2
+
+
+def _attained_oracle(code: Code, max_samples: int = 200) -> list[dict]:
+    """Every sampled member of the attained family as a failure entry,
+    weighed point by point: ``codeword_weight`` on the table and
+    ``evaluate_rows`` on Omega_theta, both independent of the transform."""
+    spec = code.spec
+    field, ell, m, q = spec.field, spec.ell, spec.m, spec.field.q
+    theta = special_theta(ell, m)
+    gamma = tuple(range(m - ell, m))
+    dtheta = delta_set(theta, m)
+    free = [a for a in dtheta if a != gamma]
+    table = code.table
+    off = [spec.support.index(a) for a in dtheta]
+    omega = table[~table[:, off].any(axis=1)]
+    expected = []
+    for c_theta, *c_free in codes._attained_sample(q, len(free), max_samples):
+        coeffs = {theta: c_theta, gamma: 1, **dict(zip(free, c_free))}
+        func = DualFunctional(field, ell, m, coeffs)
+        meet = int(np.count_nonzero(func.evaluate_rows(omega) == 0))
+        expected.append({"functional": func.to_json_dict(),
+                         "weight": codeword_weight(func, spec, table),
+                         "omega_meet": meet})
+    return expected
+
+
+ATTAINED_ORACLE_CODES = [(GF(2, 2), 2, 4), (GF(3, 2), 2, 4), (GF(5), 2, 5),
+                         (GF(2), 3, 6)]
+
+
+@pytest.mark.parametrize("field,ell,m", ATTAINED_ORACLE_CODES,
+                         ids=["C24-F4", "C24-F9", "C25-F5", "C36-F2"])
+def test_attained_family_matches_pointwise_oracle(field, ell, m):
+    code = Code(CodeSpec(field, ell, m))
+    report = verify_attained_family(code)
+    oracle = _attained_oracle(code)
+    assert report["pass"], report
+    assert report["checks"][0]["sampled"] == len(oracle)
+    assert report["expected_weight"] == second_min_weight(code.spec)
+    assert {o["weight"] for o in oracle} == {report["expected_weight"]}
+    assert {o["omega_meet"] for o in oracle} == \
+        {report["expected_omega_meet"]}
+
+
+@pytest.mark.parametrize("field,ell,m", ATTAINED_ORACLE_CODES,
+                         ids=["C24-F4", "C24-F9", "C25-F5", "C36-F2"])
+def test_attained_family_failures_carry_oracle_values(monkeypatch, field,
+                                                      ell, m):
+    # one weight more than the true d2: every sampled member must fail, in
+    # sample order, with the weight and meet the oracle finds
+    d2 = second_min_weight(CodeSpec(field, ell, m))
+    monkeypatch.setattr(codes, "second_min_weight", lambda spec: d2 + 1)
+    code = Code(CodeSpec(field, ell, m))
+    report = verify_attained_family(code)
+    check = report["checks"][0]
+    assert not report["pass"] and not check["pass"]
+    assert report["expected_weight"] == d2 + 1
+    assert check["failures"] == _attained_oracle(code)
+    assert len(check["failures"]) == check["sampled"]
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -1010,6 +1069,57 @@ def test_int32_bound_checked(monkeypatch):
                                  (2**30, spec.k))
     with pytest.raises(InvariantError, match="overflow int32"):
         weight_array(code)
+
+
+def _direct_weights(field: GF, rows: np.ndarray) -> np.ndarray:
+    """count_nonzero of c.x over the rows x, for every c in index order,
+    through the 2-D tables."""
+    q, k = field.q, rows.shape[1]
+    coeffs = np.indices((q,) * k, dtype=np.uint8).reshape(k, -1).T
+    values = np.zeros((len(coeffs), len(rows)), dtype=np.uint8)
+    for j in range(k):
+        values = field.add_array[
+            values, field.mul_array[coeffs[:, j, None], rows[None, :, j]]]
+    return np.count_nonzero(values, axis=1)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
+                                 (2, 4)])
+def test_table_weights_match_direct_evaluation(p, e):
+    field = GF(p, e)
+    rng = np.random.default_rng([p, e])
+    for k in range(1, 5):
+        rows = rng.integers(0, field.q, (30, k), dtype=np.uint8)
+        rows[3] = rows[7] = rows[11] = rows[0]  # repeated rows
+        rows[5] = rows[9] = 0  # zero rows
+        for case in (rows, np.zeros((4, k), dtype=np.uint8), rows[:1]):
+            weights = codes._table_weights(field, case, "rows")
+            assert weights.dtype == np.int32
+            assert np.array_equal(weights, _direct_weights(field, case))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_table_weights_lanes_agree_at_int16_boundary(monkeypatch, p):
+    # (q-1) N = 2^15 - (q-1) runs in int16 and one more row in int32; the
+    # extra row is zero, so both weigh the same multiset of nonzero rows
+    lanes = []
+    histogram = codes._label_histogram
+
+    def spy(field, table, rows, lane):
+        lanes.append(lane)
+        return histogram(field, table, rows, lane)
+    monkeypatch.setattr(codes, "_label_histogram", spy)
+    field = GF(p)
+    n = 2**15 // (p - 1) - 1
+    rng = np.random.default_rng(p)
+    for rows in (rng.integers(0, p, (n, 3), dtype=np.uint8),
+                 np.tile(np.array([1, 0, 1], dtype=np.uint8), (n, 1))):
+        small = codes._table_weights(field, rows, "rows")
+        big = codes._table_weights(
+            field, np.concatenate([rows, np.zeros((1, 3), np.uint8)]), "rows")
+        assert np.array_equal(small, big)
+        assert np.array_equal(small, _direct_weights(field, rows))
+    assert lanes == [np.int16, np.int32] * 2
 
 
 def _walsh_hadamard_oracle(f: np.ndarray) -> None:

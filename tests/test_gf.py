@@ -206,6 +206,24 @@ def test_array_tables_match_list_tables(p, e):
         assert arr.dtype == np.uint8 and arr.tolist() == table
         with pytest.raises(ValueError):  # shared by every user of the field
             arr[0] = 1
+    # the flat gathers: every pair, so F_16 reaches entry 15 * 16 + 15 = 255
+    q = field.q
+    a = np.arange(q, dtype=np.uint8)
+    for op, table in ((field.vadd, field.add_array),
+                      (field.vmul, field.mul_array)):
+        every = op(a[:, None], a[None, :])
+        assert every.dtype == np.uint8 and np.array_equal(every, table)
+        # broadcast shapes, and equal shapes
+        x = np.random.default_rng(q).integers(0, q, (3, 1, 5), dtype=np.uint8)
+        y = np.random.default_rng(q + 1).integers(0, q, (4, 1), dtype=np.uint8)
+        assert np.array_equal(op(x, y), table[x, y])
+        assert op(x, y).shape == (3, 4, 5)
+        assert np.array_equal(op(x, x[::-1]), table[x, x[::-1]])
+    assert field.vmul(a[-1:], a[-1:])[0] == field.mul(q - 1, q - 1)
+    for flat in (field._add_flat, field._mul_flat):
+        assert flat.shape == (q * q,)
+        with pytest.raises(ValueError):
+            flat[0] = 1
 
 
 @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2)])

@@ -4,14 +4,16 @@
 
 For every code of the matrix it times the public layers of a sweep, best
 of 3 in one process: the point table (``codes.point_table``), the
-codeword-weight transform (``codes.weight_array``), the histogram
-(``np.bincount``) and the dual distribution
-(``macwilliams.dual_distribution``), and the Nogin suite where the matrix
-asks for it.  It also records the tracemalloc peak of one untimed
-``weight_array`` call, and whether the default operation budget refuses
-the sweep (``codes.check_budget``, as ``wdist`` and ``verify`` call it),
-with the ``BudgetExceeded`` text.  A layer that refuses its own work is
-recorded as refused, and the layers that need its result are skipped.
+attained-family suite on that table (``codes.verify_attained_family``,
+for 2 <= ell <= m-2), the codeword-weight transform
+(``codes.weight_array``), the histogram (``np.bincount``) and the dual
+distribution (``macwilliams.dual_distribution``), and the Nogin suite
+where the matrix asks for it.  It also records the tracemalloc peak of
+one untimed ``weight_array`` call, and whether the default operation
+budget refuses the sweep (``codes.check_budget``, as ``wdist`` and
+``verify`` call it), with the ``BudgetExceeded`` text.  A layer that
+refuses its own work is recorded as refused, and the layers that need
+its result are skipped.
 
 The run is stored under ``runs[label]`` of the output file, beside the
 runs already there, so one file can hold the same matrix before and after
@@ -32,7 +34,8 @@ import tracemalloc
 import numpy as np
 
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, check_budget,
-                              point_table, verify_nogin, weight_array)
+                              point_table, verify_attained_family,
+                              verify_nogin, weight_array)
 from grasscodes.gf import GF
 from grasscodes.macwilliams import dual_distribution
 
@@ -94,6 +97,9 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     layers = row["layers_s"] = {}
     code = Code(spec)
     layers["point_table"], code.table = best_of(lambda: point_table(spec))
+    if 2 <= ell <= m - 2:
+        layers["verify_attained"], _ = best_of(
+            lambda: verify_attained_family(code))
     try:
         layers["weight_array"], weights = best_of(lambda: weight_array(code))
     except BudgetExceeded as exc:
