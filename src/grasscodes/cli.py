@@ -3,10 +3,17 @@
 Commands: params, wdist, verify, decompose, strings; verify and strings
 refuse a proper Schubert ``--alpha``.  All integer values are serialized
 as strings in JSON output (counts overflow 53-bit floats at modest
-parameters).  Exit codes: 0 success / all assertions pass,
-1 usage or domain error (and failed verification), 2 a sweep or a
-per-class strings/zanella suite over the operation budget, or a sweep or
-point table over the fixed memory ceiling.  The PLUCKER_BUDGET
+parameters).
+
+``verify --suite strings`` and ``--suite zanella`` check the functional
+given with ``-f``; without it, every scalar class of the coefficients
+they support, one report per class from one batched call per suite.
+
+Exit codes: 0 success / all assertions pass, 1 usage or domain error
+(and failed verification), 2 work refused before it starts: a sweep, or
+the strings/zanella suites over every class, over the operation budget;
+a sweep, a point table (also that of ``strings``) or the reports of
+those suites over the fixed memory ceiling.  The PLUCKER_BUDGET
 environment variable, an integer >= 1 like ``--budget``, overrides the
 default operation budget.
 """
@@ -17,20 +24,19 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator
+
+import numpy as np
 
 from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
-                    check_budget, check_class_budget, check_table_bytes,
+                    check_budget, check_suite_budget, check_table_bytes,
                     verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
-                    verify_zanella_incidence, weight_distribution,
-                    min_distance, second_min_weight, schubert_min_distance,
-                    class_representatives)
-from .exterior import DualFunctional, annihilator_basis, annihilator_dimension, \
+                    verify_string_sections, verify_zanella_incidence,
+                    verify_zanella_incidences, weight_distribution,
+                    min_distance, second_min_weight, schubert_min_distance)
+from .exterior import annihilator_basis, annihilator_dimension, \
     functional_to_wedge, parse_functional
 from .gf import GF
-from .grassmann import enumerate_grassmannian, in_last_column_locus, \
-    string_label
 from .qcombin import (e_bound, e_prime_bound, parse_index_tuple,
                       verify_e_inequalities, verify_gaussian_identities)
 
@@ -180,18 +186,6 @@ def cmd_wdist(args) -> int:
     return 0
 
 
-def _functionals(spec: CodeSpec, functional: str | None,
-                 support: list[tuple[int, ...]]) -> Iterator[DualFunctional]:
-    """The ``-f`` functional, or one per scalar class supported on support,
-    lazily: there can be hundreds of thousands of classes."""
-    field, ell, m = spec.field, spec.ell, spec.m
-    if functional:
-        yield parse_functional(functional, ell, m, field)
-        return
-    for vec in class_representatives(field.q, len(support)):
-        yield DualFunctional.from_vector(vec, ell, m, field, support)
-
-
 def _suite_identities(spec: CodeSpec) -> list[dict]:
     q, ell, m = spec.field.q, spec.ell, spec.m
     checks = verify_gaussian_identities(m, ell, q)
@@ -208,15 +202,18 @@ def cmd_verify(args) -> int:
     if suite in ("nogin", "second", "l2", "all"):
         # these suites sweep every codeword class
         check_budget(spec, budget)
-    last = [a for a in spec.support if a[-1] == spec.m]
-    if not args.functional and suite in ("strings", "zanella", "all"):
-        # strings and zanella without -f run once per scalar class; the
-        # memory ceiling of their cells is reported first
-        check_table_bytes(spec)
-        for name, support in (("strings", last), ("zanella", spec.support)):
-            if suite in (name, "all"):
-                check_class_budget(spec, len(support), budget,
-                                   f"--suite {name}")
+    func = None
+    if suite in ("strings", "zanella", "all"):
+        if args.functional:
+            func = parse_functional(args.functional, spec.ell, spec.m,
+                                    spec.field)
+        else:
+            # strings and zanella without -f cover every scalar class; the
+            # memory ceiling of their cells is reported first
+            check_table_bytes(spec)
+            for name in ("strings", "zanella"):
+                if suite in (name, "all"):
+                    check_suite_budget(spec, name, budget)
     code = Code(spec)
     reports: list[dict] = []
     if suite in ("nogin", "all"):
@@ -224,11 +221,11 @@ def cmd_verify(args) -> int:
     if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
         reports.append(verify_second_weight(code, budget=budget))
     if suite in ("strings", "all"):
-        reports += [verify_string_section(code, f)
-                    for f in _functionals(spec, args.functional, last)]
+        reports += [verify_string_section(code, func)] if func \
+            else verify_string_sections(code)
     if suite in ("zanella", "all"):
-        reports += [verify_zanella_incidence(code, f)
-                    for f in _functionals(spec, args.functional, spec.support)]
+        reports += [verify_zanella_incidence(code, func)] if func \
+            else verify_zanella_incidences(code)
     if suite in ("identities", "all"):
         reports.extend(_suite_identities(spec))
     if suite in ("l2", "all") and (spec.ell, spec.m) == (2, 4):
@@ -262,19 +259,32 @@ def cmd_decompose(args) -> int:
 
 def cmd_strings(args) -> int:
     spec = _grassmann_spec(args, "the string partition")
-    field, ell, m = spec.field, spec.ell, spec.m
-    sub = 0
+    field, m = spec.field, spec.m
+    names = [field.format_element(x) for x in range(field.q)]
+    locus = 0
     fibers: dict[str, list[str] | int] = {}
-    for mat in enumerate_grassmannian(ell, m, field):
-        if not in_last_column_locus(mat):
-            sub += 1
+    for alpha, (mats, _) in Code(spec).cells.items():
+        if alpha[-1] != m:
             continue
-        nu = ",".join(str(v) for v in string_label(mat))
+        locus += len(mats)
+        # the label: the last row at the columns of V_{m-1} that no other
+        # row pivots on, ascending
+        labels = mats[:, -1, [j for j in range(m - 1) if j + 1 not in alpha]]
         if args.full:
-            fibers.setdefault(nu, []).append(str(mat))
-        else:
-            fibers[nu] = fibers.get(nu, 0) + 1
-    out = {"sub_grassmannian_points": sub, "fibers": dict(sorted(fibers.items()))}
+            for nu, mat in zip(labels.tolist(), mats.tolist()):
+                fibers.setdefault(",".join(map(str, nu)), []).append(
+                    ";".join(",".join(names[x] for x in row) for row in mat))
+            continue
+        # count by the label's base-q index, first column most significant
+        width = labels.shape[1]
+        index = labels @ field.q ** np.arange(width - 1, -1, -1)
+        for i, count in enumerate(np.bincount(index).tolist()):
+            if count:
+                nu = ",".join(str(i // field.q**j % field.q)
+                              for j in reversed(range(width)))
+                fibers[nu] = fibers.get(nu, 0) + count
+    out = {"sub_grassmannian_points": spec.n - locus,
+           "fibers": dict(sorted(fibers.items()))}
     _emit(json.dumps(_jsonify(out), indent=2), None)
     return 0
 

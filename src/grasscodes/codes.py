@@ -24,6 +24,17 @@ family uses.  ``weight_distribution`` is its histogram and
 operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
 refused before any work.
 
+The decomposition suites run on the same engine.  The strings suite
+weighs, fiber by fiber, the points of the last-column locus; the Zanella
+suite weighs, covector by covector, the points in each V_{m-1}.  A
+class meets a set of points in their number minus its weight over them,
+so one transform per fiber or covector checks every scalar class at
+once (``verify_string_sections``, ``verify_zanella_incidences``).  The
+per-functional ``verify_string_section`` and ``verify_zanella_incidence``
+share their fiber and covector helpers and report builders; their
+reports stay the reference.  ``check_suite_budget`` prices the reports
+of every class, which can outgrow the work, before any cell is built.
+
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
 (``decomposable_table``); the Nogin and two-weight suites compare that set
@@ -35,9 +46,10 @@ reduced at once by ``exterior.annihilator_ranks``.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -45,7 +57,8 @@ from .exterior import DualFunctional, annihilator_ranks, shuffle_sign
 from .gf import GF
 from .linalg import ranks
 from .qcombin import (InvariantError, check_index_tuple, complement, delta,
-                      delta_set, gaussian_binomial, index_tuples, nabla_set)
+                      delta_set, format_index_tuple, gaussian_binomial,
+                      index_tuples, nabla_set)
 from .grassmann import cell_arrays
 
 __all__ = [
@@ -53,10 +66,12 @@ __all__ = [
     "BudgetExceeded", "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES",
     "build_generator", "point_table", "check_table_bytes", "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
-    "check_budget", "check_class_budget", "weight_array", "weight_distribution",
+    "check_budget", "check_class_budget", "check_suite_budget",
+    "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
+    "verify_string_sections", "verify_zanella_incidences",
     "verify_l2_dichotomy",
 ]
 
@@ -340,6 +355,32 @@ def check_class_budget(spec: CodeSpec, k: int, budget: int | None,
         raise BudgetExceeded(what, required, "operations", budget)
 
 
+# peak bytes of the all-class strings and Zanella reports, from the count
+# arrays through the JSON text of ``verify``: per report, plus per count in
+# it.  Fitted on peak RSS, less that of a run with -f, of C(2,6)/F_2 and
+# C(2,5)/F_3 Zanella (5.2 KB + 165 B) and C(3,7)/F_2, C(5,7)/F_2,
+# C(3,6)/F_3, C(4,6)/F_3 strings (at most 7.2 KB + 351 B), rounded up
+_REPORT_BYTES = 8192
+_COUNT_BYTES = {"strings": 384, "zanella": 192}
+
+
+def check_suite_budget(spec: CodeSpec, suite: str, budget: int | None) -> None:
+    """Refuse, before any work, the strings or Zanella suite over every
+    scalar class: over ``budget`` operations, priced as classes times
+    points, or over ``MAX_SWEEP_BYTES`` for their reports, one per class.
+    A strings report counts the q^(m-ell) fibers, a Zanella report the
+    (q^m - 1)/(q - 1) subspaces V_{m-1}."""
+    q, ell, m = spec.field.q, spec.ell, spec.m
+    if suite == "strings":
+        k, counts = math.comb(m - 1, ell - 1), q ** (m - ell)
+    else:
+        k, counts = spec.k, class_count(q, m)
+    check_class_budget(spec, k, budget, f"--suite {suite}")
+    _refuse_bytes(class_count(q, k)
+                  * (_REPORT_BYTES + counts * _COUNT_BYTES[suite]),
+                  f"--suite {suite}")
+
+
 def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
     """Refuse a full sweep before any work: over ``budget`` operations,
     counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
@@ -353,14 +394,18 @@ def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
                   "sweep")
 
 
+@cache
 def _trace_dual(field: GF) -> np.ndarray:
     """ell(a) = sum_s Tr(a x^s) p^s (x^s has index p^s), so that the F_p
-    inner product of the base-p digits of c with ell(a) is Tr(c a)."""
+    inner product of the base-p digits of c with ell(a) is Tr(c a).  Built
+    once per field and kept read-only."""
     p, e = field.p, field.e
     tr = [sum((field.element(b) ** p**j for j in range(e)), field.zero).idx
           for b in range(field.q)]
-    return np.array([sum(tr[field.mul(a, p**s)] * p**s for s in range(e))
+    dual = np.array([sum(tr[field.mul(a, p**s)] * p**s for s in range(e))
                      for a in range(field.q)])
+    dual.flags.writeable = False
+    return dual
 
 
 def _swap_digits(idx: np.ndarray, p: int, s: int) -> np.ndarray:
@@ -819,6 +864,58 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
                          expected_omega_meet=expected_meet)
 
 
+def _check_grassmann(code: Code, suite: str) -> None:
+    s = code.spec
+    if s != CodeSpec(s.field, s.ell, s.m):
+        raise ValueError(f"the {suite} suite applies to Grassmann codes")
+
+
+def _string_columns(spec: CodeSpec) -> list[int]:
+    """Columns of the tuples ending at m among ``spec.support``: the
+    coordinates of a functional whose hyperplane contains the
+    sub-Grassmannian G(ell, V_{m-1}).  Dropping the m of each gives the
+    support of the truncation C(ell-1, m-1), in the same order."""
+    return [i for i, a in enumerate(spec.support) if a[-1] == spec.m]
+
+
+def _fiber_labels(spec: CodeSpec) -> list[str]:
+    """The fiber labels nu of the strings reports, lexicographic."""
+    return [",".join(map(str, nu)) for nu in itertools.product(
+        range(spec.field.q), repeat=spec.m - spec.ell)]
+
+
+def _strings_report(functional: dict, labels: list[str], on_h: list[int],
+                    sub: int | None) -> dict:
+    """The strings report of one functional: ``on_h`` holds its points on
+    the hyperplane in the fibers of ``labels``, and ``sub`` those of its
+    re-indexed functional on G(ell-1, V_{m-1}) (None for ell = 1)."""
+    values = set(on_h)
+    checks = [{"identity": "fibers-equal", "values": sorted(values),
+               "pass": len(values) == 1}]
+    if sub is not None:
+        v = next(iter(values))
+        checks.append({"identity": "fiber-matches-truncation", "lhs": v,
+                       "rhs": sub, "pass": v == sub})
+    return _suite_report("strings", checks, functional=functional,
+                         fiber_counts=dict(zip(labels, on_h)))
+
+
+def _fiber_rows(code: Code) -> np.ndarray:
+    """The raw minors of the last-column locus at ``_string_columns``, as
+    a (n', q^(m-ell), K) array: [i, nu] is the i-th point of fiber nu.
+
+    A fiber is the set of points of the cells with alpha_ell = m whose last
+    row carries nu in its m - ell free columns.  Those are the last slots
+    of ``enumerate_cell``, so nu is a point's index in its cell mod
+    q^(m-ell), and every such cell holds a multiple of q^(m-ell) points."""
+    spec = code.spec
+    cols = _string_columns(spec)
+    locus = np.concatenate([coords[:, cols]
+                            for alpha, (_, coords) in code.cells.items()
+                            if alpha[-1] == spec.m])
+    return locus.reshape(-1, spec.field.q ** (spec.m - spec.ell), len(cols))
+
+
 def verify_string_section(code: Code, func: DualFunctional) -> dict:
     """Fiberwise hyperplane sections against the truncated Grassmannian.
 
@@ -832,57 +929,84 @@ def verify_string_section(code: Code, func: DualFunctional) -> dict:
         raise ValueError("functional must be of the Grassmann code")
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
-    # the fiber of nu: the points of the cells with alpha_ell = m whose last
-    # row carries nu in its m - ell free columns.  Those are the last slots
-    # of enumerate_cell, so nu is a point's index in its cell mod q^(m-ell).
-    width = field.q ** (m - ell)
-    on_h = np.zeros(width, dtype=np.int64)
-    for alpha, (_, coords) in code.cells.items():
-        if alpha[-1] == m:
-            zero = func.evaluate_rows(coords) == 0
-            on_h += zero.reshape(-1, width).sum(axis=0)
-    fiber_counts = dict(zip(itertools.product(range(field.q), repeat=m - ell),
-                            on_h.tolist()))
-    values = set(fiber_counts.values())
-    checks = [{"identity": "fibers-equal", "values": sorted(values),
-               "pass": len(values) == 1}]
+    last = [code.spec.support[i] for i in _string_columns(code.spec)]
+    fibers = _fiber_rows(code)
+    zero = func.evaluate_rows(fibers.reshape(-1, len(last)), last) == 0
+    on_h = zero.reshape(fibers.shape[:2]).sum(axis=0)
     # ell = 1: the truncated code is the empty product; fibers are single
     # points and there is no reduced count to match
+    sub = None
     if ell >= 2:
         reduced = DualFunctional(field, ell - 1, m - 1,
                                  {a[:-1]: c for a, c in func.coeffs.items()})
         sub_code = code.truncation
         sub = sub_code.spec.n - codeword_weight(reduced, sub_code.spec,
                                                 sub_code.table)
-        v = next(iter(values))
-        checks.append({"identity": "fiber-matches-truncation", "lhs": v,
-                       "rhs": sub, "pass": v == sub})
-    return _suite_report("strings", checks,
-                         functional=func.to_json_dict(),
-                         fiber_counts={",".join(map(str, k)): v
-                                       for k, v in sorted(fiber_counts.items())})
+    return _strings_report(func.to_json_dict(), _fiber_labels(code.spec),
+                           on_h.tolist(), sub)
 
 
-def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
-    """Incidence-count bound for hyperplane sections over all V_{m-1}."""
-    ell, m, field = func.ell, func.m, func.field
-    if code.spec != CodeSpec(field, ell, m):
-        raise ValueError("functional must be of the Grassmann code")
-    q = field.q
+def _class_functionals(field: GF, tuples: list[tuple[int, ...]]):
+    """``DualFunctional.to_json_dict`` of the functional of every
+    ``class_representatives`` vector over the (sorted) ``tuples``."""
+    names = [format_index_tuple(a) for a in tuples]
+    fmt = [field.format_element(c) for c in range(field.q)]
+    for vec in class_representatives(field.q, len(tuples)):
+        yield {a: fmt[c] for a, c in zip(names, vec) if c}
+
+
+def verify_string_sections(code: Code) -> list[dict]:
+    """``verify_string_section`` of every scalar class supported on the
+    tuples ending at m, in ``class_representatives`` order.
+
+    One ``_table_weights`` call per fiber weighs every class on its rows,
+    and one over the points of C(ell-1, m-1) gives every truncated count.
+    Raises ``BudgetExceeded`` when the reports would exceed
+    ``MAX_SWEEP_BYTES``, before any work.
+    """
+    spec = code.spec
+    _check_grassmann(code, "strings")
+    check_suite_budget(spec, "strings", None)
+    field = spec.field
+    last = [spec.support[i] for i in _string_columns(spec)]
+    classes = _class_indices(field.q, len(last))
+    fibers = _fiber_rows(code)
+    what = f"{spec.describe()} strings suite"
+    on_h = np.stack([len(fibers) - _table_weights(field, fibers[:, nu],
+                                                  what)[classes]
+                     for nu in range(fibers.shape[1])], axis=1)
+    # ell = 1: no truncated count, as in verify_string_section; otherwise
+    # the truncation's table is weighed here, so that weight_array stays
+    # the one sweep of the command's own code
+    subs = [None] * len(classes)
+    if spec.ell >= 2:
+        sub_code = code.truncation
+        subs = (sub_code.spec.n - _table_weights(
+            field, sub_code.table, sub_code.spec.describe())[classes]).tolist()
+    labels = _fiber_labels(spec)
+    return [_strings_report(functional, labels, counts, sub)
+            for functional, counts, sub in zip(
+                _class_functionals(field, last), on_h.tolist(), subs)]
+
+
+def _kernel_masks(field: GF, mats: np.ndarray):
+    """For every (m-1)-subspace of V_m, as the kernel of a covector u up to
+    scalar in ``class_representatives`` order, a mask over the (N, ell, m)
+    echelon matrices ``mats``: True where the point lies in ker u, i.e.
+    each of its rows pairs to 0 with u."""
     mul = field.mul_array
-    # the echelon matrices of the points on the hyperplane
-    on_pi = np.concatenate([mats[func.evaluate_rows(coords) == 0]
-                            for mats, coords in code.cells.values()])
-    total = len(on_pi)
-    sub_counts = []
-    # every (m-1)-subspace of V_m, as the kernel of a covector up to scalar;
-    # a point lies in ker u iff each of its rows pairs to 0 with u
-    for u in class_representatives(q, m):
-        pairs = np.zeros(on_pi.shape[:2], dtype=np.uint8)
+    for u in class_representatives(field.q, mats.shape[2]):
+        pairs = np.zeros(mats.shape[:2], dtype=np.uint8)
         for j, c in enumerate(u):
             if c:
-                pairs = field.vadd(pairs, mul[c][on_pi[:, :, j]])
-        sub_counts.append(total - int(np.count_nonzero(pairs.any(axis=1))))
+                pairs = field.vadd(pairs, mul[c][mats[:, :, j]])
+        yield ~pairs.any(axis=1)
+
+
+def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
+    """The Zanella report of one hyperplane: ``total`` points on it, and
+    ``sub_counts`` of them in each (m-1)-subspace of V_m."""
+    q, ell, m = spec.field.q, spec.ell, spec.m
     a = max(sub_counts)
     # |G cap Pi| * (q^(m-ell) - 1) <= a * (q^m - 1), exact integers
     lhs = total * (q ** (m - ell) - 1)
@@ -894,6 +1018,46 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
                        "rhs": rhs, "pass": lhs == rhs})
     return _suite_report("zanella", checks, section_size=total,
                          max_sub_count=a, sub_counts=sub_counts)
+
+
+def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
+    """Incidence-count bound for hyperplane sections over all V_{m-1}."""
+    ell, m, field = func.ell, func.m, func.field
+    if code.spec != CodeSpec(field, ell, m):
+        raise ValueError("functional must be of the Grassmann code")
+    # the echelon matrices of the points on the hyperplane
+    on_pi = np.concatenate([mats[func.evaluate_rows(coords) == 0]
+                            for mats, coords in code.cells.values()])
+    sub_counts = [int(np.count_nonzero(mask))
+                  for mask in _kernel_masks(field, on_pi)]
+    return _zanella_report(code.spec, len(on_pi), sub_counts)
+
+
+def verify_zanella_incidences(code: Code) -> list[dict]:
+    """``verify_zanella_incidence`` of every scalar class, in
+    ``class_representatives`` order.
+
+    A class c meets the subspace ker u in the points of ker u minus the
+    weight of c over them, so one ``_table_weights`` call per covector u
+    over the rows of ``code.table`` in ker u counts every class; the
+    section sizes are read off ``code.weights``.  Raises ``BudgetExceeded``
+    when the reports would exceed ``MAX_SWEEP_BYTES``, before any work.
+    """
+    spec = code.spec
+    _check_grassmann(code, "zanella")
+    check_suite_budget(spec, "zanella", None)
+    field = spec.field
+    classes = _class_indices(field.q, spec.k)
+    table = code.table
+    mats = np.concatenate([mats for mats, _ in code.cells.values()])
+    what = f"{spec.describe()} zanella suite"
+    sub_counts = np.stack([
+        np.count_nonzero(mask) - _table_weights(field, table[mask],
+                                                what)[classes]
+        for mask in _kernel_masks(field, mats)], axis=1)
+    totals = spec.n - code.weights[classes]
+    return [_zanella_report(spec, total, counts)
+            for total, counts in zip(totals.tolist(), sub_counts.tolist())]
 
 
 def verify_l2_dichotomy(code: Code) -> dict:

@@ -1,8 +1,13 @@
 import json
 import tracemalloc
 
+import pytest
+
 from grasscodes import cli, codes
 from grasscodes.cli import main
+from grasscodes.gf import GF
+from grasscodes.grassmann import (enumerate_grassmannian,
+                                  in_last_column_locus, string_label)
 
 
 def run(capsys, *argv):
@@ -114,6 +119,36 @@ def test_strings_partition(capsys):
     assert all(v == "7" for v in data["fibers"].values())
 
 
+@pytest.mark.parametrize("field,ell,m", [("3", 2, 4), ("2^2", 2, 4),
+                                         ("2", 1, 3), ("2", 3, 3),
+                                         ("2", 3, 5)])
+def test_strings_matches_point_enumeration(capsys, field, ell, m):
+    # the partition read off the cells against a walk over every point
+    gf = GF.from_string(field)
+    sub, counts, full = 0, {}, {}
+    for mat in enumerate_grassmannian(ell, m, gf):
+        if not in_last_column_locus(mat):
+            sub += 1
+            continue
+        nu = ",".join(map(str, string_label(mat)))
+        counts[nu] = counts.get(nu, 0) + 1
+        full.setdefault(nu, []).append(str(mat))
+    for flag, fibers in (([], counts), (["--full"], full)):
+        code, out, _ = run(capsys, "strings", "-q", field, "-l", str(ell),
+                           "-m", str(m), *flag)
+        expected = {"sub_grassmannian_points": sub,
+                    "fibers": dict(sorted(fibers.items()))}
+        assert code == 0
+        assert out == json.dumps(cli._jsonify(expected), indent=2) + "\n"
+
+
+def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
+    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    code, out, err = run(capsys, "strings", "-q", "16", "-l", "2", "-m", "6")
+    assert (code, out, err) == (2, "", "error: point table requires"
+                                " ~777927917054 bytes, budget is 2147483648\n")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, "params", "-q", "2", "-l", "2")
     assert code == 1 and "error" in err
@@ -214,8 +249,9 @@ def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
     code, _, _ = run(capsys, "verify", "-q", "4", "-l", "2", "-m", "5",
                      "--suite", "zanella", "-f", "X:1,2", "--budget", "1000")
     assert code == 0
-    monkeypatch.setattr(cli, "verify_zanella_incidence", None)
-    monkeypatch.setattr(cli, "verify_string_section", None)
+    for name in ("verify_zanella_incidence", "verify_string_section",
+                 "verify_zanella_incidences", "verify_string_sections"):
+        monkeypatch.setattr(cli, name, None)
     report = tmp_path / "report.json"
     for suite, price in (("zanella", 349525 * 5797), ("strings", 85 * 5797)):
         code, out, err = run(capsys, "verify", "-q", "4", "-l", "2", "-m", "5",
@@ -224,6 +260,21 @@ def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
         assert code == 2 and out == "" and not report.exists()
         assert err == (f"error: --suite {suite} requires ~{price} operations,"
                        " budget is 100000\n")
+
+
+def test_all_class_report_bytes_exit_two(capsys, monkeypatch, tmp_path):
+    # within the default operation budget, but 1 048 575 Zanella reports of
+    # 63 counts for C(3,6)/F_2 and 349 525 of 341 for C(2,5)/F_4
+    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    report = tmp_path / "report.json"
+    for field, ell, m, price in (("2", 3, 6, 1048575 * (8192 + 63 * 192)),
+                                 ("2^2", 2, 5, 349525 * (8192 + 341 * 192))):
+        code, out, err = run(capsys, "verify", "-q", field, "-l", str(ell),
+                             "-m", str(m), "--suite", "zanella",
+                             "-o", str(report))
+        assert code == 2 and out == "" and not report.exists()
+        assert err == (f"error: --suite zanella requires ~{price} bytes,"
+                       " budget is 2147483648\n")
 
 
 def test_verify_strings_with_functional(capsys):
@@ -296,7 +347,6 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
 def test_schubert_alpha_refused_before_work(capsys, monkeypatch):
     for name in ("point_table", "cell_arrays", "weight_array"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
-    monkeypatch.setattr(cli, "enumerate_grassmannian", None)
     schubert = ["-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"]
     for suite in cli.SUITES:
         code, out, err = run(capsys, "verify", *schubert, "--suite", suite)

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
 from grasscodes import codes, exterior
+from grasscodes.cli import _jsonify
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               InvariantError, WeightDistribution,
                               build_generator, class_count,
@@ -22,8 +23,10 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               second_min_weight, special_theta,
                               verify_attained_family, verify_l2_dichotomy,
                               verify_nogin, verify_second_weight,
-                              verify_string_section, verify_zanella_incidence,
-                              weight_array, weight_distribution)
+                              verify_string_section, verify_string_sections,
+                              verify_zanella_incidence,
+                              verify_zanella_incidences, weight_array,
+                              weight_distribution)
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
@@ -525,6 +528,47 @@ def test_zanella_equality_case(f2):
                                       parse_functional("X:1,2 + X:3,4", 2, 4, f2))
     names = [c["identity"] for c in report["checks"]]
     assert "incidence-equality" in names
+
+
+@pytest.mark.parametrize("q,ell,m", [(2, 2, 4), (3, 2, 4), (4, 2, 4),
+                                    (2, 2, 5), (2, 3, 5), (2, 1, 3)])
+def test_all_class_reports_match_per_functional(q, ell, m):
+    """The strings and Zanella suites over every class give, class by
+    class, the report of the suite on that one functional (for ell = 1
+    without a truncation check)."""
+    field = GF(2, 2) if q == 4 else GF(q)
+    spec = CodeSpec(field, ell, m)
+    code = Code(spec)
+    last = [a for a in spec.support if a[-1] == m]
+    for every, one, support in ((verify_string_sections,
+                                 verify_string_section, last),
+                                (verify_zanella_incidences,
+                                 verify_zanella_incidence, spec.support)):
+        reference = [one(code, DualFunctional.from_vector(vec, ell, m, field,
+                                                          support))
+                     for vec in class_representatives(q, len(support))]
+        assert _jsonify(every(code)) == _jsonify(reference)
+
+
+def test_trace_dual_built_once_per_field():
+    # every _table_weights call reads it; equal fields share one table
+    dual = codes._trace_dual(GF(2, 4))
+    assert codes._trace_dual(GF(2, 4)) is dual
+    assert not dual.flags.writeable
+
+
+def test_all_class_suites_refuse_before_work(monkeypatch, f2):
+    # C(3,6)/F_2: 1 048 575 Zanella reports of 63 counts; C(4,8)/F_2:
+    # 2^35 - 1 strings reports
+    def no_cells(*args):
+        raise AssertionError("cell built for refused reports")
+    monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    for every, spec in ((verify_zanella_incidences, CodeSpec(f2, 3, 6)),
+                        (verify_string_sections, CodeSpec(f2, 4, 8))):
+        with pytest.raises(BudgetExceeded, match="bytes"):
+            every(Code(spec))
+    with pytest.raises(ValueError, match="Grassmann"):
+        verify_zanella_incidences(Code(CodeSpec(f2, 2, 4, (2, 4))))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
