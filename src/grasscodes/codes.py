@@ -148,17 +148,26 @@ def check_table_bytes(spec: CodeSpec) -> None:
     by cell when the peak would exceed ``MAX_SWEEP_BYTES``.
 
     The estimate covers ``point_table`` and ``Code.cells``: the largest
-    cell as ``cell_arrays`` builds it (its matrices, the base-q digits of
-    its slots, about five minor arrays as wide as the widest exterior power
-    up to ell, and the normalization temporaries), plus two bytes per point
-    for every coordinate or matrix entry kept across cells.
+    cell as ``cell_arrays`` builds it (``_cell_bytes``) and its
+    normalization temporaries, plus two bytes per point for every
+    coordinate or matrix entry kept across cells.
     """
     field, ell, m = spec.field, spec.ell, spec.m
     top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
+    _refuse_bytes(_cell_bytes(field, ell, m, top)
+                  + field.q**top * (2 * spec.k + 24)
+                  + 2 * spec.n * max(spec.k, ell * m), "point table")
+
+
+def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
+    """The peak bytes of ``cell_arrays`` on a cell of q^top points: its
+    matrices, the base-q digits of its slots and five minor arrays as wide
+    as the widest exterior power up to ell.  The build holds about three
+    at most, at the last slot of its largest row: the index of one table
+    gather and its result, each as large as the output, and the wedges
+    before that slot with their scaled copy, each q times smaller."""
     width = max(len(index_tuples(i, m)) for i in range(1, ell + 1))
-    per_point = ell * m + top + 5 * width + 2 * spec.k + 24
-    _refuse_bytes(field.q**top * per_point + 2 * spec.n * max(spec.k, ell * m),
-                  "point table")
+    return field.q**top * (ell * m + top + 5 * width)
 
 
 def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:

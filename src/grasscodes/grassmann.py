@@ -12,7 +12,9 @@ Entries are stored as raw field-element indices (see ``gf``); columns are
 1-based, matching the serialization format.
 
 ``cell_arrays`` is the batched form used to tabulate codes: a whole cell
-as one uint8 array of matrices and one of their Pluecker coordinates.
+as one uint8 array of matrices and one of their Pluecker coordinates,
+built one row at a time, the wedge of the rows so far extended linearly
+by each free entry of the next.
 ``enumerate_cell`` and ``plucker`` are its point-at-a-time reference.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -162,50 +165,39 @@ def cell_arrays(alpha: Sequence[int], m: int,
         # itertools.product
         digits = np.indices((q,) * len(slots), dtype=np.uint8)
         mats[:, rows, cols] = digits.reshape(len(slots), -1).T
-    return mats, _minors(mats, field)
+    # the minors by linear extension, row by row: w is the wedge of rows
+    # 0..i-1 at every point of their slots, and row i is e_(alpha_i) plus
+    # x e_c over its slots (i, c), so w ^ row i starts from w ^ e_(alpha_i)
+    # and each slot, most significant first, extends every point by each x
+    # in F_q, adding x (w ^ e_c)
+    xs = np.arange(q, dtype=np.uint8)[:, None]
+    w = np.ones((1, 1), dtype=np.uint8)
+    for i, p in enumerate(alpha):
+        n = len(w)
+        ext = np.concatenate([w, field.neg_array[w],
+                              np.zeros((n, 1), dtype=np.uint8)], axis=1)
+        acc = ext[:, _wedge_columns(i, m, p)]
+        width = acc.shape[1]
+        for c in [c + 1 for r, c in slots if r == i]:
+            term = field.vmul(ext[:, None, _wedge_columns(i, m, c)], xs)
+            acc = field.vadd(acc.reshape(n, -1, 1, width), term[:, None])
+        w = acc.reshape(-1, width)
+    return mats, w
 
 
-# matrices per block of ``_minors``: bounds its temporaries at any cell size
-_MINORS_BLOCK = 4096
-
-
-def _minors(mats: np.ndarray, field: GF) -> np.ndarray:
-    """All ell x ell minors of a stack of ell x m matrices, in lex order:
-    ``_block_minors`` of every ``_MINORS_BLOCK`` matrices."""
-    n, ell, m = mats.shape
-    out = np.empty((n, len(index_tuples(ell, m))), dtype=np.uint8)
-    for s in range(0, n, _MINORS_BLOCK):
-        out[s:s + _MINORS_BLOCK] = _block_minors(mats[s:s + _MINORS_BLOCK],
-                                                 field)
-    return out
-
-
-def _block_minors(mats: np.ndarray, field: GF) -> np.ndarray:
-    """All ell x ell minors of a stack of ell x m matrices, by Laplace
-    expansion along the rows: the batched ``exterior.wedge_with_vector``.
-
-    After row i, column b of ``w`` holds the minor of rows 0..i on the
-    columns of the (i+1)-tuple b.
-    """
-    neg = field.neg_array
-    n, ell, m = mats.shape
-    w = np.ones((n, 1), dtype=np.uint8)
-    prev = {(): 0}
-    for i in range(ell):
-        tuples = index_tuples(i + 1, m)
-        acc = np.zeros((n, len(tuples)), dtype=np.uint8)
-        for t in range(i + 1):
-            # the term of column beta_t: v_(beta_t) moves left past the
-            # i - t larger entries of beta
-            src = [prev[b[:t] + b[t + 1:]] for b in tuples]
-            term = field.vmul(w[:, src],
-                              mats[:, i, [b[t] - 1 for b in tuples]])
-            if (i - t) % 2:
-                term = neg[term]
-            acc = field.vadd(acc, term)
-        w = acc
-        prev = {b: j for j, b in enumerate(tuples)}
-    return w
+@cache
+def _wedge_columns(i: int, m: int, a: int) -> np.ndarray:
+    """The columns of [w, -w, 0] that give w ^ e_a, for w in the i-th
+    exterior power of F_q^m (the batched ``exterior.wedge_with_vector``):
+    coordinate b of ``index_tuples(i + 1, m)`` is zero unless a is in b,
+    and otherwise w at b without a, negated when an odd number of entries
+    of b exceed a."""
+    prev = {b: j for j, b in
+            enumerate(itertools.combinations(range(1, m + 1), i))}
+    k = len(prev)
+    return np.array([prev[tuple(x for x in b if x != a)]
+                     + k * (sum(x > a for x in b) % 2) if a in b else 2 * k
+                     for b in index_tuples(i + 1, m)])
 
 
 # -- the string decomposition ------------------------------------------------

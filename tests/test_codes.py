@@ -30,7 +30,7 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
-from grasscodes.grassmann import (enumerate_grassmannian,
+from grasscodes.grassmann import (cell_arrays, enumerate_grassmannian,
                                   enumerate_schubert_variety, plucker,
                                   string_fiber)
 from grasscodes.linalg import rank as matrix_rank
@@ -111,6 +111,10 @@ TABLE_CODES = [
     (2, 3, (1, 0, 1, 1), 2, 4, (1, 4)), (3, 2, None, 3, 4, None),
     (3, 2, (2, 2, 1), 2, 4, (2, 4)), (2, 4, None, 2, 3, None),
     (2, 4, None, 2, 4, (1, 4)),
+    # Schubert codes whose cells have rows without slots above rows with
+    # them, over F_3, F_9 and F_2
+    (3, 1, None, 3, 5, (1, 2, 5)), (3, 2, None, 3, 5, (1, 3, 5)),
+    (2, 1, None, 4, 6, (1, 2, 5, 6)),
 ]
 
 
@@ -798,6 +802,22 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("p,e,ell,m", [(3, 1, 3, 6), (2, 4, 2, 4),
+                                       (2, 1, 4, 7)])
+def test_cell_arrays_peak_within_estimate(p, e, ell, m):
+    """The tracemalloc peak of cell_arrays on the top cell stays within the
+    per-cell part of check_table_bytes' estimate."""
+    field = GF(p, e)
+    top = tuple(range(m - ell + 1, m + 1))
+    tracemalloc.start()
+    try:
+        cell_arrays(top, m, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < codes._cell_bytes(field, ell, m, ell * (m - ell))
 
 
 def _point_in_kernel(mat, u) -> bool:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from grasscodes.gf import GF
-from grasscodes.grassmann import (EchelonMatrix, cell_arrays, determinant,
-                                  enumerate_cell,
+from grasscodes.grassmann import (EchelonMatrix, _free_positions, cell_arrays,
+                                  determinant, enumerate_cell,
                                   enumerate_grassmannian,
                                   enumerate_schubert_variety,
                                   in_last_column_locus, plucker, project_tau,
@@ -45,18 +45,44 @@ def test_grassmannian_count(ell, m, q):
     assert count == gaussian_binomial(m, ell, q)
 
 
-@pytest.mark.parametrize("p,e,ell,m", [(2, 1, 3, 6), (3, 1, 2, 5),
-                                       (2, 2, 1, 4), (3, 2, 3, 4),
-                                       (2, 4, 2, 3)])
+@pytest.mark.parametrize("p,e,ell,m", [
+    (2, 1, 3, 6), (3, 1, 2, 5), (2, 2, 1, 4), (3, 2, 3, 4), (2, 4, 2, 3),
+    (3, 1, 3, 3),  # ell = m: no row has a slot
+    (5, 1, 1, 3),  # ell = 1
+    (2, 1, 3, 5),  # alpha = (1, 2, 5): rows without slots above one with
+    (3, 2, 3, 5),  # an odd extension field, cells up to 9^6 points
+    (2, 1, 4, 6),
+])
 def test_cell_arrays_match_enumeration(p, e, ell, m):
-    """Each cell's arrays equal enumerate_cell and plucker, row for row."""
+    """Each cell's arrays equal enumerate_cell and plucker, row for row.
+
+    plucker takes ~0.1 ms a point, so a cell over WALK points is checked
+    on SAMPLE evenly spaced rows: each is an echelon matrix whose slots
+    hold the base-q digits of its index, as enumerate_cell orders them,
+    with the minors of plucker.
+    """
     field = GF(p, e)
     for alpha in index_tuples(ell, m):
         mats, coords = cell_arrays(alpha, m, field)
-        points = list(enumerate_cell(alpha, m, field))
         assert mats.dtype == coords.dtype == np.uint8
-        assert mats.tolist() == [[list(r) for r in mat.rows] for mat in points]
-        assert coords.tolist() == [list(plucker(mat).coords) for mat in points]
+        assert len(mats) == field.q ** delta(alpha)
+        if len(mats) <= WALK:
+            points = list(enumerate_cell(alpha, m, field))
+            assert mats.tolist() == [[list(r) for r in mat.rows]
+                                     for mat in points]
+            assert coords.tolist() == [list(plucker(mat).coords)
+                                       for mat in points]
+            continue
+        slots = _free_positions(alpha, m)
+        for i in np.linspace(0, len(mats) - 1, SAMPLE, dtype=int):
+            mat = EchelonMatrix(field, m, tuple(map(tuple, mats[i].tolist())),
+                                alpha)
+            digits = np.unravel_index(i, (field.q,) * len(slots))
+            assert [mat.rows[r][c] for r, c in slots] == list(digits)
+            assert coords[i].tolist() == list(plucker(mat).coords)
+
+
+WALK, SAMPLE = 8192, 2048
 
 
 def test_schubert_variety_count(f2):

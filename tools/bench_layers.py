@@ -2,13 +2,15 @@
 
     PYTHONPATH=src python tools/bench_layers.py --label after --out BENCH.json
 
-For every code of the matrix it times the public layers of a sweep, best
-of 3 in one process: the point table (``codes.point_table``), the
-attained-family suite on that table (``codes.verify_attained_family``,
-for 2 <= ell <= m-2), the codeword-weight transform
-(``codes.weight_array``), the histogram (``np.bincount``) and the dual
-distribution (``macwilliams.dual_distribution``), and the Nogin suite
-where the matrix asks for it.  It also records the tracemalloc peak of
+For every code of the matrix it times the public layers of a sweep, as
+the median of 7 calls in one process (a best of 3 could not resolve a
+change to a ~10 ms layer on a shared host): the point table
+(``codes.point_table``), the attained-family suite on that table
+(``codes.verify_attained_family``, for 2 <= ell <= m-2), the
+codeword-weight transform (``codes.weight_array``), the histogram
+(``np.bincount``) and the dual distribution
+(``macwilliams.dual_distribution``), and the Nogin suite where the
+matrix asks for it.  It also records the tracemalloc peak of
 one untimed ``weight_array`` call, and whether the default operation
 budget refuses the sweep (``codes.check_budget``, as ``wdist`` and
 ``verify`` call it), with the ``BudgetExceeded`` text.  A layer that
@@ -28,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import statistics
 import time
 import tracemalloc
 
@@ -40,24 +43,26 @@ from grasscodes.gf import GF
 from grasscodes.macwilliams import dual_distribution
 
 # (p, e, ell, m, time the Nogin suite): the fixed matrix, C(2,7) over F_2,
-# and C(2,8) over F_2, which the memory ceiling refuses
+# C(2,8) over F_2, which the memory ceiling refuses, and C(3,6) over F_3
+# (the benchmark's generator code) and C(3,7) over F_3, whose sweeps the
+# operation budget refuses
 MATRIX = [
     (2, 1, 3, 6, False), (3, 1, 2, 5, True), (2, 2, 2, 5, False),
     (5, 1, 2, 4, False), (2, 3, 2, 4, False), (3, 2, 2, 4, False),
     (2, 4, 2, 4, False), (3, 1, 2, 6, False), (2, 1, 2, 7, False),
-    (2, 1, 2, 8, False),
+    (2, 1, 2, 8, False), (3, 1, 3, 6, False), (3, 1, 3, 7, False),
 ]
-REPEATS = 3
+REPEATS = 7
 
 
-def best_of(fn):
-    """(least wall time over REPEATS calls in seconds, last result)."""
+def median_of(fn):
+    """(median wall time over REPEATS calls in seconds, last result)."""
     times = []
     for _ in range(REPEATS):
         start = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - start)
-    return min(times), result
+    return statistics.median(times), result
 
 
 def peak_bytes(fn) -> int:
@@ -96,23 +101,23 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
         row["default_budget"] = f"refused: {exc}"
     layers = row["layers_s"] = {}
     code = Code(spec)
-    layers["point_table"], code.table = best_of(lambda: point_table(spec))
+    layers["point_table"], code.table = median_of(lambda: point_table(spec))
     if 2 <= ell <= m - 2:
-        layers["verify_attained"], _ = best_of(
+        layers["verify_attained"], _ = median_of(
             lambda: verify_attained_family(code))
     try:
-        layers["weight_array"], weights = best_of(lambda: weight_array(code))
+        layers["weight_array"], weights = median_of(lambda: weight_array(code))
     except BudgetExceeded as exc:
         layers["weight_array"] = f"refused: {exc}"
         return row
     row["weight_array_peak_bytes"] = str(
         peak_bytes(lambda: weight_array(code)))
-    layers["histogram"], hist = best_of(lambda: np.bincount(weights))
+    layers["histogram"], hist = median_of(lambda: np.bincount(weights))
     counts = {w: c for w, c in enumerate(hist.tolist()) if c}
-    layers["dual_distribution"], _ = best_of(
+    layers["dual_distribution"], _ = median_of(
         lambda: dual_distribution(counts, n, q, k))
     if nogin:
-        layers["verify_nogin"], _ = best_of(lambda: verify_nogin(Code(spec)))
+        layers["verify_nogin"], _ = median_of(lambda: verify_nogin(Code(spec)))
     return row
 
 
