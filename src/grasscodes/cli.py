@@ -21,6 +21,7 @@ default operation budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -67,7 +68,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", help='Schubert pivot tuple, e.g. "1,4"')
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call of the process."""
     parser = _Parser(prog="grasscodes")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -59,7 +59,7 @@ from .linalg import ranks
 from .qcombin import (InvariantError, check_index_tuple, complement, delta,
                       delta_set, format_index_tuple, gaussian_binomial,
                       index_tuples, nabla_set)
-from .grassmann import cell_arrays
+from .grassmann import cell_arrays, cell_minors
 
 __all__ = [
     "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
@@ -182,7 +182,7 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     Row i is ``plucker(mat).normalized()`` of the i-th point of
     ``enumerate_grassmannian`` (for a Schubert code,
     ``enumerate_schubert_variety``), restricted to the columns of
-    ``spec.support``.  Built one cell at a time with ``cell_arrays``;
+    ``spec.support``.  Built one cell at a time with ``cell_minors``;
     ``Code.table`` keeps it for the suites.  Raises ``BudgetExceeded``
     over ``MAX_SWEEP_BYTES``, before allocating.
     """
@@ -194,7 +194,7 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     # variety vanishes off the support, so restricting keeps its leading
     # coordinate
     return np.concatenate([
-        _normalize_rows(field, cell_arrays(alpha, m, field)[1][:, keep])
+        _normalize_rows(field, cell_minors(alpha, m, field)[:, keep])
         for alpha in spec.support])
 
 
@@ -637,8 +637,8 @@ def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact counts for all q^k codewords of the code."""
     check_budget(code.spec, budget)
-    hist = np.bincount(code.weights).tolist()
-    counts = {w: c for w, c in enumerate(hist) if c}
+    weights, hist = np.unique(code.weights, return_counts=True)
+    counts = dict(zip(weights.tolist(), hist.tolist()))
     dist = WeightDistribution(code.spec, counts)
     dist.check_invariants()
     return dist

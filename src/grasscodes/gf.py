@@ -6,17 +6,25 @@ polynomial representative, constant term first:
 
     idx = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
-All arithmetic goes through tables precomputed at construction, so a
+Scalar arithmetic goes through tables precomputed at construction, so a
 ``GF`` instance is immutable and cheap to share.  The same tables are
 kept as read-only uint8 numpy arrays (``add_array``, ``mul_array``,
 ``neg_array``, ``inv_array``) for arithmetic on arrays of elements:
 ``mul_array[c][x]`` multiplies an array by one element, and ``vadd(a, b)``
-and ``vmul(a, b)`` combine two uint8 arrays elementwise by one gather
-from the flattened table at a * q + b.  Since q <= 16 that index is at
-most q^2 - 1 <= 255, so it is computed in uint8, one byte per entry.  The
-default
-moduli are fixed (one irreducible polynomial per supported extension),
-which keeps element encodings reproducible across runs.
+and ``vmul(a, b)`` combine two uint8 arrays elementwise, by a kernel
+chosen from the characteristic:
+
+- in characteristic 2 an index is the coefficient bit vector, so ``vadd``
+  is XOR under every modulus, and over F_2 ``vmul`` is AND;
+- over a prime field F_p, p odd, ``vadd`` adds in uint8 and folds:
+  s = a + b <= 2p - 2, and min(s, s - p) is s - p when s >= p and s
+  otherwise, since s - p then wraps above 255 - p;
+- every other product, and the sum in F_9, is one gather from the
+  flattened table at a * q + b.  Since q <= 16 that index is at most
+  q^2 - 1 <= 255, so it is computed in uint8, one byte per entry.
+
+The default moduli are fixed (one irreducible polynomial per supported
+extension), which keeps element encodings reproducible across runs.
 """
 
 from __future__ import annotations
@@ -171,10 +179,17 @@ class GF:
 
     def vadd(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a + b elementwise for uint8 arrays of elements (broadcast)."""
+        if self.p == 2:
+            return np.bitwise_xor(a, b, dtype=np.uint8)
+        if self.e == 1:
+            s = np.add(a, b, dtype=np.uint8)
+            return np.minimum(s, s - np.uint8(self.p), out=s)
         return self._add_flat[a * self.q + b]
 
     def vmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a * b elementwise for uint8 arrays of elements (broadcast)."""
+        if self.q == 2:
+            return np.bitwise_and(a, b, dtype=np.uint8)
         return self._mul_flat[a * self.q + b]
 
     # -- raw integer arithmetic (internal fast path) --------------------------

@@ -12,9 +12,10 @@ Entries are stored as raw field-element indices (see ``gf``); columns are
 1-based, matching the serialization format.
 
 ``cell_arrays`` is the batched form used to tabulate codes: a whole cell
-as one uint8 array of matrices and one of their Pluecker coordinates,
-built one row at a time, the wedge of the rows so far extended linearly
-by each free entry of the next.
+as one uint8 array of matrices and one of their Pluecker coordinates.
+``cell_minors`` builds the coordinates alone, one row at a time, the
+wedge of the rows so far extended linearly by each free entry of the
+next.
 ``enumerate_cell`` and ``plucker`` are its point-at-a-time reference.
 """
 
@@ -34,7 +35,7 @@ from .qcombin import check_index_tuple, index_tuples, nabla_set
 __all__ = [
     "EchelonMatrix", "PluckerVector",
     "enumerate_cell", "enumerate_grassmannian", "enumerate_schubert_variety",
-    "plucker", "determinant", "cell_arrays",
+    "plucker", "determinant", "cell_arrays", "cell_minors",
     "in_last_column_locus", "string_label", "string_fiber", "project_tau",
 ]
 
@@ -151,8 +152,7 @@ def cell_arrays(alpha: Sequence[int], m: int,
     """The cell C_alpha as arrays, rows in ``enumerate_cell`` order.
 
     Returns its q^delta(alpha) echelon matrices, a (q^delta, ell, m) uint8
-    array, and their Pluecker coordinates (``plucker``, not normalized), a
-    (q^delta, C(m, ell)) uint8 array in ``index_tuples`` order.
+    array, and their Pluecker coordinates, ``cell_minors``.
     """
     alpha = check_index_tuple(tuple(alpha), m)
     ell, q = len(alpha), field.q
@@ -165,24 +165,35 @@ def cell_arrays(alpha: Sequence[int], m: int,
         # itertools.product
         digits = np.indices((q,) * len(slots), dtype=np.uint8)
         mats[:, rows, cols] = digits.reshape(len(slots), -1).T
+    return mats, cell_minors(alpha, m, field)
+
+
+def cell_minors(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
+    """The Pluecker coordinates (``plucker``, not normalized) of the cell
+    C_alpha, a (q^delta, C(m, ell)) uint8 array in ``index_tuples`` order,
+    rows in ``enumerate_cell`` order; the matrices are never built."""
+    alpha = check_index_tuple(tuple(alpha), m)
+    slots = _free_positions(alpha, m)
     # the minors by linear extension, row by row: w is the wedge of rows
     # 0..i-1 at every point of their slots, and row i is e_(alpha_i) plus
     # x e_c over its slots (i, c), so w ^ row i starts from w ^ e_(alpha_i)
     # and each slot, most significant first, extends every point by each x
     # in F_q, adding x (w ^ e_c)
-    xs = np.arange(q, dtype=np.uint8)[:, None]
+    xs = np.arange(field.q, dtype=np.uint8)[:, None]
     w = np.ones((1, 1), dtype=np.uint8)
     for i, p in enumerate(alpha):
         n = len(w)
-        ext = np.concatenate([w, field.neg_array[w],
-                              np.zeros((n, 1), dtype=np.uint8)], axis=1)
+        # -w = w in characteristic 2
+        neg = w if field.p == 2 else field.neg_array[w]
+        ext = np.concatenate([w, neg, np.zeros((n, 1), dtype=np.uint8)],
+                             axis=1)
         acc = ext[:, _wedge_columns(i, m, p)]
         width = acc.shape[1]
         for c in [c + 1 for r, c in slots if r == i]:
             term = field.vmul(ext[:, None, _wedge_columns(i, m, c)], xs)
             acc = field.vadd(acc.reshape(n, -1, 1, width), term[:, None])
         w = acc.reshape(-1, width)
-    return mats, w
+    return w
 
 
 @cache

@@ -143,7 +143,8 @@ def test_strings_matches_point_enumeration(capsys, field, ell, m):
 
 
 def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
-    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    for name in ("cell_arrays", "cell_minors"):
+        monkeypatch.setattr(codes, name, None)  # must not be reached
     code, out, err = run(capsys, "strings", "-q", "16", "-l", "2", "-m", "6")
     assert (code, out, err) == (2, "", "error: point table requires"
                                 " ~777927917054 bytes, budget is 2147483648\n")
@@ -156,6 +157,22 @@ def test_usage_error_exit_one(capsys):
     assert code == 1
     code, _, err = run(capsys, "params", "-q", "2", "-l", "5", "-m", "4")
     assert code == 1
+
+
+def test_parser_reused_across_calls(capsys):
+    # one parser serves every call of the process; a usage error between
+    # two commands leaves it as a fresh one would be
+    calls = [["params", "-q", "3", "-l", "2", "-m", "5"],
+             ["decompose", "-q", "2", "-l", "2", "-m"],
+             ["decompose", "-q", "2", "-l", "2", "-m", "4", "-f", "X:1,2"]]
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 1, 0]
 
 
 def test_budget_exit_two(capsys):
@@ -190,7 +207,8 @@ def test_memory_ceiling_exit_two(capsys, monkeypatch):
 
 def test_table_byte_ceiling_exit_two(capsys, monkeypatch):
     # C(2,6) over F_16: its largest cell alone needs about 48 GiB
-    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    for name in ("cell_arrays", "cell_minors"):
+        monkeypatch.setattr(codes, name, None)  # must not be reached
     tracemalloc.start()
     try:
         for argv in (["--suite", "zanella", "-f", "X:1,2"],
@@ -265,7 +283,8 @@ def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
 def test_all_class_report_bytes_exit_two(capsys, monkeypatch, tmp_path):
     # within the default operation budget, but 1 048 575 Zanella reports of
     # 63 counts for C(3,6)/F_2 and 349 525 of 341 for C(2,5)/F_4
-    monkeypatch.setattr(codes, "cell_arrays", None)  # must not be reached
+    for name in ("cell_arrays", "cell_minors"):
+        monkeypatch.setattr(codes, name, None)  # must not be reached
     report = tmp_path / "report.json"
     for field, ell, m, price in (("2", 3, 6, 1048575 * (8192 + 63 * 192)),
                                  ("2^2", 2, 5, 349525 * (8192 + 341 * 192))):
@@ -330,7 +349,8 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     # built once, and each cell at most once per use (point tables of
     # C(2,4) and C(1,3), and the cells the strings and Zanella suites keep)
     log = []
-    for name in ("point_table", "weight_array", "cell_arrays"):
+    for name in ("point_table", "weight_array", "cell_arrays",
+                 "cell_minors"):
         def counted(*args, _name=name, _fn=getattr(codes, name)):
             log.append((_name, args[0]))
             return _fn(*args)
@@ -341,11 +361,11 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     tables = sorted((s.ell, s.m) for name, s in log if name == "point_table")
     assert tables == [(1, 3), (2, 4)]
     assert [name for name, _ in log].count("weight_array") == 1
-    assert [name for name, _ in log].count("cell_arrays") <= 15
+    assert sum(name.startswith("cell_") for name, _ in log) <= 15
 
 
 def test_schubert_alpha_refused_before_work(capsys, monkeypatch):
-    for name in ("point_table", "cell_arrays", "weight_array"):
+    for name in ("point_table", "cell_arrays", "cell_minors", "weight_array"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
     schubert = ["-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"]
     for suite in cli.SUITES:

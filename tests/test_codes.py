@@ -1,10 +1,13 @@
 import itertools
+import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -567,6 +570,7 @@ def test_all_class_suites_refuse_before_work(monkeypatch, f2):
     def no_cells(*args):
         raise AssertionError("cell built for refused reports")
     monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    monkeypatch.setattr(codes, "cell_minors", no_cells)
     for every, spec in ((verify_zanella_incidences, CodeSpec(f2, 3, 6)),
                         (verify_string_sections, CodeSpec(f2, 4, 8))):
         with pytest.raises(BudgetExceeded, match="bytes"):
@@ -787,6 +791,7 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
     def no_cells(*args):
         raise AssertionError("cell built for a refused table")
     monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    monkeypatch.setattr(codes, "cell_minors", no_cells)
     tracemalloc.start()
     try:
         for call in (lambda: point_table(spec),
@@ -802,6 +807,16 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_point_table_builds_no_matrices(monkeypatch, f3):
+    def no_matrices(*args):
+        raise AssertionError("echelon matrices built for a point table")
+    monkeypatch.setattr(codes, "cell_arrays", no_matrices)
+    spec = CodeSpec(f3, 2, 4)
+    assert point_table(spec).tolist() == [
+        list(plucker(mat).normalized().coords)
+        for mat in enumerate_grassmannian(2, 4, f3)]
 
 
 @pytest.mark.parametrize("p,e,ell,m", [(3, 1, 3, 6), (2, 4, 2, 4),
@@ -967,6 +982,50 @@ def _outcome(transform, args):
 @given(count_dicts())
 def test_dual_distribution_agrees_with_oracle(args):
     assert _outcome(dual_distribution, args) == _outcome(_dual_oracle, args)
+    assert check_macwilliams(*args) == _dual_verdict(*args)
+
+
+def _dual_verdict(counts: dict[int, int], n: int, q: int, k: int) -> bool:
+    """The MacWilliams verdict read off the whole ``dual_distribution``."""
+    try:
+        dual = dual_distribution(counts, n, q, k)
+    except ValueError:
+        return False
+    return dual.get(0) == 1 and sum(dual.values()) == q ** (n - k)
+
+
+def _pinned_distributions():
+    """(code name, spec, counts) of the distributions the benchmark pins."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    pinned = json.loads(path.read_text())["distributions"]
+    for name, counts in pinned.items():
+        alpha, ell, m, p, e = re.fullmatch(
+            r"C(?:_\(([\d,]+)\))?\((\d+),(\d+)\)/F_(\d+)(?:\^(\d+))?",
+            name).groups()
+        alpha = tuple(map(int, alpha.split(","))) if alpha else None
+        spec = CodeSpec(GF(int(p), int(e or 1)), int(ell), int(m), alpha)
+        yield name, spec, {int(w): int(c) for w, c in counts.items()}
+
+
+def test_streamed_check_matches_dual_distribution():
+    names = []
+    for name, spec, counts in _pinned_distributions():
+        n, q, k = spec.n, spec.field.q, spec.k
+        top = max(counts)
+        # the pinned one, then one word and q - 1 words moved down one
+        # weight, a count off by one, a weight beyond n, a negative count
+        variants = [counts,
+                    {**counts, top: counts[top] - 1, top - 1: 1},
+                    {**counts, top: counts[top] - (q - 1),
+                     top - 1: counts.get(top - 1, 0) + (q - 1)},
+                    {**counts, top: counts[top] + 1},
+                    {**counts, n + 1: q - 1},
+                    {**counts, top: -counts[top]}]
+        verdicts = [check_macwilliams(c, n, q, k) for c in variants]
+        assert verdicts == [_dual_verdict(c, n, q, k) for c in variants]
+        assert verdicts[0] and not any(verdicts[3:]), name
+        names.append(name)
+    assert len(names) == 12
 
 
 class _SkewedWeight(int):

@@ -219,6 +219,11 @@ def test_array_tables_match_list_tables(p, e):
         assert np.array_equal(op(x, y), table[x, y])
         assert op(x, y).shape == (3, 4, 5)
         assert np.array_equal(op(x, x[::-1]), table[x, x[::-1]])
+        # non-contiguous operands: a transpose and a strided slice
+        z = np.random.default_rng(q + 2).integers(0, q, (6, 10), dtype=np.uint8)
+        for u, v in ((z.T, z[::2].T[:, :1]), (z[:3, ::3], z[3:, ::3])):
+            out = op(u, v)
+            assert out.dtype == np.uint8 and np.array_equal(out, table[u, v])
     assert field.vmul(a[-1:], a[-1:])[0] == field.mul(q - 1, q - 1)
     for flat in (field._add_flat, field._mul_flat):
         assert flat.shape == (q * q,)
@@ -232,4 +237,18 @@ def test_axioms_under_every_irreducible_modulus(p, e):
     # Gauss: the number of monic irreducibles of degree e over F_p
     assert len(moduli) == {(2, 2): 1, (2, 3): 2, (2, 4): 3, (3, 2): 3}[(p, e)]
     for mod in moduli:
-        _check_axioms(GF(p, e, modulus=mod))
+        field = GF(p, e, modulus=mod)
+        _check_axioms(field)
+        # the array kernels (XOR in characteristic 2) on all q^2 pairs
+        a = np.arange(field.q, dtype=np.uint8)
+        assert np.array_equal(field.vadd(a[:, None], a), field.add_array)
+        assert np.array_equal(field.vmul(a[:, None], a), field.mul_array)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_prime_fold_exact_at_largest_sum(p):
+    # (p-1) + (p-1) = 2p - 2 is the largest uint8 sum the fold reduces
+    top = np.full(4, p - 1, dtype=np.uint8)
+    total = GF(p).vadd(top, top)
+    assert total.dtype == np.uint8 and total.tolist() == [p - 2] * 4
+    assert GF(p).vadd(top, np.ones(4, dtype=np.uint8)).tolist() == [0] * 4

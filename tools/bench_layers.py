@@ -8,9 +8,9 @@ change to a ~10 ms layer on a shared host): the point table
 (``codes.point_table``), the attained-family suite on that table
 (``codes.verify_attained_family``, for 2 <= ell <= m-2), the
 codeword-weight transform (``codes.weight_array``), the histogram
-(``np.bincount``) and the dual distribution
-(``macwilliams.dual_distribution``), and the Nogin suite where the
-matrix asks for it.  It also records the tracemalloc peak of
+(``np.unique``, as ``codes.weight_distribution`` counts), the dual
+distribution (``macwilliams.dual_distribution``), and the Nogin suite
+where the matrix asks for it.  It also records the tracemalloc peak of
 one untimed ``weight_array`` call, and whether the default operation
 budget refuses the sweep (``codes.check_budget``, as ``wdist`` and
 ``verify`` call it), with the ``BudgetExceeded`` text.  A layer that
@@ -112,8 +112,9 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
         return row
     row["weight_array_peak_bytes"] = str(
         peak_bytes(lambda: weight_array(code)))
-    layers["histogram"], hist = median_of(lambda: np.bincount(weights))
-    counts = {w: c for w, c in enumerate(hist.tolist()) if c}
+    layers["histogram"], (values, hist) = median_of(
+        lambda: np.unique(weights, return_counts=True))
+    counts = dict(zip(values.tolist(), hist.tolist()))
     layers["dual_distribution"], _ = median_of(
         lambda: dual_distribution(counts, n, q, k))
     if nogin:
