@@ -12,10 +12,10 @@ they support, one report per class from one batched call per suite.
 Exit codes: 0 success / all assertions pass, 1 usage or domain error
 (and failed verification), 2 work refused before it starts: a sweep, or
 the strings/zanella suites over every class, over the operation budget;
-a sweep, a point table (also that of ``strings``) or the reports of
-those suites over the fixed memory ceiling.  The PLUCKER_BUDGET
-environment variable, an integer >= 1 like ``--budget``, overrides the
-default operation budget.
+a sweep, a point table (also the echelon matrices that ``strings``
+reads) or the reports of those suites over the fixed memory ceiling.
+The PLUCKER_BUDGET environment variable, an integer >= 1 like
+``--budget``, overrides the default operation budget.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                     check_budget, check_suite_budget, check_table_bytes,
                     verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
                     verify_string_sections, verify_zanella_incidence,
                     verify_zanella_incidences, weight_distribution,
-                    min_distance, second_min_weight, schubert_min_distance)
+                    min_distance, second_min_weight, schubert_min_distance,
+                    string_partition)
 from .exterior import annihilator_basis, annihilator_dimension, \
     functional_to_wedge, parse_functional
 from .gf import GF
@@ -55,7 +54,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _positive_int(text: str) -> int:
-    if not text.isdigit() or int(text) < 1:
+    # str.isdigit also accepts digits int() rejects, such as "²"
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return int(text)
 
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
                                     spec.field)
         else:
             # strings and zanella without -f cover every scalar class; the
-            # memory ceiling of their cells is reported first
+            # memory ceiling of their point table is reported first
             check_table_bytes(spec)
             for name in ("strings", "zanella"):
                 if suite in (name, "all"):
@@ -263,32 +263,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_strings(args) -> int:
     spec = _grassmann_spec(args, "the string partition")
-    field, m = spec.field, spec.m
-    names = [field.format_element(x) for x in range(field.q)]
-    locus = 0
-    fibers: dict[str, list[str] | int] = {}
-    for alpha, (mats, _) in Code(spec).cells.items():
-        if alpha[-1] != m:
-            continue
-        locus += len(mats)
-        # the label: the last row at the columns of V_{m-1} that no other
-        # row pivots on, ascending
-        labels = mats[:, -1, [j for j in range(m - 1) if j + 1 not in alpha]]
-        if args.full:
-            for nu, mat in zip(labels.tolist(), mats.tolist()):
-                fibers.setdefault(",".join(map(str, nu)), []).append(
-                    ";".join(",".join(names[x] for x in row) for row in mat))
-            continue
-        # count by the label's base-q index, first column most significant
-        width = labels.shape[1]
-        index = labels @ field.q ** np.arange(width - 1, -1, -1)
-        for i, count in enumerate(np.bincount(index).tolist()):
-            if count:
-                nu = ",".join(str(i // field.q**j % field.q)
-                              for j in reversed(range(width)))
-                fibers[nu] = fibers.get(nu, 0) + count
-    out = {"sub_grassmannian_points": spec.n - locus,
-           "fibers": dict(sorted(fibers.items()))}
+    out = string_partition(Code(spec), args.full)
     _emit(json.dumps(_jsonify(out), indent=2), None)
     return 0
 

@@ -8,7 +8,8 @@ the codeword attached to a hyperplane functional is the number of points
 where the functional does not vanish.
 
 A ``Code`` builds each array the suites read once, on first use; a
-command makes one.
+command makes one.  ``point_table`` is the one builder of Pluecker
+minors; ``Code.matrices`` holds the echelon matrices alone.
 
 Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
 once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
@@ -32,8 +33,10 @@ so one transform per fiber or covector checks every scalar class at
 once (``verify_string_sections``, ``verify_zanella_incidences``).  The
 per-functional ``verify_string_section`` and ``verify_zanella_incidence``
 share their fiber and covector helpers and report builders; their
-reports stay the reference.  ``check_suite_budget`` prices the reports
-of every class, which can outgrow the work, before any cell is built.
+reports stay the reference.  Their fiber layout, ``_string_fibers``,
+also gives ``string_partition`` (the ``strings`` command) from the
+echelon matrices.  ``check_suite_budget`` prices the reports of every
+class, which can outgrow the work, before any cell is built.
 
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
@@ -59,7 +62,7 @@ from .linalg import ranks
 from .qcombin import (InvariantError, check_index_tuple, complement, delta,
                       delta_set, format_index_tuple, gaussian_binomial,
                       index_tuples, nabla_set)
-from .grassmann import cell_arrays, cell_minors
+from .grassmann import cell_matrices, cell_minors
 
 __all__ = [
     "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
@@ -72,7 +75,7 @@ __all__ = [
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
     "verify_string_sections", "verify_zanella_incidences",
-    "verify_l2_dichotomy",
+    "verify_l2_dichotomy", "string_partition",
 ]
 
 DEFAULT_BUDGET = 10**10
@@ -147,9 +150,9 @@ def check_table_bytes(spec: CodeSpec) -> None:
     """Refuse, before any allocation, tabulating the points of ``spec`` cell
     by cell when the peak would exceed ``MAX_SWEEP_BYTES``.
 
-    The estimate covers ``point_table`` and ``Code.cells``: the largest
-    cell as ``cell_arrays`` builds it (``_cell_bytes``) and its
-    normalization temporaries, plus two bytes per point for every
+    The estimate covers ``point_table`` and ``Code.matrices``: the largest
+    cell as ``cell_minors`` or ``cell_matrices`` builds it (``_cell_bytes``)
+    and its normalization temporaries, plus two bytes per point for every
     coordinate or matrix entry kept across cells.
     """
     field, ell, m = spec.field, spec.ell, spec.m
@@ -160,12 +163,13 @@ def check_table_bytes(spec: CodeSpec) -> None:
 
 
 def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
-    """The peak bytes of ``cell_arrays`` on a cell of q^top points: its
-    matrices, the base-q digits of its slots and five minor arrays as wide
-    as the widest exterior power up to ell.  The build holds about three
-    at most, at the last slot of its largest row: the index of one table
-    gather and its result, each as large as the output, and the wedges
-    before that slot with their scaled copy, each q times smaller."""
+    """The peak bytes of ``cell_minors`` and ``cell_matrices``, priced as
+    one build, on a cell of q^top points: its matrices, the base-q digits
+    of its slots and five minor arrays as wide as the widest exterior
+    power up to ell.  The minors hold about three at most, at the last
+    slot of its largest row: the index of one table gather and its result,
+    each as large as the output, and the wedges before that slot with
+    their scaled copy, each q times smaller."""
     width = max(len(index_tuples(i, m)) for i in range(1, ell + 1))
     return field.q**top * (ell * m + top + 5 * width)
 
@@ -211,12 +215,14 @@ class Code:
     decomposables = cached_property(lambda self: decomposable_table(self))
 
     @cached_property
-    def cells(self) -> dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]]:
-        """``cell_arrays`` of every cell, by pivot tuple in ``point_table``
-        order; refused like the table, before any cell is built."""
-        check_table_bytes(self.spec)
-        return {alpha: cell_arrays(alpha, self.spec.m, self.spec.field)
-                for alpha in self.spec.support}
+    def matrices(self) -> np.ndarray:
+        """The echelon matrix of every point, an (n, ell, m) uint8 array in
+        ``point_table`` order, built cell by cell with ``cell_matrices``;
+        refused like the table, before any cell is built."""
+        s = self.spec
+        check_table_bytes(s)
+        return np.concatenate([cell_matrices(alpha, s.m, s.field)
+                               for alpha in s.support])
 
     @cached_property
     def dual(self) -> Code:
@@ -909,20 +915,41 @@ def _strings_report(functional: dict, labels: list[str], on_h: list[int],
                          fiber_counts=dict(zip(labels, on_h)))
 
 
-def _fiber_rows(code: Code) -> np.ndarray:
-    """The raw minors of the last-column locus at ``_string_columns``, as
-    a (n', q^(m-ell), K) array: [i, nu] is the i-th point of fiber nu.
+def _string_fibers(spec: CodeSpec, points: np.ndarray) -> np.ndarray:
+    """The rows of ``points`` (one per point, in ``point_table`` order) in
+    the last-column locus, as an (n', q^(m-ell), ...) array: [i, nu] is
+    the i-th point of fiber nu, nu indexing ``_fiber_labels``.
 
-    A fiber is the set of points of the cells with alpha_ell = m whose last
-    row carries nu in its m - ell free columns.  Those are the last slots
-    of ``enumerate_cell``, so nu is a point's index in its cell mod
-    q^(m-ell), and every such cell holds a multiple of q^(m-ell) points."""
+    The locus is the cells with alpha_ell = m, and a fiber the set of its
+    points whose last row carries nu in its m - ell free columns.  Those
+    are the last slots of ``enumerate_cell``, so nu is a point's index in
+    its cell mod q^(m-ell), and every such cell holds a multiple of
+    q^(m-ell) points."""
+    q, cells = spec.field.q, spec.support
+    locus = np.repeat([a[-1] == spec.m for a in cells],
+                      [q ** delta(a) for a in cells])
+    # compress copies whole rows, about 3x faster here than points[locus]
+    return points.compress(locus, axis=0).reshape(
+        -1, q ** (spec.m - spec.ell), *points.shape[1:])
+
+
+def string_partition(code: Code, full: bool) -> dict:
+    """The string partition of a Grassmann code: the number of points off
+    the last-column locus (those of G(ell, V_{m-1})), and each fiber's
+    size or, with ``full``, its echelon matrices, by label sorted as
+    text."""
+    _check_grassmann(code, "strings")
     spec = code.spec
-    cols = _string_columns(spec)
-    locus = np.concatenate([coords[:, cols]
-                            for alpha, (_, coords) in code.cells.items()
-                            if alpha[-1] == spec.m])
-    return locus.reshape(-1, spec.field.q ** (spec.m - spec.ell), len(cols))
+    fibers = _string_fibers(spec, code.matrices)
+    if full:
+        names = [spec.field.format_element(x) for x in range(spec.field.q)]
+        values = [[";".join(",".join(names[x] for x in row) for row in mat)
+                   for mat in fiber]
+                  for fiber in fibers.swapaxes(0, 1).tolist()]
+    else:
+        values = [len(fibers)] * fibers.shape[1]
+    return {"sub_grassmannian_points": spec.n - len(fibers) * fibers.shape[1],
+            "fibers": dict(sorted(zip(_fiber_labels(spec), values)))}
 
 
 def verify_string_section(code: Code, func: DualFunctional) -> dict:
@@ -938,8 +965,9 @@ def verify_string_section(code: Code, func: DualFunctional) -> dict:
         raise ValueError("functional must be of the Grassmann code")
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
-    last = [code.spec.support[i] for i in _string_columns(code.spec)]
-    fibers = _fiber_rows(code)
+    cols = _string_columns(code.spec)
+    last = [code.spec.support[i] for i in cols]
+    fibers = _string_fibers(code.spec, code.table[:, cols])
     zero = func.evaluate_rows(fibers.reshape(-1, len(last)), last) == 0
     on_h = zero.reshape(fibers.shape[:2]).sum(axis=0)
     # ell = 1: the truncated code is the empty product; fibers are single
@@ -977,9 +1005,10 @@ def verify_string_sections(code: Code) -> list[dict]:
     _check_grassmann(code, "strings")
     check_suite_budget(spec, "strings", None)
     field = spec.field
-    last = [spec.support[i] for i in _string_columns(spec)]
+    cols = _string_columns(spec)
+    last = [spec.support[i] for i in cols]
     classes = _class_indices(field.q, len(last))
-    fibers = _fiber_rows(code)
+    fibers = _string_fibers(spec, code.table[:, cols])
     what = f"{spec.describe()} strings suite"
     on_h = np.stack([len(fibers) - _table_weights(field, fibers[:, nu],
                                                   what)[classes]
@@ -1035,8 +1064,7 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
     if code.spec != CodeSpec(field, ell, m):
         raise ValueError("functional must be of the Grassmann code")
     # the echelon matrices of the points on the hyperplane
-    on_pi = np.concatenate([mats[func.evaluate_rows(coords) == 0]
-                            for mats, coords in code.cells.values()])
+    on_pi = code.matrices[func.evaluate_rows(code.table) == 0]
     sub_counts = [int(np.count_nonzero(mask))
                   for mask in _kernel_masks(field, on_pi)]
     return _zanella_report(code.spec, len(on_pi), sub_counts)
@@ -1058,12 +1086,11 @@ def verify_zanella_incidences(code: Code) -> list[dict]:
     field = spec.field
     classes = _class_indices(field.q, spec.k)
     table = code.table
-    mats = np.concatenate([mats for mats, _ in code.cells.values()])
     what = f"{spec.describe()} zanella suite"
     sub_counts = np.stack([
         np.count_nonzero(mask) - _table_weights(field, table[mask],
                                                 what)[classes]
-        for mask in _kernel_masks(field, mats)], axis=1)
+        for mask in _kernel_masks(field, code.matrices)], axis=1)
     totals = spec.n - code.weights[classes]
     return [_zanella_report(spec, total, counts)
             for total, counts in zip(totals.tolist(), sub_counts.tolist())]

@@ -11,12 +11,12 @@ Entries are stored as raw field-element indices (see ``gf``); columns are
 0-based internally while pivot tuples and Pluecker index tuples are
 1-based, matching the serialization format.
 
-``cell_arrays`` is the batched form used to tabulate codes: a whole cell
-as one uint8 array of matrices and one of their Pluecker coordinates.
-``cell_minors`` builds the coordinates alone, one row at a time, the
-wedge of the rows so far extended linearly by each free entry of the
-next.
-``enumerate_cell`` and ``plucker`` are its point-at-a-time reference.
+``cell_minors`` and ``cell_matrices`` are the batched forms used to
+tabulate codes: a whole cell as one uint8 array of Pluecker coordinates,
+built one row at a time, the wedge of the rows so far extended linearly
+by each free entry of the next, or as one uint8 array of echelon
+matrices.  ``enumerate_cell`` and ``plucker`` are their point-at-a-time
+reference.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .qcombin import check_index_tuple, index_tuples, nabla_set
 __all__ = [
     "EchelonMatrix", "PluckerVector",
     "enumerate_cell", "enumerate_grassmannian", "enumerate_schubert_variety",
-    "plucker", "determinant", "cell_arrays", "cell_minors",
+    "plucker", "determinant", "cell_matrices", "cell_minors",
     "in_last_column_locus", "string_label", "string_fiber", "project_tau",
 ]
 
@@ -147,13 +147,9 @@ def plucker(mat: EchelonMatrix) -> PluckerVector:
     return PluckerVector(field, ell, m, tuple(coords))
 
 
-def cell_arrays(alpha: Sequence[int], m: int,
-                field: GF) -> tuple[np.ndarray, np.ndarray]:
-    """The cell C_alpha as arrays, rows in ``enumerate_cell`` order.
-
-    Returns its q^delta(alpha) echelon matrices, a (q^delta, ell, m) uint8
-    array, and their Pluecker coordinates, ``cell_minors``.
-    """
+def cell_matrices(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
+    """The q^delta(alpha) echelon matrices of the cell C_alpha, a
+    (q^delta, ell, m) uint8 array in ``enumerate_cell`` order."""
     alpha = check_index_tuple(tuple(alpha), m)
     ell, q = len(alpha), field.q
     slots = _free_positions(alpha, m)
@@ -165,7 +161,7 @@ def cell_arrays(alpha: Sequence[int], m: int,
         # itertools.product
         digits = np.indices((q,) * len(slots), dtype=np.uint8)
         mats[:, rows, cols] = digits.reshape(len(slots), -1).T
-    return mats, cell_minors(alpha, m, field)
+    return mats
 
 
 def cell_minors(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:

@@ -3,11 +3,12 @@ import tracemalloc
 
 import pytest
 
-from grasscodes import cli, codes
+from grasscodes import cli, codes, grassmann
 from grasscodes.cli import main
 from grasscodes.gf import GF
 from grasscodes.grassmann import (enumerate_grassmannian,
                                   in_last_column_locus, string_label)
+from grasscodes.qcombin import index_tuples
 
 
 def run(capsys, *argv):
@@ -121,9 +122,11 @@ def test_strings_partition(capsys):
 
 @pytest.mark.parametrize("field,ell,m", [("3", 2, 4), ("2^2", 2, 4),
                                          ("2", 1, 3), ("2", 3, 3),
-                                         ("2", 3, 5)])
+                                         ("2", 3, 5), ("11", 1, 3),
+                                         ("2^4", 1, 3)])
 def test_strings_matches_point_enumeration(capsys, field, ell, m):
-    # the partition read off the cells against a walk over every point
+    # the partition read off the echelon matrices against a walk over every
+    # point; labels up to 10..15 sort as text, "10" before "2"
     gf = GF.from_string(field)
     sub, counts, full = 0, {}, {}
     for mat in enumerate_grassmannian(ell, m, gf):
@@ -142,8 +145,21 @@ def test_strings_matches_point_enumeration(capsys, field, ell, m):
         assert out == json.dumps(cli._jsonify(expected), indent=2) + "\n"
 
 
+def test_strings_builds_no_minors(capsys, monkeypatch):
+    # the partition reads the echelon matrices alone
+    def no_minors(*args):
+        raise AssertionError("Pluecker minors built for the string partition")
+    for module in (codes, grassmann):
+        monkeypatch.setattr(module, "cell_minors", no_minors)
+    for flag in ([], ["--full"]):
+        code, out, err = run(capsys, "strings", "-q", "3", "-l", "2",
+                             "-m", "4", *flag)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["sub_grassmannian_points"] == "13"
+
+
 def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
-    for name in ("cell_arrays", "cell_minors"):
+    for name in ("cell_matrices", "cell_minors"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
     code, out, err = run(capsys, "strings", "-q", "16", "-l", "2", "-m", "6")
     assert (code, out, err) == (2, "", "error: point table requires"
@@ -207,7 +223,7 @@ def test_memory_ceiling_exit_two(capsys, monkeypatch):
 
 def test_table_byte_ceiling_exit_two(capsys, monkeypatch):
     # C(2,6) over F_16: its largest cell alone needs about 48 GiB
-    for name in ("cell_arrays", "cell_minors"):
+    for name in ("cell_matrices", "cell_minors"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
     tracemalloc.start()
     try:
@@ -283,7 +299,7 @@ def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
 def test_all_class_report_bytes_exit_two(capsys, monkeypatch, tmp_path):
     # within the default operation budget, but 1 048 575 Zanella reports of
     # 63 counts for C(3,6)/F_2 and 349 525 of 341 for C(2,5)/F_4
-    for name in ("cell_arrays", "cell_minors"):
+    for name in ("cell_matrices", "cell_minors"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
     report = tmp_path / "report.json"
     for field, ell, m, price in (("2", 3, 6, 1048575 * (8192 + 63 * 192)),
@@ -319,15 +335,16 @@ def test_samples_below_one_is_usage_error(capsys):
 
 def test_budget_below_one_is_usage_error(capsys):
     for command in (["wdist"], ["verify", "--suite", "nogin"]):
-        for bad in ("0", "-5", "x"):
+        for bad in ("0", "-5", "x", "²"):
             code, out, err = run(capsys, *command, "-q", "2", "-l", "2",
                                  "-m", "4", "--budget", bad)
-            assert code == 1 and out == ""
-            assert "--budget" in err
+            assert (code, out) == (1, "")
+            assert err == ("error: argument --budget: must be an integer"
+                           f" >= 1, got {bad!r}\n")
 
 
 def test_budget_env_var_below_one_is_usage_error(capsys, monkeypatch):
-    for bad in ("0", "-5", "abc"):
+    for bad in ("0", "-5", "abc", "²"):
         monkeypatch.setenv("PLUCKER_BUDGET", bad)
         for command in (["wdist"], ["verify", "--suite", "nogin"]):
             code, out, err = run(capsys, *command, "-q", "2", "-l", "2",
@@ -346,10 +363,11 @@ def test_unwritable_output_path(capsys, tmp_path):
 
 def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     # one command, one Code: each point table and the weight array are
-    # built once, and each cell at most once per use (point tables of
-    # C(2,4) and C(1,3), and the cells the strings and Zanella suites keep)
+    # built once, the minors of each cell once, inside the point tables of
+    # C(2,4) and C(1,3), and the echelon matrices of each cell of C(2,4)
+    # at most once
     log = []
-    for name in ("point_table", "weight_array", "cell_arrays",
+    for name in ("point_table", "weight_array", "cell_matrices",
                  "cell_minors"):
         def counted(*args, _name=name, _fn=getattr(codes, name)):
             log.append((_name, args[0]))
@@ -361,11 +379,14 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     tables = sorted((s.ell, s.m) for name, s in log if name == "point_table")
     assert tables == [(1, 3), (2, 4)]
     assert [name for name, _ in log].count("weight_array") == 1
-    assert sum(name.startswith("cell_") for name, _ in log) <= 15
+    minors = sorted(alpha for name, alpha in log if name == "cell_minors")
+    assert minors == sorted(index_tuples(2, 4) + index_tuples(1, 3))
+    assert [name for name, _ in log].count("cell_matrices") <= 6
 
 
 def test_schubert_alpha_refused_before_work(capsys, monkeypatch):
-    for name in ("point_table", "cell_arrays", "cell_minors", "weight_array"):
+    for name in ("point_table", "cell_matrices", "cell_minors",
+                 "weight_array"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
     schubert = ["-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"]
     for suite in cli.SUITES:

@@ -33,7 +33,8 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
-from grasscodes.grassmann import (cell_arrays, enumerate_grassmannian,
+from grasscodes.grassmann import (cell_matrices, cell_minors,
+                                  enumerate_grassmannian,
                                   enumerate_schubert_variety, plucker,
                                   string_fiber)
 from grasscodes.linalg import rank as matrix_rank
@@ -569,7 +570,7 @@ def test_all_class_suites_refuse_before_work(monkeypatch, f2):
     # 2^35 - 1 strings reports
     def no_cells(*args):
         raise AssertionError("cell built for refused reports")
-    monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    monkeypatch.setattr(codes, "cell_matrices", no_cells)
     monkeypatch.setattr(codes, "cell_minors", no_cells)
     for every, spec in ((verify_zanella_incidences, CodeSpec(f2, 3, 6)),
                         (verify_string_sections, CodeSpec(f2, 4, 8))):
@@ -790,7 +791,7 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
 
     def no_cells(*args):
         raise AssertionError("cell built for a refused table")
-    monkeypatch.setattr(codes, "cell_arrays", no_cells)
+    monkeypatch.setattr(codes, "cell_matrices", no_cells)
     monkeypatch.setattr(codes, "cell_minors", no_cells)
     tracemalloc.start()
     try:
@@ -812,7 +813,7 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
 def test_point_table_builds_no_matrices(monkeypatch, f3):
     def no_matrices(*args):
         raise AssertionError("echelon matrices built for a point table")
-    monkeypatch.setattr(codes, "cell_arrays", no_matrices)
+    monkeypatch.setattr(codes, "cell_matrices", no_matrices)
     spec = CodeSpec(f3, 2, 4)
     assert point_table(spec).tolist() == [
         list(plucker(mat).normalized().coords)
@@ -822,17 +823,19 @@ def test_point_table_builds_no_matrices(monkeypatch, f3):
 @pytest.mark.parametrize("p,e,ell,m", [(3, 1, 3, 6), (2, 4, 2, 4),
                                        (2, 1, 4, 7)])
 def test_cell_arrays_peak_within_estimate(p, e, ell, m):
-    """The tracemalloc peak of cell_arrays on the top cell stays within the
-    per-cell part of check_table_bytes' estimate."""
+    """The tracemalloc peaks of cell_minors and of cell_matrices on the top
+    cell each stay within the per-cell part of check_table_bytes'
+    estimate."""
     field = GF(p, e)
     top = tuple(range(m - ell + 1, m + 1))
-    tracemalloc.start()
-    try:
-        cell_arrays(top, m, field)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < codes._cell_bytes(field, ell, m, ell * (m - ell))
+    for build in (cell_minors, cell_matrices):
+        tracemalloc.start()
+        try:
+            build(top, m, field)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < codes._cell_bytes(field, ell, m, ell * (m - ell))
 
 
 def _point_in_kernel(mat, u) -> bool:

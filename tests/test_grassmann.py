@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from grasscodes.gf import GF
-from grasscodes.grassmann import (EchelonMatrix, _free_positions, cell_arrays,
+from grasscodes.grassmann import (EchelonMatrix, _free_positions,
+                                  cell_matrices, cell_minors,
                                   determinant, enumerate_cell,
                                   enumerate_grassmannian,
                                   enumerate_schubert_variety,
@@ -54,7 +55,8 @@ def test_grassmannian_count(ell, m, q):
     (2, 1, 4, 6),
 ])
 def test_cell_arrays_match_enumeration(p, e, ell, m):
-    """Each cell's arrays equal enumerate_cell and plucker, row for row.
+    """Each cell's arrays, ``cell_matrices`` and ``cell_minors``, equal
+    enumerate_cell and plucker, row for row.
 
     plucker takes ~0.1 ms a point, so a cell over WALK points is checked
     on SAMPLE evenly spaced rows: each is an echelon matrix whose slots
@@ -63,7 +65,8 @@ def test_cell_arrays_match_enumeration(p, e, ell, m):
     """
     field = GF(p, e)
     for alpha in index_tuples(ell, m):
-        mats, coords = cell_arrays(alpha, m, field)
+        mats = cell_matrices(alpha, m, field)
+        coords = cell_minors(alpha, m, field)
         assert mats.dtype == coords.dtype == np.uint8
         assert len(mats) == field.q ** delta(alpha)
         if len(mats) <= WALK:
