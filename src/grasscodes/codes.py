@@ -20,10 +20,26 @@ runs over whole rows of at least p^(ek // 2) entries.  The transform runs
 in int16 when (q-1) n < 2^15, since its values lie within +-(q-1) n, and
 in int32 above.  The transform (``_table_weights``) weighs the rows of any
 uint8 array; the attained-family suite runs it on the ell + 2 columns its
-family uses.  ``weight_distribution`` is its histogram and
-``class_weights`` a view of it.  Sweeps and point tables over the
-operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES`` are
-refused before any work.
+family uses.  ``class_weights`` is a view of it.  Sweeps and point tables
+over the operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES``
+are refused before any work.
+
+The split (``split_distribution``) gives the weight distribution of a
+Grassmann code without a sweep, from the paper's decomposition of
+G(ell, m) into G(ell, m-1) and strings of q^(m-ell) points over
+G(ell-1, m-1).  A functional splits as f = (f', f'') over the tuples
+without and with m; its weight is that of f' on G(ell, m-1), plus a fixed
+amount per string where f is not constant, plus q^(m-ell) times the
+weight of f'' over the strings where it is.  The distribution over f''
+is constant on the GL_(m-1)(F_q)-orbit of f', and on the side
+s in {ell, m-ell} with s <= 2 or s >= m-3 (C(ell, m) and C(m-ell, m) are
+equivalent codes) those orbits are rank classes of alternating forms,
+sized by ``qcombin.alternating_count``.  So each class costs one
+transform of q^(C(m-1, s-1)) codewords.  ``weight_distribution`` applies
+the same refusals as a sweep, then takes the histogram of
+``code.weights`` when that array is built, else the split when the code
+has such a side, else a sweep (Schubert codes, C(ell, m) with
+4 <= ell <= m-4, and C(m, m)).
 
 The decomposition suites run on the same engine.  The strings suite
 weighs, fiber by fiber, the points of the last-column locus; the Zanella
@@ -34,9 +50,10 @@ once (``verify_string_sections``, ``verify_zanella_incidences``).  The
 per-functional ``verify_string_section`` and ``verify_zanella_incidence``
 share their fiber and covector helpers and report builders; their
 reports stay the reference.  Their fiber layout, ``_string_fibers``,
-also gives ``string_partition`` (the ``strings`` command) from the
-echelon matrices.  ``check_suite_budget`` prices the reports of every
-class, which can outgrow the work, before any cell is built.
+also gives ``string_partition`` with ``full`` (``strings --full``) from
+the echelon matrices; the plain partition counts the same fibers from the
+cell sizes.  ``check_suite_budget`` prices the reports of every class,
+which can outgrow the work, before any cell is built.
 
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
@@ -56,12 +73,13 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .exterior import DualFunctional, annihilator_ranks, shuffle_sign
+from .exterior import (DualFunctional, annihilator_ranks, form_values,
+                       shuffle_sign)
 from .gf import GF
 from .linalg import ranks
-from .qcombin import (InvariantError, check_index_tuple, complement, delta,
-                      delta_set, format_index_tuple, gaussian_binomial,
-                      index_tuples, nabla_set)
+from .qcombin import (InvariantError, alternating_count, check_index_tuple,
+                      complement, delta, delta_set, format_index_tuple,
+                      gaussian_binomial, index_tuples, nabla_set)
 from .grassmann import cell_matrices, cell_minors
 
 __all__ = [
@@ -70,7 +88,7 @@ __all__ = [
     "build_generator", "point_table", "check_table_bytes", "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
     "check_budget", "check_class_budget", "check_suite_budget",
-    "weight_array", "weight_distribution",
+    "weight_array", "weight_distribution", "split_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
@@ -399,14 +417,18 @@ def check_suite_budget(spec: CodeSpec, suite: str, budget: int | None) -> None:
 def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
     """Refuse a full sweep before any work: over ``budget`` operations,
     counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
-    field, size = spec.field, spec.field.q**spec.k
     check_class_budget(spec, spec.k, budget, "sweep")
-    # 16 B per codeword, plus 8p B for odd p, is still a deliberate upper
-    # bound: besides the 4 B int32 weights, weight_array holds for p = 2
-    # the transform and its transposed copy, 2 or 4 B each in the int16 or
-    # int32 lane, and for odd p two buffers of p q^k counts at 2 or 4 B
-    _refuse_bytes(16 * size + (0 if field.p == 2 else 8 * field.p * size),
-                  "sweep")
+    _refuse_bytes(_transform_bytes(spec.field, spec.k), "sweep")
+
+
+def _transform_bytes(field: GF, k: int) -> int:
+    """The bytes of one ``_table_weights`` call over q^k codewords.  16 B
+    per codeword, plus 8p B for odd p, is a deliberate upper bound:
+    besides the 4 B int32 weights, the transform holds for p = 2 its
+    buffer and a transposed copy, 2 or 4 B each in the int16 or int32
+    lane, and for odd p two buffers of p q^k counts at 2 or 4 B."""
+    size = field.q**k
+    return 16 * size + (0 if field.p == 2 else 8 * field.p * size)
 
 
 @cache
@@ -641,11 +663,130 @@ class WeightDistribution:
 
 def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exact counts for all q^k codewords of the code."""
+    """Exact counts for all q^k codewords of the code, refused like a sweep
+    (``check_budget``) before any work.  They are the histogram of
+    ``code.weights`` when that array is already built, else
+    ``split_distribution`` when the code has a side for it, else the
+    histogram of a sweep."""
     check_budget(code.spec, budget)
+    if "weights" not in vars(code) and _split_sides(code.spec):
+        return split_distribution(code)
     weights, hist = np.unique(code.weights, return_counts=True)
     counts = dict(zip(weights.tolist(), hist.tolist()))
     dist = WeightDistribution(code.spec, counts)
+    dist.check_invariants()
+    return dist
+
+
+# -- the split: one transform per rank class ---------------------------------
+
+def _split_sides(spec: CodeSpec) -> list[int]:
+    """The sides s in {ell, m-ell} that ``split_distribution`` can take
+    for a Grassmann code, the smallest k'' = C(m-1, s-1) first (C(ell, m)
+    and C(m-ell, m) are equivalent codes).  On side s the split form f'
+    lies in the dual of the s-th exterior power of F_q^(m-1); for s <= 2
+    or s >= m-3 its orbits under GL_(m-1)(F_q) and scalars are rank
+    classes (``_rank_classes``)."""
+    ell, m = spec.ell, spec.m
+    if spec.is_schubert:
+        return []
+    return sorted({s for s in (ell, m - ell)
+                   if 1 <= s < m and (s <= 2 or s >= m - 3)},
+                  key=lambda s: math.comb(m - 1, s - 1))
+
+
+def _rank_classes(field: GF, s: int, n: int) -> list[tuple[list, int]]:
+    """The classes of the forms f' on the s-th exterior power of F_q^n,
+    for s <= 2 or s >= n-2, as (index tuples of a representative whose
+    coefficients are all 1, class size).
+
+    With t = s, or t = n - s when s > 2, f' is a t-form or the complement
+    of one; the classes are those of the t-form: its ranks 2r, represented
+    by sum_{i<r} X_(2i+1, 2i+2) in A(n, 2r) forms, for t = 2, and zero or
+    nonzero for t <= 1.  The representative of a complement has the
+    complementary tuples in [n]; the signs the complement map gives do
+    not change the rank."""
+    t = s if s <= 2 else n - s
+    if t == 2:
+        forms = [([(2 * i + 1, 2 * i + 2) for i in range(r)],
+                  alternating_count(n, r, field.q))
+                 for r in range(n // 2 + 1)]
+    else:
+        forms = [([], 1),
+                 ([tuple(range(1, t + 1))], field.q ** math.comb(n, t) - 1)]
+    if t != s:
+        forms = [([tuple(x for x in range(1, n + 1) if x not in b)
+                   for b in tuples], size) for tuples, size in forms]
+    return forms
+
+
+def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
+    """The weight distribution of C(s, m), equivalent to the Grassmann
+    code ``spec``, from the split f = (f', f'') over the tuples without
+    and with m.  Over the fiber of q^(m-s) points above each point U' of
+    G(s-1, m-1), f is affine in the last row u with linear part
+    u -> f'(U' ^ u), so with N = [m-1, s-1]_q and Z = Z(f') the points U'
+    where f'(U' ^ e_j) = 0 for every j < m,
+
+        wt(f) = wt_{G(s, m-1)}(f') + (N - |Z|)(q^(m-s) - q^(m-s-1))
+                + q^(m-s) wt_Z(f'').
+
+    The distribution over f'' is constant on a class of f', so each class
+    of ``_rank_classes`` adds its size times the histogram of one
+    ``_table_weights`` call over the Z rows of the C(s-1, m-1) table.  The
+    two tables and that q^k'' transform are priced under
+    ``MAX_SWEEP_BYTES`` before any is built."""
+    field, m = spec.field, spec.m
+    q, n = field.q, m - 1
+    outer = CodeSpec(field, s, n)
+    inner = CodeSpec(field, s - 1, n) if s >= 2 else None
+    check_table_bytes(outer)
+    if inner is not None:
+        check_table_bytes(inner)
+    _refuse_bytes(_transform_bytes(field, math.comb(n, s - 1)), "split")
+    outer_table = point_table(outer)
+    # G(0, m-1) is one point, with the single coordinate of the empty tuple
+    inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
+        else point_table(inner)
+    inner_support = [()] if inner is None else inner.support
+    per_string, fiber = q ** (m - s) - q ** (m - s - 1), q ** (m - s)
+    what = f"{spec.describe()} split"
+    counts: dict[int, int] = {}
+    for tuples, size in _rank_classes(field, s, n):
+        wt_outer = int(np.count_nonzero(form_values(
+            field, dict.fromkeys(tuples, 1), outer_table, outer.support)))
+        # f'(U' ^ e_j) = sum over a containing j of c_a p_{a - j}(U'),
+        # signed by the entries of a after j that e_j moves past
+        on_z = np.ones(len(inner_table), dtype=bool)
+        for j in range(1, n + 1):
+            contraction = {
+                tuple(x for x in a if x != j):
+                    field.neg(1) if sum(x > j for x in a) % 2 else 1
+                for a in tuples if j in a}
+            on_z &= form_values(field, contraction, inner_table,
+                                inner_support) == 0
+        base = wt_outer + (len(inner_table) - int(on_z.sum())) * per_string
+        hist = np.bincount(_table_weights(field, inner_table[on_z], what))
+        for w in np.flatnonzero(hist).tolist():
+            weight = base + fiber * w
+            counts[weight] = counts.get(weight, 0) + size * int(hist[w])
+    return counts
+
+
+def split_distribution(code: Code) -> WeightDistribution:
+    """The weight distribution of a Grassmann code from the paper's split
+    of G(ell, m) into G(ell, m-1) and strings over G(ell-1, m-1), on the
+    first of ``_split_sides`` (``_split_counts``): one transform of
+    q^k'' codewords per rank class instead of a sweep of q^k.  Raises
+    ``ValueError`` for a code without a side and ``BudgetExceeded`` over
+    ``MAX_SWEEP_BYTES`` before any work; the counts pass
+    ``check_invariants``."""
+    spec = code.spec
+    sides = _split_sides(spec)
+    if not sides:
+        raise ValueError(f"no side of {spec.describe()} has rank classes "
+                         "to split over")
+    dist = WeightDistribution(spec, _split_counts(spec, sides[0]))
     dist.check_invariants()
     return dist
 
@@ -937,18 +1078,23 @@ def string_partition(code: Code, full: bool) -> dict:
     """The string partition of a Grassmann code: the number of points off
     the last-column locus (those of G(ell, V_{m-1})), and each fiber's
     size or, with ``full``, its echelon matrices, by label sorted as
-    text."""
+    text.  The sizes come from the cell sizes alone, refused like the
+    matrices (``check_table_bytes``)."""
     _check_grassmann(code, "strings")
     spec = code.spec
-    fibers = _string_fibers(spec, code.matrices)
+    q, count = spec.field.q, spec.field.q ** (spec.m - spec.ell)
+    # the points of the locus of _string_fibers, in count fibers of equal size
+    locus = sum(q ** delta(a) for a in spec.support if a[-1] == spec.m)
     if full:
-        names = [spec.field.format_element(x) for x in range(spec.field.q)]
+        fibers = _string_fibers(spec, code.matrices)
+        names = [spec.field.format_element(x) for x in range(q)]
         values = [[";".join(",".join(names[x] for x in row) for row in mat)
                    for mat in fiber]
                   for fiber in fibers.swapaxes(0, 1).tolist()]
     else:
-        values = [len(fibers)] * fibers.shape[1]
-    return {"sub_grassmannian_points": spec.n - len(fibers) * fibers.shape[1],
+        check_table_bytes(spec)
+        values = [locus // count] * count
+    return {"sub_grassmannian_points": spec.n - locus,
             "fibers": dict(sorted(zip(_fiber_labels(spec), values)))}
 
 

@@ -14,6 +14,7 @@ sum(c_a p_a), which is the convention every verification suite relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "wedge_pairing", "annihilator_matrix", "annihilator_basis",
     "annihilator_dimension", "is_decomposable", "restrict_functional",
     "check_functional", "annihilator_ranks", "parse_functional",
+    "form_values",
 ]
 
 
@@ -38,6 +40,25 @@ def shuffle_sign(alpha: tuple[int, ...], m: int) -> int:
     inv = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
               if seq[i] > seq[j])
     return -1 if inv % 2 else 1
+
+
+def form_values(field: GF, coeffs: dict, coords: np.ndarray,
+                support: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """sum_a c_a x_a at every row x of an (N, len(support)) uint8 array
+    whose columns are the tuples of ``support``, for the coefficients
+    c_a of ``coeffs`` (any tuples, the zero form included); the N values
+    as a uint8 array."""
+    col = {a: i for i, a in enumerate(support)}
+    acc = np.zeros(len(coords), dtype=np.uint8)
+    for a, c in coeffs.items():
+        acc = field.vadd(acc, field.mul_array[c][coords[:, col[a]]])
+    return acc
+
+
+@cache
+def _all_tuples(ell: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """``index_tuples(ell, m)``, built once per (ell, m)."""
+    return tuple(index_tuples(ell, m))
 
 
 @dataclass(frozen=True)
@@ -61,17 +82,17 @@ class DualFunctional:
     @staticmethod
     def from_vector(vec: Sequence[int], ell: int, m: int, field: GF,
                     support: Sequence[tuple[int, ...]] | None = None) -> "DualFunctional":
-        tuples = list(support) if support is not None else index_tuples(ell, m)
+        tuples = list(support) if support is not None else _all_tuples(ell, m)
         return DualFunctional(field, ell, m,
                               {a: c for a, c in zip(tuples, vec) if c})
 
     def vector(self) -> tuple[int, ...]:
-        return tuple(self.coeffs.get(a, 0) for a in index_tuples(self.ell, self.m))
+        return tuple(self.coeffs.get(a, 0) for a in _all_tuples(self.ell, self.m))
 
     def evaluate(self, coords: Sequence[int]) -> int:
         """Direct evaluation sum(c_a p_a) against a coordinate vector."""
         acc = 0
-        for a, c in zip(index_tuples(self.ell, self.m), coords):
+        for a, c in zip(_all_tuples(self.ell, self.m), coords):
             if c and a in self.coeffs:
                 acc = self.field.add(acc, self.field.mul(self.coeffs[a], c))
         return acc
@@ -81,13 +102,8 @@ class DualFunctional:
         """``evaluate`` at every row of an (N, len(support)) uint8 array of
         coordinates whose columns are the tuples of ``support`` (default
         all of I(ell, m)); returns the N values as a uint8 array."""
-        tuples = list(support) if support is not None else index_tuples(self.ell, self.m)
-        col = {a: i for i, a in enumerate(tuples)}
-        field = self.field
-        acc = np.zeros(len(coords), dtype=np.uint8)
-        for a, c in self.coeffs.items():
-            acc = field.vadd(acc, field.mul_array[c][coords[:, col[a]]])
-        return acc
+        tuples = support if support is not None else _all_tuples(self.ell, self.m)
+        return form_values(self.field, self.coeffs, coords, tuples)
 
     def scaled(self, s: int) -> "DualFunctional":
         if not s:

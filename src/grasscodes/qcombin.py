@@ -14,7 +14,7 @@ import itertools
 __all__ = [
     "index_tuples", "check_index_tuple", "delta", "bruhat_leq",
     "nabla_set", "delta_set", "complement",
-    "gaussian_binomial", "e_bound", "e_prime_bound",
+    "gaussian_binomial", "alternating_count", "e_bound", "e_prime_bound",
     "verify_gaussian_identities", "verify_e_inequalities",
     "parse_index_tuple", "format_index_tuple", "InvariantError",
 ]
@@ -81,6 +81,23 @@ def gaussian_binomial(m: int, ell: int, q: int) -> int:
         den *= q**ell - q**i
     if num % den:
         raise InvariantError(f"[{m} {ell}]_{q}: {den} does not divide {num}")
+    return num // den
+
+
+def alternating_count(n: int, r: int, q: int) -> int:
+    """A(n, 2r), the number of alternating n x n matrices of rank 2r over
+    F_q, as an exact integer:
+    q^(r(r-1)) prod_{i<2r} (q^(n-i) - 1) / prod_{i=1..r} (q^(2i) - 1)."""
+    if not 0 <= 2 * r <= n:
+        raise ValueError(f"need 0 <= 2r <= n, got n={n}, r={r}")
+    num = q ** (r * (r - 1))
+    for i in range(2 * r):
+        num *= q ** (n - i) - 1
+    den = 1
+    for i in range(1, r + 1):
+        den *= q ** (2 * i) - 1
+    if num % den:
+        raise InvariantError(f"A({n}, {2 * r})_{q}: {den} does not divide {num}")
     return num // den
 
 

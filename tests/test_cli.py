@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from grasscodes import cli, codes, grassmann
@@ -156,6 +157,31 @@ def test_strings_builds_no_minors(capsys, monkeypatch):
                              "-m", "4", *flag)
         assert (code, err) == (0, "")
         assert json.loads(out)["sub_grassmannian_points"] == "13"
+
+
+def test_plain_strings_builds_no_matrices(capsys, monkeypatch):
+    # the fiber sizes come from the cell sizes; --full lists the same
+    # number of matrices per fiber
+    def no_matrices(*args):
+        raise AssertionError("echelon matrices built for plain strings")
+    cases = [("3", 2, 4), ("2", 3, 5), ("11", 1, 3), ("2", 3, 3)]
+    plain = []
+    with monkeypatch.context() as patch:
+        for name in ("cell_matrices", "cell_minors"):
+            patch.setattr(codes, name, no_matrices)
+        for field, ell, m in cases:
+            code, out, err = run(capsys, "strings", "-q", field, "-l",
+                                 str(ell), "-m", str(m))
+            assert (code, err) == (0, "")
+            plain.append(json.loads(out))
+    for (field, ell, m), sizes in zip(cases, plain):
+        _, out, _ = run(capsys, "strings", "-q", field, "-l", str(ell),
+                        "-m", str(m), "--full")
+        full = json.loads(out)
+        assert sizes["sub_grassmannian_points"] == \
+            full["sub_grassmannian_points"]
+        assert sizes["fibers"] == {nu: str(len(mats))
+                                   for nu, mats in full["fibers"].items()}
 
 
 def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
@@ -404,3 +430,22 @@ def test_top_cell_alpha_is_the_grassmann_code(capsys):
         _, plain, _ = run(capsys, *argv, *grassmann)
         code, out, _ = run(capsys, *argv, *grassmann, "--alpha", "3,4")
         assert code == 0 and out == plain
+
+
+@pytest.mark.parametrize("field,ell,m", [("2", 3, 6), ("2", 2, 7),
+                                         ("3", 2, 5), ("5", 2, 4),
+                                         ("2^2", 2, 4), ("2", 1, 4),
+                                         ("3", 3, 4), ("2", 4, 6),
+                                         ("2^3", 1, 3)])
+def test_wdist_output_is_the_sweep_histogram(capsys, field, ell, m):
+    # the split route prints, byte for byte, what the sweep's histogram
+    # gives in JSON and CSV
+    spec = codes.CodeSpec(GF.from_string(field), ell, m)
+    weights, hist = np.unique(codes.weight_array(codes.Code(spec)),
+                              return_counts=True)
+    swept = codes.WeightDistribution(spec, dict(zip(weights.tolist(),
+                                                    hist.tolist())))
+    argv = ["wdist", "-q", field, "-l", str(ell), "-m", str(m)]
+    assert run(capsys, *argv) == (
+        0, json.dumps(swept.to_json_dict(), indent=2) + "\n", "")
+    assert run(capsys, *argv, "--format", "csv") == (0, swept.to_csv(), "")

@@ -29,7 +29,7 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               verify_string_section, verify_string_sections,
                               verify_zanella_incidence,
                               verify_zanella_incidences, weight_array,
-                              weight_distribution)
+                              weight_distribution, split_distribution)
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
@@ -39,7 +39,9 @@ from grasscodes.grassmann import (cell_matrices, cell_minors,
                                   string_fiber)
 from grasscodes.linalg import rank as matrix_rank
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
-from grasscodes.qcombin import delta_set, gaussian_binomial, index_tuples
+from grasscodes.linalg import ranks
+from grasscodes.qcombin import (alternating_count, delta_set, gaussian_binomial,
+                                index_tuples)
 
 
 def test_spec_parameters(f2, f3):
@@ -1377,23 +1379,11 @@ def test_weight_array_exact_at_lane_edge(q, reps):
     assert np.array_equal(weights, reps * weight_array(code))
 
 
-def _alternating_count(n: int, r: int, q: int) -> int:
-    """A(n, 2r): the n x n alternating matrices of rank 2r over F_q."""
-    num = q ** (r * (r - 1))
-    for i in range(2 * r):
-        num *= q ** (n - i) - 1
-    den = 1
-    for i in range(1, r + 1):
-        den *= q ** (2 * i) - 1
-    assert num % den == 0
-    return num // den
-
-
 def _nogin_distribution(m: int, q: int) -> dict[int, int]:
     """Nogin (1996): a codeword of C(2, m) whose alternating form has rank
     2r weighs q^(2(m-r-1)) (q^(2r) - 1) / (q^2 - 1)."""
     return {q ** (2 * (m - r - 1)) * (q ** (2 * r) - 1) // (q**2 - 1):
-            _alternating_count(m, r, q) for r in range(m // 2 + 1)}
+            alternating_count(m, r, q) for r in range(m // 2 + 1)}
 
 
 # C(2, m) and its dual C(m-2, m), which has the same distribution
@@ -1408,3 +1398,137 @@ def test_weight_array_matches_nogin_closed_form(p, e, ell, m):
     hist = np.bincount(weight_array(Code(CodeSpec(field, ell, m))))
     counts = {w: c for w, c in enumerate(hist.tolist()) if c}
     assert counts == _nogin_distribution(m, field.q)
+
+
+def _alternating_matrices(field: GF, m: int, vecs: np.ndarray) -> np.ndarray:
+    """The (N, m, m) alternating matrices with entry c_a at a = (i, j),
+    i < j, and -c_a at (j, i), for coefficient rows over index_tuples(2, m)."""
+    mats = np.zeros((len(vecs), m, m), dtype=np.uint8)
+    for col, (i, j) in enumerate(index_tuples(2, m)):
+        mats[:, i - 1, j - 1] = vecs[:, col]
+        mats[:, j - 1, i - 1] = field.neg_array[vecs[:, col]]
+    return mats
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (3, 4), (2, 5)])
+def test_weight_array_matches_rank_of_every_codeword(q, m):
+    # per codeword: the weight of c is the Nogin weight of the rank 2r of
+    # its alternating matrix, row-reduced on its own
+    field = GF(q)
+    spec = CodeSpec(field, 2, m)
+    k = spec.k
+    idx = np.arange(q**k)
+    vecs = (idx[:, None] // q ** np.arange(k - 1, -1, -1) % q).astype(np.uint8)
+    r = ranks(field, _alternating_matrices(field, m, vecs)) // 2
+    nogin = q ** (2 * (m - r - 1)) * (q ** (2 * r) - 1) // (q**2 - 1)
+    assert np.array_equal(weight_array(Code(spec)), nogin)
+
+
+# (p, e, modulus, ell, m): every Grassmann code the split can take that
+# sweeps in test time, odd q, extension fields and ell in {1, m-1} among
+# them
+SPLIT_CODES = [
+    (2, 1, None, 2, 4), (3, 1, None, 2, 4), (5, 1, None, 2, 4),
+    (7, 1, None, 2, 4), (2, 2, None, 2, 4), (2, 3, None, 2, 4),
+    (3, 2, None, 2, 4), (3, 2, (2, 2, 1), 2, 4), (2, 4, None, 2, 4),
+    (2, 1, None, 2, 5), (3, 1, None, 2, 5), (2, 2, None, 2, 5),
+    (2, 1, None, 3, 5), (3, 1, None, 3, 5), (2, 1, None, 3, 6),
+    (2, 1, None, 2, 6), (3, 1, None, 2, 6), (2, 1, None, 4, 6),
+    (2, 1, None, 2, 7), (2, 1, None, 5, 7),
+    (2, 1, None, 1, 2), (2, 1, None, 1, 4), (3, 1, None, 1, 4),
+    (2, 2, None, 1, 3), (11, 1, None, 1, 3), (3, 1, None, 3, 4),
+    (2, 3, (1, 0, 1, 1), 2, 3), (11, 1, None, 2, 3), (2, 4, None, 2, 3),
+]
+
+
+@pytest.mark.parametrize("p,e,modulus,ell,m", SPLIT_CODES,
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_split_matches_sweep_on_every_side(p, e, modulus, ell, m):
+    spec = CodeSpec(GF(p, e, modulus=modulus), ell, m)
+    values, hist = np.unique(weight_array(Code(spec)), return_counts=True)
+    swept = dict(zip(values.tolist(), hist.tolist()))
+    sides = codes._split_sides(spec)
+    assert sides and set(sides) <= {ell, m - ell}
+    for s in sides:
+        assert codes._split_counts(spec, s) == swept, s
+    assert split_distribution(Code(spec)).counts == swept
+
+
+def test_split_sides():
+    def sides(ell, m, alpha=None):
+        return codes._split_sides(CodeSpec(GF(2), ell, m, alpha))
+    # the complement branch of C(3,5) over F_3 above is side 3
+    assert sides(3, 5) == [2, 3]
+    assert sides(3, 6) == [3]
+    assert sides(2, 7) == [2, 5]  # k'' = 6 before 15
+    assert sides(3, 7) == [4]
+    assert sides(1, 4) == [1, 3]
+    assert sides(4, 8) == sides(4, 4) == sides(2, 4, (2, 4)) == []
+    assert sides(2, 4, (3, 4)) == [2]  # the top cell is the Grassmann code
+
+
+@pytest.mark.parametrize("q,m", [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8),
+                                 (3, 5), (3, 6), (4, 5), (5, 5), (16, 4)])
+def test_split_matches_nogin_closed_form(q, m):
+    field = GF(2, 2) if q == 4 else GF(2, 4) if q == 16 else GF(q)
+    for ell in (2, m - 2):
+        dist = split_distribution(Code(CodeSpec(field, ell, m)))
+        assert dist.counts == _nogin_distribution(m, q)
+
+
+C37_F2 = {0: 1, 4096: 11811, 5120: 2314956, 5376: 1763776,
+          5504: 45354240, 5632: 59527440, 5760: 2243523072,
+          5888: 18016971840, 5952: 13545799680, 6016: 444471552}
+
+
+def test_split_c37_f2_spectrum():
+    # past the sweep: 2^35 codewords, 2^20 per transform on side 4
+    for ell in (3, 4):
+        spec = CodeSpec(GF(2), ell, 7)
+        dist = split_distribution(Code(spec))
+        assert dist.counts == C37_F2
+    d2 = second_min_weight(spec)
+    assert dist.counts[d2] == 2314956 == \
+        gaussian_binomial(7, 5, 2) * alternating_count(5, 2, 2)
+    assert check_macwilliams(dist.counts, spec.n, 2, spec.k)
+
+
+def test_split_c36_f3_second_weight_count():
+    spec = CodeSpec(GF(3), 3, 6)
+    dist = split_distribution(Code(spec))  # passes the Pless moments
+    assert dist.total() == 3**20 and dist.min_weight() == min_distance(spec)
+    assert dist.second_weight() == second_min_weight(spec)
+    assert dist.counts[dist.second_weight()] == 20612592 == \
+        gaussian_binomial(6, 5, 3) * alternating_count(5, 2, 3)
+
+
+def test_split_refuses_before_allocating(monkeypatch):
+    def no_table(spec):
+        raise AssertionError("point table built for a refused split")
+    monkeypatch.setattr(codes, "point_table", no_table)
+    # C(3,7) over F_3: side 4 needs a transform of 3^20 codewords
+    with pytest.raises(BudgetExceeded, match="^split requires"):
+        split_distribution(Code(CodeSpec(GF(3), 3, 7)))
+    # C(2,7) over F_16: the C(2,6) table of side 2 is over the ceiling
+    with pytest.raises(BudgetExceeded, match="^point table requires"):
+        split_distribution(Code(CodeSpec(GF(2, 4), 2, 7)))
+    for spec in (CodeSpec(GF(2), 4, 8), CodeSpec(GF(2), 2, 4, (2, 4))):
+        with pytest.raises(ValueError, match="no side"):
+            split_distribution(Code(spec))
+
+
+def test_weight_distribution_routes(monkeypatch, f2, f3):
+    # a Grassmann code with a side goes through the split, with no sweep
+    sweep = weight_array
+    monkeypatch.setattr(codes, "weight_array", None)
+    assert weight_distribution(Code(CodeSpec(f3, 2, 4))).counts == \
+        {0: 1, 81: 260, 90: 468}
+    # built weights are read, and so are those of a Schubert code
+    monkeypatch.setattr(codes, "weight_array", sweep)
+    monkeypatch.setattr(codes, "split_distribution", None)
+    code = Code(CodeSpec(f2, 2, 4))
+    assert code.weights.size == 2**6
+    assert weight_distribution(code).counts == {0: 1, 16: 35, 20: 28}
+    schubert = Code(CodeSpec(f2, 2, 4, alpha=(1, 4)))
+    assert weight_distribution(schubert).counts == {0: 1, 4: 7}

@@ -1,8 +1,13 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
-from grasscodes.qcombin import (bruhat_leq, check_index_tuple, complement,
+from grasscodes.gf import GF
+from grasscodes.linalg import ranks
+from grasscodes.qcombin import (alternating_count, bruhat_leq,
+                                check_index_tuple, complement,
                                 delta, delta_set, e_bound,
                                 e_prime_bound, format_index_tuple,
                                 gaussian_binomial, index_tuples, nabla_set,
@@ -121,3 +126,27 @@ def test_tuple_serialization_roundtrip():
         parse_index_tuple("1,x", 4)
     with pytest.raises(ValueError):
         parse_index_tuple("3,2", 4)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_alternating_count_matches_rank_count(q):
+    # every alternating n x n matrix over F_q, n <= 4, row-reduced
+    field = GF(q)
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        mats = np.zeros((q ** len(pairs), n, n), dtype=np.uint8)
+        for idx, vec in enumerate(itertools.product(range(q),
+                                                    repeat=len(pairs))):
+            for (i, j), c in zip(pairs, vec):
+                mats[idx, i, j], mats[idx, j, i] = c, field.neg(c)
+        counts = np.bincount(ranks(field, mats), minlength=n + 1)
+        assert counts[1::2].sum() == 0  # alternating ranks are even
+        assert [alternating_count(n, r, q) for r in range(n // 2 + 1)] \
+            == counts[::2].tolist()
+
+
+def test_alternating_count_rejects():
+    assert alternating_count(0, 0, 2) == 1
+    for n, r in [(3, 2), (4, -1), (-1, 0)]:
+        with pytest.raises(ValueError):
+            alternating_count(n, r, 2)

@@ -6,16 +6,20 @@ For every code of the matrix it times the public layers of a sweep, as
 the median of 7 calls in one process (a best of 3 could not resolve a
 change to a ~10 ms layer on a shared host): the point table
 (``codes.point_table``), the attained-family suite on that table
-(``codes.verify_attained_family``, for 2 <= ell <= m-2), the
-codeword-weight transform (``codes.weight_array``), the histogram
-(``np.unique``, as ``codes.weight_distribution`` counts), the dual
-distribution (``macwilliams.dual_distribution``), and the Nogin suite
-where the matrix asks for it.  It also records the tracemalloc peak of
-one untimed ``weight_array`` call, and whether the default operation
-budget refuses the sweep (``codes.check_budget``, as ``wdist`` and
-``verify`` call it), with the ``BudgetExceeded`` text.  A layer that
-refuses its own work is recorded as refused, and the layers that need
-its result are skipped.
+(``codes.verify_attained_family``, for 2 <= ell <= m-2), the weight
+distribution as ``wdist`` computes it on a new ``Code``
+(``codes.weight_distribution``, which takes the split on these codes),
+the codeword-weight transform (``codes.weight_array``), the histogram of
+its array (``np.unique``, as ``codes.weight_distribution`` counts a
+weight array already built), the dual distribution
+(``macwilliams.dual_distribution``), and the Nogin suite where the
+matrix asks for it.  Where the default budget refuses the distribution,
+``codes.split_distribution`` is timed instead, or recorded as refused.
+It also records the tracemalloc peak of one untimed ``weight_array``
+call, and whether the default operation budget refuses the sweep
+(``codes.check_budget``, as ``wdist`` and ``verify`` call it), with the
+``BudgetExceeded`` text.  A layer that refuses its own work is recorded
+as refused, and the layers that need its result are skipped.
 
 The run is stored under ``runs[label]`` of the output file, beside the
 runs already there, so one file can hold the same matrix before and after
@@ -37,8 +41,9 @@ import tracemalloc
 import numpy as np
 
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, check_budget,
-                              point_table, verify_attained_family,
-                              verify_nogin, weight_array)
+                              point_table, split_distribution,
+                              verify_attained_family, verify_nogin,
+                              weight_array, weight_distribution)
 from grasscodes.gf import GF
 from grasscodes.macwilliams import dual_distribution
 
@@ -105,6 +110,15 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     if 2 <= ell <= m - 2:
         layers["verify_attained"], _ = median_of(
             lambda: verify_attained_family(code))
+    try:
+        layers["weight_distribution"], _ = median_of(
+            lambda: weight_distribution(Code(spec)))
+    except BudgetExceeded:
+        try:
+            layers["split_distribution"], _ = median_of(
+                lambda: split_distribution(Code(spec)))
+        except BudgetExceeded as exc:
+            layers["split_distribution"] = f"refused: {exc}"
     try:
         layers["weight_array"], weights = median_of(lambda: weight_array(code))
     except BudgetExceeded as exc:
