@@ -8,12 +8,17 @@ parameters).
 ``verify --suite strings`` and ``--suite zanella`` check the functional
 given with ``-f``; without it, every scalar class of the coefficients
 they support, one report per class from one batched call per suite.
+``-f`` is a usage error with any other suite but ``all``.  Each suite
+states once which parameters it applies to and what work it prices:
+``verify`` prices the work of the suites that will run in one
+``codes.check_work`` call before any of them starts.
 
 Exit codes: 0 success / all assertions pass, 1 usage or domain error
-(and failed verification), 2 work refused before it starts: a sweep, or
-the strings/zanella suites over every class, over the operation budget;
-a sweep, a point table (also the echelon matrices that ``strings``
-reads) or the reports of those suites over the fixed memory ceiling.
+(and failed verification), 2 work refused by ``codes.check_work`` before
+it starts: a sweep, or the strings/zanella suites over every class, over
+the operation budget; a sweep, a point table (also the echelon matrices
+that ``strings`` reads) or the reports of those suites over the fixed
+memory ceiling.
 The PLUCKER_BUDGET environment variable, an integer >= 1 like
 ``--budget``, overrides the default operation budget.
 """
@@ -27,8 +32,7 @@ import os
 import sys
 
 from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
-                    check_budget, check_suite_budget, check_table_bytes,
-                    verify_attained_family, verify_l2_dichotomy,
+                    check_work, verify_attained_family, verify_l2_dichotomy,
                     verify_nogin, verify_second_weight, verify_string_section,
                     verify_string_sections, verify_zanella_incidence,
                     verify_zanella_incidences, weight_distribution,
@@ -40,8 +44,39 @@ from .gf import GF
 from .qcombin import (e_bound, e_prime_bound, parse_index_tuple,
                       verify_e_inequalities, verify_gaussian_identities)
 
-SUITES = ("nogin", "second", "strings", "zanella", "identities", "l2",
-          "attained", "all")
+
+def _middle(spec: CodeSpec) -> bool:
+    return 2 <= spec.ell <= spec.m - 2
+
+
+def _any(spec: CodeSpec) -> bool:
+    return True
+
+
+# Every suite of ``--suite all``, in run order: the codes it applies to,
+# the work ``check_work`` prices before any suite runs, and its reports
+# from (code, the -f functional or None, args, budget).  With -f, strings
+# and zanella check one functional and price nothing up front.
+_SUITE_RUNS = {
+    "nogin": (_any, ["sweep"], lambda code, func, args, budget:
+              [verify_nogin(code)]),
+    "second": (_middle, ["sweep"], lambda code, func, args, budget:
+               [verify_second_weight(code, budget=budget)]),
+    "strings": (_any, ["table", "strings"], lambda code, func, args, budget:
+                [verify_string_section(code, func)] if func
+                else verify_string_sections(code)),
+    "zanella": (_any, ["table", "zanella"], lambda code, func, args, budget:
+                [verify_zanella_incidence(code, func)] if func
+                else verify_zanella_incidences(code)),
+    "identities": (_any, [], lambda code, func, args, budget:
+                   _suite_identities(code.spec)),
+    "l2": (lambda spec: (spec.ell, spec.m) == (2, 4), ["sweep"],
+           lambda code, func, args, budget: [verify_l2_dichotomy(code)]),
+    "attained": (_middle, [], lambda code, func, args, budget:
+                 [verify_attained_family(code, max_samples=args.samples)]),
+}
+_TAKES_FUNCTIONAL = ("strings", "zanella", "all")
+SUITES = (*_SUITE_RUNS, "all")
 
 
 class UsageError(Exception):
@@ -201,43 +236,23 @@ def _suite_identities(spec: CodeSpec) -> list[dict]:
 
 def cmd_verify(args) -> int:
     suite = args.suite
+    if args.functional is not None and suite not in _TAKES_FUNCTIONAL:
+        raise UsageError("-f applies to --suite strings, zanella and all, "
+                         f"not to --suite {suite}")
     spec = _grassmann_spec(args, f"--suite {suite}")
     budget = _budget(args)
-    if suite in ("nogin", "second", "l2", "all"):
-        # these suites sweep every codeword class
-        check_budget(spec, budget)
-    func = None
-    if suite in ("strings", "zanella", "all"):
-        if args.functional:
-            func = parse_functional(args.functional, spec.ell, spec.m,
-                                    spec.field)
-        else:
-            # strings and zanella without -f cover every scalar class; the
-            # memory ceiling of their point table is reported first
-            check_table_bytes(spec)
-            for name in ("strings", "zanella"):
-                if suite in (name, "all"):
-                    check_suite_budget(spec, name, budget)
-    code = Code(spec)
-    reports: list[dict] = []
-    if suite in ("nogin", "all"):
-        reports.append(verify_nogin(code))
-    if suite in ("second", "all") and 2 <= spec.ell <= spec.m - 2:
-        reports.append(verify_second_weight(code, budget=budget))
-    if suite in ("strings", "all"):
-        reports += [verify_string_section(code, func)] if func \
-            else verify_string_sections(code)
-    if suite in ("zanella", "all"):
-        reports += [verify_zanella_incidence(code, func)] if func \
-            else verify_zanella_incidences(code)
-    if suite in ("identities", "all"):
-        reports.extend(_suite_identities(spec))
-    if suite in ("l2", "all") and (spec.ell, spec.m) == (2, 4):
-        reports.append(verify_l2_dichotomy(code))
-    if suite in ("attained", "all") and 2 <= spec.ell <= spec.m - 2:
-        reports.append(verify_attained_family(code, max_samples=args.samples))
-    if not reports:
+    runs = [name for name, (applies, _, _) in _SUITE_RUNS.items()
+            if suite in (name, "all") and applies(spec)]
+    if not runs:
         raise UsageError(f"suite {suite!r} not applicable to these parameters")
+    check_work(spec, list(dict.fromkeys(
+        work for name in runs for work in _SUITE_RUNS[name][1]
+        if not (args.functional and name in _TAKES_FUNCTIONAL))), budget)
+    func = parse_functional(args.functional, spec.ell, spec.m, spec.field) \
+        if args.functional else None
+    code = Code(spec)
+    reports = [report for name in runs
+               for report in _SUITE_RUNS[name][2](code, func, args, budget)]
     ok = all(r["pass"] for r in reports)
     payload = json.dumps(_jsonify({"pass": ok, "reports": reports}), indent=2)
     _emit(payload, args.output)

@@ -20,9 +20,7 @@ runs over whole rows of at least p^(ek // 2) entries.  The transform runs
 in int16 when (q-1) n < 2^15, since its values lie within +-(q-1) n, and
 in int32 above.  The transform (``_table_weights``) weighs the rows of any
 uint8 array; the attained-family suite runs it on the ell + 2 columns its
-family uses.  ``class_weights`` is a view of it.  Sweeps and point tables
-over the operation budget or the fixed memory ceiling ``MAX_SWEEP_BYTES``
-are refused before any work.
+family uses.  ``class_weights`` is a view of it.
 
 The split (``split_distribution``) gives the weight distribution of a
 Grassmann code without a sweep, from the paper's decomposition of
@@ -52,8 +50,13 @@ share their fiber and covector helpers and report builders; their
 reports stay the reference.  Their fiber layout, ``_string_fibers``,
 also gives ``string_partition`` with ``full`` (``strings --full``) from
 the echelon matrices; the plain partition counts the same fibers from the
-cell sizes.  ``check_suite_budget`` prices the reports of every class,
-which can outgrow the work, before any cell is built.
+cell sizes.
+
+``check_work`` is the one refusal policy: it prices each named piece of
+work (a point table, a sweep, a split transform, the strings or Zanella
+suite over every class) in operations against a budget and in bytes
+against ``MAX_SWEEP_BYTES``, and raises ``BudgetExceeded`` for the first
+piece refused, before any work starts.
 
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
@@ -85,9 +88,8 @@ from .grassmann import cell_matrices, cell_minors
 __all__ = [
     "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
     "BudgetExceeded", "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES",
-    "build_generator", "point_table", "check_table_bytes", "decomposable_table",
+    "build_generator", "point_table", "check_work", "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
-    "check_budget", "check_class_budget", "check_suite_budget",
     "weight_array", "weight_distribution", "split_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
@@ -98,8 +100,7 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**10
 
-# Fixed ceiling on the bytes one sweep or one point table allocates (see
-# check_budget and check_table_bytes).
+# Fixed ceiling on the bytes one piece of work allocates (see check_work).
 MAX_SWEEP_BYTES = 2 * 2**30
 
 
@@ -159,25 +160,66 @@ class CodeSpec:
         return f"{name} over {self.field!r}"
 
 
-def _refuse_bytes(nbytes: int, what: str) -> None:
-    if nbytes > MAX_SWEEP_BYTES:
-        raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
+# peak bytes of the all-class strings and Zanella reports, from the count
+# arrays through the JSON text of ``verify``: per report, plus per count in
+# it.  Fitted on peak RSS, less that of a run with -f, of C(2,6)/F_2 and
+# C(2,5)/F_3 Zanella (5.2 KB + 165 B) and C(3,7)/F_2, C(5,7)/F_2,
+# C(3,6)/F_3, C(4,6)/F_3 strings (at most 7.2 KB + 351 B), rounded up
+_REPORT_BYTES = 8192
+_COUNT_BYTES = {"strings": 384, "zanella": 192}
 
 
-def check_table_bytes(spec: CodeSpec) -> None:
-    """Refuse, before any allocation, tabulating the points of ``spec`` cell
-    by cell when the peak would exceed ``MAX_SWEEP_BYTES``.
+def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
+    """Refuse the named pieces of work on ``spec`` before any of them
+    starts: raise ``BudgetExceeded`` for the first piece of ``works``, in
+    list order, whose operations exceed ``budget`` (None: no limit) or,
+    checked after that, whose bytes exceed ``MAX_SWEEP_BYTES``.
 
-    The estimate covers ``point_table`` and ``Code.matrices``: the largest
-    cell as ``cell_minors`` or ``cell_matrices`` builds it (``_cell_bytes``)
-    and its normalization temporaries, plus two bytes per point for every
-    coordinate or matrix entry kept across cells.
+    - ``"table"``: ``point_table`` or ``Code.matrices``, cell by cell; the
+      largest cell as ``cell_minors`` or ``cell_matrices`` builds it
+      (``_cell_bytes``) and its normalization temporaries, plus two bytes
+      per point for every coordinate or matrix entry kept across cells.
+      Bytes only.
+    - ``"sweep"``: a pass over every scalar class, priced as classes times
+      points, and one transform over the q^k codewords.
+    - ``"split"``: the transform of ``_split_counts`` on side ell of
+      ``spec``, over q^C(m-1, ell-1) codewords.  Bytes only.
+    - ``"strings"``, ``"zanella"``: the suite over every scalar class of
+      the coefficients it supports, priced as classes times points, and
+      its reports, one per class.  A strings report counts the q^(m-ell)
+      fibers, a Zanella report the (q^m - 1)/(q - 1) subspaces V_{m-1}.
     """
     field, ell, m = spec.field, spec.ell, spec.m
-    top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
-    _refuse_bytes(_cell_bytes(field, ell, m, top)
-                  + field.q**top * (2 * spec.k + 24)
-                  + 2 * spec.n * max(spec.k, ell * m), "point table")
+    q = field.q
+    for work in works:
+        if work == "table":
+            top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
+            ops, nbytes = None, (_cell_bytes(field, ell, m, top)
+                                 + q**top * (2 * spec.k + 24)
+                                 + 2 * spec.n * max(spec.k, ell * m))
+        else:
+            k = spec.k if work in ("sweep", "zanella") \
+                else math.comb(m - 1, ell - 1)
+            ops = None if work == "split" else class_count(q, k) * spec.n
+            if work in ("sweep", "split"):
+                # one ``_table_weights`` call: 16 B per codeword, plus 8p B
+                # for odd p, is a deliberate upper bound.  Besides the 4 B
+                # int32 weights, the transform holds for p = 2 its buffer
+                # and a transposed copy, 2 or 4 B each in the int16 or
+                # int32 lane, and for odd p two buffers of p q^k counts at
+                # 2 or 4 B
+                nbytes = q**k * (16 if field.p == 2 else 16 + 8 * field.p)
+            else:
+                counts = q ** (m - ell) if work == "strings" \
+                    else class_count(q, m)
+                nbytes = class_count(q, k) * (_REPORT_BYTES
+                                              + counts * _COUNT_BYTES[work])
+        what = {"table": "point table", "sweep": "sweep",
+                "split": "split"}.get(work, f"--suite {work}")
+        if budget is not None and ops is not None and ops > budget:
+            raise BudgetExceeded(what, ops, "operations", budget)
+        if nbytes > MAX_SWEEP_BYTES:
+            raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
 
 
 def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
@@ -208,7 +250,7 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     ``Code.table`` keeps it for the suites.  Raises ``BudgetExceeded``
     over ``MAX_SWEEP_BYTES``, before allocating.
     """
-    check_table_bytes(spec)
+    check_work(spec, ["table"])
     field, ell, m = spec.field, spec.ell, spec.m
     all_tuples = index_tuples(ell, m)
     keep = [all_tuples.index(a) for a in spec.support]
@@ -238,7 +280,7 @@ class Code:
         ``point_table`` order, built cell by cell with ``cell_matrices``;
         refused like the table, before any cell is built."""
         s = self.spec
-        check_table_bytes(s)
+        check_work(s, ["table"])
         return np.concatenate([cell_matrices(alpha, s.m, s.field)
                                for alpha in s.support])
 
@@ -377,58 +419,6 @@ def class_weights(code: Code):
     q, k = code.spec.field.q, code.spec.k
     for vec, i in zip(class_representatives(q, k), _class_indices(q, k)):
         yield vec, weights.item(i)
-
-
-def check_class_budget(spec: CodeSpec, k: int, budget: int | None,
-                       what: str) -> None:
-    """Refuse, before any work, a pass over every scalar class of k
-    coefficients priced as classes times points, over ``budget``."""
-    required = class_count(spec.field.q, k) * spec.n
-    if budget is not None and required > budget:
-        raise BudgetExceeded(what, required, "operations", budget)
-
-
-# peak bytes of the all-class strings and Zanella reports, from the count
-# arrays through the JSON text of ``verify``: per report, plus per count in
-# it.  Fitted on peak RSS, less that of a run with -f, of C(2,6)/F_2 and
-# C(2,5)/F_3 Zanella (5.2 KB + 165 B) and C(3,7)/F_2, C(5,7)/F_2,
-# C(3,6)/F_3, C(4,6)/F_3 strings (at most 7.2 KB + 351 B), rounded up
-_REPORT_BYTES = 8192
-_COUNT_BYTES = {"strings": 384, "zanella": 192}
-
-
-def check_suite_budget(spec: CodeSpec, suite: str, budget: int | None) -> None:
-    """Refuse, before any work, the strings or Zanella suite over every
-    scalar class: over ``budget`` operations, priced as classes times
-    points, or over ``MAX_SWEEP_BYTES`` for their reports, one per class.
-    A strings report counts the q^(m-ell) fibers, a Zanella report the
-    (q^m - 1)/(q - 1) subspaces V_{m-1}."""
-    q, ell, m = spec.field.q, spec.ell, spec.m
-    if suite == "strings":
-        k, counts = math.comb(m - 1, ell - 1), q ** (m - ell)
-    else:
-        k, counts = spec.k, class_count(q, m)
-    check_class_budget(spec, k, budget, f"--suite {suite}")
-    _refuse_bytes(class_count(q, k)
-                  * (_REPORT_BYTES + counts * _COUNT_BYTES[suite]),
-                  f"--suite {suite}")
-
-
-def check_budget(spec: CodeSpec, budget: int | None = DEFAULT_BUDGET) -> None:
-    """Refuse a full sweep before any work: over ``budget`` operations,
-    counted as scalar classes times points, or over ``MAX_SWEEP_BYTES``."""
-    check_class_budget(spec, spec.k, budget, "sweep")
-    _refuse_bytes(_transform_bytes(spec.field, spec.k), "sweep")
-
-
-def _transform_bytes(field: GF, k: int) -> int:
-    """The bytes of one ``_table_weights`` call over q^k codewords.  16 B
-    per codeword, plus 8p B for odd p, is a deliberate upper bound:
-    besides the 4 B int32 weights, the transform holds for p = 2 its
-    buffer and a transposed copy, 2 or 4 B each in the int16 or int32
-    lane, and for odd p two buffers of p q^k counts at 2 or 4 B."""
-    size = field.q**k
-    return 16 * size + (0 if field.p == 2 else 8 * field.p * size)
 
 
 @cache
@@ -598,7 +588,7 @@ def weight_array(code: Code) -> np.ndarray:
     ``MAX_SWEEP_BYTES``, before allocating.
     """
     spec = code.spec
-    check_budget(spec, None)
+    check_work(spec, ["sweep"])
     return _table_weights(spec.field, code.table, spec.describe())
 
 
@@ -664,11 +654,11 @@ class WeightDistribution:
 def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact counts for all q^k codewords of the code, refused like a sweep
-    (``check_budget``) before any work.  They are the histogram of
+    (``check_work``) before any work.  They are the histogram of
     ``code.weights`` when that array is already built, else
     ``split_distribution`` when the code has a side for it, else the
     histogram of a sweep."""
-    check_budget(code.spec, budget)
+    check_work(code.spec, ["sweep"], budget)
     if "weights" not in vars(code) and _split_sides(code.spec):
         return split_distribution(code)
     weights, hist = np.unique(code.weights, return_counts=True)
@@ -740,10 +730,10 @@ def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
     q, n = field.q, m - 1
     outer = CodeSpec(field, s, n)
     inner = CodeSpec(field, s - 1, n) if s >= 2 else None
-    check_table_bytes(outer)
+    check_work(outer, ["table"])
     if inner is not None:
-        check_table_bytes(inner)
-    _refuse_bytes(_transform_bytes(field, math.comb(n, s - 1)), "split")
+        check_work(inner, ["table"])
+    check_work(CodeSpec(field, s, m), ["split"])
     outer_table = point_table(outer)
     # G(0, m-1) is one point, with the single coordinate of the empty tuple
     inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
@@ -1079,7 +1069,7 @@ def string_partition(code: Code, full: bool) -> dict:
     the last-column locus (those of G(ell, V_{m-1})), and each fiber's
     size or, with ``full``, its echelon matrices, by label sorted as
     text.  The sizes come from the cell sizes alone, refused like the
-    matrices (``check_table_bytes``)."""
+    matrices (``check_work``)."""
     _check_grassmann(code, "strings")
     spec = code.spec
     q, count = spec.field.q, spec.field.q ** (spec.m - spec.ell)
@@ -1092,7 +1082,7 @@ def string_partition(code: Code, full: bool) -> dict:
                    for mat in fiber]
                   for fiber in fibers.swapaxes(0, 1).tolist()]
     else:
-        check_table_bytes(spec)
+        check_work(spec, ["table"])
         values = [locus // count] * count
     return {"sub_grassmannian_points": spec.n - locus,
             "fibers": dict(sorted(zip(_fiber_labels(spec), values)))}
@@ -1149,7 +1139,7 @@ def verify_string_sections(code: Code) -> list[dict]:
     """
     spec = code.spec
     _check_grassmann(code, "strings")
-    check_suite_budget(spec, "strings", None)
+    check_work(spec, ["strings"])
     field = spec.field
     cols = _string_columns(spec)
     last = [spec.support[i] for i in cols]
@@ -1228,7 +1218,7 @@ def verify_zanella_incidences(code: Code) -> list[dict]:
     """
     spec = code.spec
     _check_grassmann(code, "zanella")
-    check_suite_budget(spec, "zanella", None)
+    check_work(spec, ["zanella"])
     field = spec.field
     classes = _class_indices(field.q, spec.k)
     table = code.table

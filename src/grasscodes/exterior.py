@@ -105,18 +105,6 @@ class DualFunctional:
         tuples = support if support is not None else _all_tuples(self.ell, self.m)
         return form_values(self.field, self.coeffs, coords, tuples)
 
-    def scaled(self, s: int) -> "DualFunctional":
-        if not s:
-            raise ValueError("scalar must be nonzero")
-        return DualFunctional(self.field, self.ell, self.m,
-                              {a: self.field.mul(s, c) for a, c in self.coeffs.items()})
-
-    def projectively_equal(self, other: "DualFunctional") -> bool:
-        if (self.field, self.ell, self.m) != (other.field, other.ell, other.m):
-            return False
-        return any(self.scaled(s).coeffs == other.coeffs
-                   for s in range(1, self.field.q))
-
     def to_json_dict(self) -> dict[str, str]:
         fmt = self.field.format_element
         return {format_index_tuple(a): fmt(c)

@@ -133,9 +133,6 @@ class PluckerVector:
         return PluckerVector(self.field, self.ell, self.m,
                              tuple(self.field.mul(inv, c) for c in self.coords))
 
-    def as_dict(self) -> dict[tuple[int, ...], int]:
-        return dict(zip(index_tuples(self.ell, self.m), self.coords))
-
 
 def plucker(mat: EchelonMatrix) -> PluckerVector:
     """All ell x ell minors of the echelon representative, in lex order."""

@@ -297,10 +297,41 @@ def test_refusal_names_refused_work(capsys):
               "sweep requires ~17179869184 bytes, budget is 2147483648"),
              (["verify", "-q", "16", "-l", "2", "-m", "6", "--suite",
                "zanella", "-f", "X:1,2"],
-              "point table requires ~777927917054 bytes, budget is 2147483648")]
+              "point table requires ~777927917054 bytes, budget is 2147483648"),
+             # a command of several pieces of work names the first refused
+             (["verify", "-q", "2", "-l", "3", "-m", "6", "--suite", "all",
+               "--budget", "1000"],
+              "sweep requires ~1462762125 operations, budget is 1000"),
+             (["verify", "-q", "2", "-l", "3", "-m", "6", "--suite", "all"],
+              "--suite zanella requires ~21273489600 bytes,"
+              " budget is 2147483648"),
+             (["verify", "-q", "2^2", "-l", "2", "-m", "6", "--suite", "all",
+               "--budget", str(10**20)],
+              "sweep requires ~17179869184 bytes, budget is 2147483648")]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_suite_not_applicable_prices_nothing(capsys):
+    # neither command would sweep, so neither is refused for a sweep
+    for argv, suite in (
+            (["-l", "3", "-m", "7", "--suite", "l2"], "l2"),
+            (["-l", "1", "-m", "9", "--suite", "second", "--budget", "10"],
+             "second")):
+        code, out, err = run(capsys, "verify", "-q", "2", *argv)
+        assert (code, out, err) == (
+            1, "", f"error: suite '{suite}' not applicable to these"
+            " parameters\n")
+
+
+def test_functional_with_other_suite_is_usage_error(capsys):
+    for suite in ("nogin", "second", "identities", "l2", "attained"):
+        code, out, err = run(capsys, "verify", "-q", "2", "-l", "2", "-m",
+                             "4", "--suite", suite, "-f", "nonsense")
+        assert (code, out) == (1, "")
+        assert err == ("error: -f applies to --suite strings, zanella and"
+                       f" all, not to --suite {suite}\n")
 
 
 def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):

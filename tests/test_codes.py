@@ -18,7 +18,7 @@ from grasscodes import codes, exterior
 from grasscodes.cli import _jsonify
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               InvariantError, WeightDistribution,
-                              build_generator, class_count,
+                              build_generator, check_work, class_count,
                               class_representatives, class_weights,
                               codeword_weight, decomposable_table,
                               min_distance,
@@ -309,6 +309,26 @@ def test_memory_ceiling_refuses_before_allocating(monkeypatch):
         weight_distribution(Code(spec), budget=10**20)
     with pytest.raises(BudgetExceeded, match="bytes"):
         next(class_weights(Code(spec)))
+
+
+def test_check_work_refuses_first_piece_in_order(f2):
+    spec = CodeSpec(f2, 3, 6)  # 1 048 575 classes of 1395 points
+    check_work(spec, [])
+    check_work(spec, [], budget=1)
+    check_work(spec, ["table", "sweep", "strings"], budget=10**10)
+    # the table is priced in bytes only, so the sweep refuses first
+    with pytest.raises(BudgetExceeded, match="^sweep requires "
+                       r"~1462762125 operations, budget is 1000$"):
+        check_work(spec, ["table", "sweep", "zanella"], budget=1000)
+    # without a budget the zanella reports refuse on bytes, first in list
+    # order although the sweep fits
+    with pytest.raises(BudgetExceeded, match="^--suite zanella requires "
+                       r"~21273489600 bytes, budget is 2147483648$"):
+        check_work(spec, ["zanella", "sweep"])
+    # C(2,4): 7 classes on the strings coefficients, 63 in a sweep
+    with pytest.raises(BudgetExceeded, match="^--suite strings requires "
+                       r"~245 operations, budget is 100$"):
+        check_work(CodeSpec(f2, 2, 4), ["strings", "sweep"], budget=100)
 
 
 def test_budget_enforced(f2):

@@ -17,8 +17,8 @@ matrix asks for it.  Where the default budget refuses the distribution,
 ``codes.split_distribution`` is timed instead, or recorded as refused.
 It also records the tracemalloc peak of one untimed ``weight_array``
 call, and whether the default operation budget refuses the sweep
-(``codes.check_budget``, as ``wdist`` and ``verify`` call it), with the
-``BudgetExceeded`` text.  A layer that refuses its own work is recorded
+(``codes.check_work`` on the sweep, as ``wdist`` and ``verify`` call
+it), with the ``BudgetExceeded`` text.  A layer that refuses its own work is recorded
 as refused, and the layers that need its result are skipped.
 
 The run is stored under ``runs[label]`` of the output file, beside the
@@ -40,8 +40,8 @@ import tracemalloc
 
 import numpy as np
 
-from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, check_budget,
-                              point_table, split_distribution,
+from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
+                              check_work, point_table, split_distribution,
                               verify_attained_family, verify_nogin,
                               weight_array, weight_distribution)
 from grasscodes.gf import GF
@@ -100,7 +100,7 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     row = {"code": spec.describe(), "q": str(q), "ell": str(ell),
            "m": str(m), "n": str(n), "k": str(k), "codewords": str(q**k)}
     try:
-        check_budget(spec)
+        check_work(spec, ["sweep"], DEFAULT_BUDGET)
         row["default_budget"] = "allowed"
     except BudgetExceeded as exc:
         row["default_budget"] = f"refused: {exc}"
