@@ -17,7 +17,7 @@ from .grassmann import (EchelonMatrix, PluckerVector, enumerate_cell,
 from .exterior import (DualFunctional, WedgeElement, functional_to_wedge,
                        wedge_with_vector, wedge_of_vectors, wedge_pairing,
                        annihilator_dimension, annihilator_basis,
-                       is_decomposable, restrict_functional, check_functional,
+                       is_decomposable, check_functional,
                        parse_functional)
 from .codes import (CodeSpec, Code, GeneratorMatrix, WeightDistribution,
                     BudgetExceeded, build_generator, point_table,

@@ -17,8 +17,8 @@ Exit codes: 0 success / all assertions pass, 1 usage or domain error
 (and failed verification), 2 work refused by ``codes.check_work`` before
 it starts: a sweep, or the strings/zanella suites over every class, over
 the operation budget; a sweep, a point table (also the echelon matrices
-that ``strings`` reads) or the reports of those suites over the fixed
-memory ceiling.
+that ``strings`` reads), the ``strings`` listing or the reports of those
+suites over the fixed memory ceiling.
 The PLUCKER_BUDGET environment variable, an integer >= 1 like
 ``--budget``, overrides the default operation budget.
 """

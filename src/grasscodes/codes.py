@@ -13,12 +13,13 @@ minors; ``Code.matrices`` holds the echelon matrices alone.
 
 Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
 once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
-& Sloane ch. 5), a Walsh-Hadamard transform for p = 2 and a residue-count
-butterfly for odd p.  Both run in two phases, on a digit-swapped layout
-and then, after one transposed copy, in natural order, so that every step
-runs over whole rows of at least p^(ek // 2) entries.  The transform runs
-in int16 when (q-1) n < 2^15, since its values lie within +-(q-1) n, and
-in int32 above.  The transform (``_table_weights``) weighs the rows of any
+& Sloane ch. 5): one two-phase driver, ``_transform_swapped``, runs the
+steps of a Walsh-Hadamard transform for p = 2 or of a residue-count
+butterfly for odd p, on a digit-swapped layout and then, after one
+transposed copy, in natural order, so that every step runs over whole
+rows of at least p^(ek // 2) entries.  The transform runs in int16 when
+(q-1) n < 2^15, since its values lie within +-(q-1) n, and in int32
+above.  The transform (``_table_weights``) weighs the rows of any
 uint8 array; the attained-family suite runs it on the ell + 2 columns its
 family uses.  ``class_weights`` is a view of it.
 
@@ -28,7 +29,8 @@ G(ell, m) into G(ell, m-1) and strings of q^(m-ell) points over
 G(ell-1, m-1).  A functional splits as f = (f', f'') over the tuples
 without and with m; its weight is that of f' on G(ell, m-1), plus a fixed
 amount per string where f is not constant, plus q^(m-ell) times the
-weight of f'' over the strings where it is.  The distribution over f''
+weight of f'' over the strings where it is; f' is read on each string
+through ``exterior.wedge_columns``.  The distribution over f''
 is constant on the GL_(m-1)(F_q)-orbit of f', and on the side
 s in {ell, m-ell} with s <= 2 or s >= m-3 (C(ell, m) and C(m-ell, m) are
 equivalent codes) those orbits are rank classes of alternating forms,
@@ -54,9 +56,9 @@ cell sizes.
 
 ``check_work`` is the one refusal policy: it prices each named piece of
 work (a point table, a sweep, a split transform, the strings or Zanella
-suite over every class) in operations against a budget and in bytes
-against ``MAX_SWEEP_BYTES``, and raises ``BudgetExceeded`` for the first
-piece refused, before any work starts.
+suite over every class, the string partition) in operations against a
+budget and in bytes against ``MAX_SWEEP_BYTES``, and raises
+``BudgetExceeded`` for the first piece refused, before any work starts.
 
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
@@ -77,7 +79,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .exterior import (DualFunctional, annihilator_ranks, form_values,
-                       shuffle_sign)
+                       shuffle_sign, wedge_columns, wedge_layout)
 from .gf import GF
 from .linalg import ranks
 from .qcombin import (InvariantError, alternating_count, check_index_tuple,
@@ -168,6 +170,10 @@ class CodeSpec:
 _REPORT_BYTES = 8192
 _COUNT_BYTES = {"strings": 384, "zanella": 192}
 
+# peak bytes of the ``strings`` listing: per fiber, and with --full per
+# point plus per matrix entry; fitted on peak RSS (see README), rounded up
+_FIBER_BYTES, _POINT_BYTES, _ENTRY_BYTES = 512, 512, 16
+
 
 def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
     """Refuse the named pieces of work on ``spec`` before any of them
@@ -188,6 +194,8 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
       the coefficients it supports, priced as classes times points, and
       its reports, one per class.  A strings report counts the q^(m-ell)
       fibers, a Zanella report the (q^m - 1)/(q - 1) subspaces V_{m-1}.
+    - ``"partition"``, ``"partition-full"``: ``string_partition`` without
+      and with ``full``, per fiber and per point of the locus.  Bytes only.
     """
     field, ell, m = spec.field, spec.ell, spec.m
     q = field.q
@@ -197,6 +205,12 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
             ops, nbytes = None, (_cell_bytes(field, ell, m, top)
                                  + q**top * (2 * spec.k + 24)
                                  + 2 * spec.n * max(spec.k, ell * m))
+        elif work.startswith("partition"):
+            fibers = q ** (m - ell)
+            ops, nbytes = None, fibers * _FIBER_BYTES
+            if work == "partition-full":
+                nbytes += (fibers * gaussian_binomial(m - 1, ell - 1, q)
+                           * (_POINT_BYTES + _ENTRY_BYTES * ell * m))
         else:
             k = spec.k if work in ("sweep", "zanella") \
                 else math.comb(m - 1, ell - 1)
@@ -214,8 +228,9 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
                     else class_count(q, m)
                 nbytes = class_count(q, k) * (_REPORT_BYTES
                                               + counts * _COUNT_BYTES[work])
-        what = {"table": "point table", "sweep": "sweep",
-                "split": "split"}.get(work, f"--suite {work}")
+        what = {"table": "point table", "sweep": "sweep", "split": "split",
+                "partition": "string partition", "partition-full":
+                "string partition --full"}.get(work, f"--suite {work}")
         if budget is not None and ops is not None and ops > budget:
             raise BudgetExceeded(what, ops, "operations", budget)
         if nbytes > MAX_SWEEP_BYTES:
@@ -449,42 +464,28 @@ def _transpose_into(out: np.ndarray, rows: np.ndarray) -> None:
         out[..., i:i + 64] = rows[..., i:i + 64, :].swapaxes(-1, -2)
 
 
-def _butterfly_rows(f: np.ndarray, width: int) -> None:
-    """In place, on a contiguous array read as rows of ``width`` entries:
-    f[c] <- sum_y f[y] (-1)^<c, y> over the bits of the row index, so that
-    every butterfly runs over whole rows.  In an int16 array b * -2 may
-    wrap around; two's complement still leaves the exact a - b whenever
-    that fits, as every true value of the transform does."""
-    h = width
-    while h < f.size:
-        a, b = f.reshape(-1, 2, h).swapaxes(0, 1)  # views
+def _butterfly_steps(src: np.ndarray, dst: np.ndarray, p: int,
+                     stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The p = 2 steps of ``_transform_swapped`` on the bits of stride
+    ``stride`` and up, in place on src; returns src and dst.  In int16
+    b * -2 may wrap around; two's complement still leaves the exact a - b
+    whenever that fits, as every true value of the transform does."""
+    h = stride
+    while h < src.shape[1]:
+        a, b = src.reshape(-1, 2, h).swapaxes(0, 1)  # views
         a += b
         b *= -2
         b += a  # (a + b) - 2b = a - b
         h *= 2
-
-
-def _walsh_hadamard_swapped(f: np.ndarray, r: int) -> np.ndarray:
-    """f(c) <- sum_y f(y) (-1)^<c, y> over F_2^r, with f(y) held at
-    ``_swap_digits(y, 2, r)``; overwrites f and returns the transform in
-    natural order.  Viewed as (2^lo, 2^hi), the stages on the low bits of
-    y run over rows of 2^hi entries; one transposed copy restores natural
-    order for the stages on the high bits, over rows of 2^lo."""
-    lo = r // 2
-    hi = r - lo
-    _butterfly_rows(f, 1 << hi)
-    out = np.empty_like(f)
-    _transpose_into(out.reshape(1 << hi, 1 << lo),
-                    f.reshape(1 << lo, 1 << hi))
-    _butterfly_rows(out, 1 << lo)
-    return out
+    return src, dst
 
 
 def _residue_steps(src: np.ndarray, dst: np.ndarray, p: int,
                    stride: int) -> tuple[np.ndarray, np.ndarray]:
-    """The digit steps of ``_residue_butterfly_swapped`` on the digits of
-    stride ``stride`` and up, from src into dst and back; returns the
-    buffer holding the result and the free one."""
+    """The odd-p steps of ``_transform_swapped`` on the digits of stride
+    ``stride`` and up, from src into dst and back, one per digit:
+    N'[r, .., c_d, ..] = sum_y N[r - c_d y, .., y, ..]; returns the buffer
+    holding the result and the free one."""
     while stride < src.shape[1]:
         a, b = src.reshape(p, -1, p, stride), dst.reshape(p, -1, p, stride)
         for c in range(p):
@@ -500,30 +501,31 @@ def _residue_steps(src: np.ndarray, dst: np.ndarray, p: int,
     return src, dst
 
 
-def _residue_butterfly_swapped(buf: np.ndarray, p: int, s: int) -> np.ndarray:
-    """N[r, c] = #{y : <c, y> = r mod p} over F_p^s, y counted
-    buf[0, _swap_digits(y, p, s)] times; buf has shape (p, p^s), zero below
-    row 0.  One step per digit:
-    N'[r, .., c_d, ..] = sum_y N[r - c_d y, .., y, ..].
-    Viewed as (p, p^lo, p^hi), the steps on the low digits of y run from
-    stride p^hi; one transposed copy of each residue row restores natural
-    order for the steps on the high digits, from stride p^lo, so no step
-    has an inner loop shorter than p^(s // 2).  Overwrites buf and returns
-    N in natural order.  Every entry is a count, so int16 holds it exactly
-    while the total stays below 2^15."""
+def _transform_swapped(buf: np.ndarray, p: int, s: int) -> np.ndarray:
+    """The character transform over F_p^s of row 0 of ``_label_histogram``,
+    y counted buf[0, _swap_digits(y, p, s)] times: for p = 2 row 0 becomes
+    sum_y f(y) (-1)^<c, y>, and for odd p row r becomes
+    N[r, c] = #{y : <c, y> = r mod p}.  Viewed as (rows, p^lo, p^hi), the
+    steps on the low digits of y run from stride p^hi; one transposed copy
+    restores natural order for the steps on the high digits, from stride
+    p^lo, so no step has an inner loop shorter than p^(s // 2).  The step
+    kernel is chosen by characteristic.  Overwrites buf and returns the
+    result in natural order and buf's dtype; int16 holds it exactly while
+    the total count stays below 2^15."""
     lo = s // 2
     hi = s - lo
-    src, dst = _residue_steps(buf, np.empty_like(buf), p, p**hi)
-    _transpose_into(dst.reshape(p, p**hi, p**lo),
-                    src.reshape(p, p**lo, p**hi))
-    return _residue_steps(dst, src, p, p**lo)[0]
+    steps = _butterfly_steps if p == 2 else _residue_steps
+    src, dst = steps(buf, np.empty_like(buf), p, p**hi)
+    _transpose_into(dst.reshape(-1, p**hi, p**lo),
+                    src.reshape(-1, p**lo, p**hi))
+    return steps(dst, src, p, p**lo)[0]
 
 
-def _label_histogram(field: GF, table: np.ndarray, rows: int,
-                     lane: type) -> np.ndarray:
-    """A (rows, q^k) array of dtype ``lane``, zero below row 0, where row 0
-    counts the labelled multiples of the points of ``table`` at each
-    codeword index, in the layout of ``_swap_digits``."""
+def _label_histogram(field: GF, table: np.ndarray, lane: type) -> np.ndarray:
+    """A (1, q^k) array for p = 2, (p, q^k) for odd p, of dtype ``lane``,
+    zero below row 0, where row 0 counts the labelled multiples of the
+    points of ``table`` at each codeword index, in the layout of
+    ``_swap_digits``."""
     q, k = field.q, table.shape[1]
     # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0,
     # at the base-q index of its labelled coordinates, built one at a time
@@ -532,7 +534,7 @@ def _label_histogram(field: GF, table: np.ndarray, rows: int,
     for column in table.T:
         idx *= q
         idx += labels[:, column]
-    hist = np.zeros((rows, q**k), dtype=lane)
+    hist = np.zeros((1 if field.p == 2 else field.p, q**k), dtype=lane)
     # a 1 of the histogram's own dtype keeps ``add.at`` on its uncast
     # loop; a Python int 1 is read as int64, which is ~30x slower
     np.add.at(hist[0], _swap_digits(idx.ravel(), field.p, field.e * k),
@@ -562,16 +564,13 @@ def _table_weights(field: GF, rows: np.ndarray, what: str) -> np.ndarray:
     # = (q-1) Z + (n-Z)(q/p-1), for any multiset of rows; the transform of
     # the label histogram over F_p^(ek) gives N0 - N1 = q Z - n for p = 2
     # and N0 for odd p
+    buf = _transform_swapped(_label_histogram(field, rows, lane), p, e * k)
     if p == 2:
-        f = _walsh_hadamard_swapped(
-            _label_histogram(field, rows, 1, lane)[0], e * k)
-        f = np.add(f, n, dtype=np.int32)  # = q Z
+        f = np.add(buf[0], n, dtype=np.int32)  # = q Z
     else:
-        buf = _residue_butterfly_swapped(
-            _label_histogram(field, rows, p, lane), p, e * k)
         f = np.multiply(buf[0], p, dtype=np.int32)
-        del buf
         f -= n * (q - p)  # = q (p-1) Z
+    del buf
     den = q * (p - 1)
     if (f & (q - 1) if p == 2 else f % den).any():
         raise InvariantError(f"{what}: counts not divisible by {den}")
@@ -738,23 +737,22 @@ def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
     # G(0, m-1) is one point, with the single coordinate of the empty tuple
     inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
         else point_table(inner)
-    inner_support = [()] if inner is None else inner.support
+    ext = wedge_layout(field, inner_table)
+    # row j-1: the columns of ext that give U' ^ e_j
+    wedges = np.stack([wedge_columns(s - 1, n, j) for j in range(1, n + 1)])
+    col = {a: i for i, a in enumerate(outer.support)}
     per_string, fiber = q ** (m - s) - q ** (m - s - 1), q ** (m - s)
     what = f"{spec.describe()} split"
     counts: dict[int, int] = {}
     for tuples, size in _rank_classes(field, s, n):
+        coeffs = dict.fromkeys(tuples, 1)
         wt_outer = int(np.count_nonzero(form_values(
-            field, dict.fromkeys(tuples, 1), outer_table, outer.support)))
-        # f'(U' ^ e_j) = sum over a containing j of c_a p_{a - j}(U'),
-        # signed by the entries of a after j that e_j moves past
-        on_z = np.ones(len(inner_table), dtype=bool)
-        for j in range(1, n + 1):
-            contraction = {
-                tuple(x for x in a if x != j):
-                    field.neg(1) if sum(x > j for x in a) % 2 else 1
-                for a in tuples if j in a}
-            on_z &= form_values(field, contraction, inner_table,
-                                inner_support) == 0
+            field, coeffs, outer_table, outer.support)))
+        # f'(U' ^ e_j) for every j at once, from the columns f' reads: at
+        # most n/2 per U' and j, the most tuples a representative has
+        reads = ext.take(wedges[:, [col[a] for a in tuples]], axis=1)
+        on_z = ~form_values(field, coeffs, reads.reshape(len(ext) * n, -1),
+                            tuples).reshape(-1, n).any(axis=1)
         base = wt_outer + (len(inner_table) - int(on_z.sum())) * per_string
         hist = np.bincount(_table_weights(field, inner_table[on_z], what))
         for w in np.flatnonzero(hist).tolist():
@@ -1068,10 +1066,12 @@ def string_partition(code: Code, full: bool) -> dict:
     """The string partition of a Grassmann code: the number of points off
     the last-column locus (those of G(ell, V_{m-1})), and each fiber's
     size or, with ``full``, its echelon matrices, by label sorted as
-    text.  The sizes come from the cell sizes alone, refused like the
-    matrices (``check_work``)."""
+    text.  The sizes come from the cell sizes alone; both listings are
+    refused like the matrices and then by their own price
+    (``check_work``) before any work."""
     _check_grassmann(code, "strings")
     spec = code.spec
+    check_work(spec, ["table", "partition-full" if full else "partition"])
     q, count = spec.field.q, spec.field.q ** (spec.m - spec.ell)
     # the points of the locus of _string_fibers, in count fibers of equal size
     locus = sum(q ** delta(a) for a in spec.support if a[-1] == spec.m)
@@ -1082,7 +1082,6 @@ def string_partition(code: Code, full: bool) -> dict:
                    for mat in fiber]
                   for fiber in fibers.swapaxes(0, 1).tolist()]
     else:
-        check_work(spec, ["table"])
         values = [locus // count] * count
     return {"sub_grassmannian_points": spec.n - locus,
             "fibers": dict(sorted(zip(_fiber_labels(spec), values)))}

@@ -9,10 +9,15 @@ where a^C is the complementary tuple and eps(a) is the sign of the
 shuffle permutation (a^C, a) of (1, ..., m).  With that sign the pairing
 of z against the row wedge of any point equals the direct evaluation
 sum(c_a p_a), which is the convention every verification suite relies on.
+
+``wedge_columns`` owns the batched w ^ e_a map, for the point table and
+the split alike; ``annihilator_ranks`` derives its signs on its own, so
+that the rank cross-check shares no code with the point table.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from typing import Sequence
@@ -22,15 +27,15 @@ import numpy as np
 from .gf import GF
 from .linalg import kernel_basis, rank as matrix_rank, ranks
 from .qcombin import (check_index_tuple, complement, format_index_tuple,
-                      index_tuples, nabla_set, parse_index_tuple)
+                      index_tuples, parse_index_tuple)
 
 __all__ = [
     "DualFunctional", "WedgeElement", "shuffle_sign",
     "functional_to_wedge", "wedge_with_vector", "wedge_of_vectors",
     "wedge_pairing", "annihilator_matrix", "annihilator_basis",
-    "annihilator_dimension", "is_decomposable", "restrict_functional",
-    "check_functional", "annihilator_ranks", "parse_functional",
-    "form_values",
+    "annihilator_dimension", "is_decomposable", "check_functional",
+    "annihilator_ranks", "parse_functional", "form_values", "wedge_layout",
+    "wedge_columns",
 ]
 
 
@@ -193,6 +198,29 @@ def wedge_with_vector(z: WedgeElement, x: Sequence[int]) -> WedgeElement:
     return WedgeElement(field, m, z.degree + 1, out)
 
 
+def wedge_layout(field: GF, w: np.ndarray) -> np.ndarray:
+    """The (N, 2K + 1) uint8 array [w, -w, 0] of an (N, K) array of wedge
+    coordinates, the layout that ``wedge_columns`` indexes."""
+    neg = w if field.p == 2 else field.neg_array[w]  # -w = w for p = 2
+    return np.concatenate([w, neg, np.zeros((len(w), 1), dtype=np.uint8)],
+                          axis=1)
+
+
+@cache
+def wedge_columns(i: int, m: int, a: int) -> np.ndarray:
+    """The columns of ``wedge_layout`` that give w ^ e_a, for w in the i-th
+    exterior power of F_q^m (the batched ``wedge_with_vector``): coordinate
+    b of ``index_tuples(i + 1, m)`` is zero unless a is in b, and
+    otherwise w at b without a, negated when an odd number of entries of
+    b exceed a.  Built once per (i, m, a)."""
+    prev = {b: j for j, b in
+            enumerate(itertools.combinations(range(1, m + 1), i))}
+    k = len(prev)
+    return np.array([prev[tuple(x for x in b if x != a)]
+                     + k * (sum(x > a for x in b) % 2) if a in b else 2 * k
+                     for b in index_tuples(i + 1, m)])
+
+
 def wedge_of_vectors(field: GF, m: int, vectors: Sequence[Sequence[int]]) -> WedgeElement:
     """Iterated exterior product of row vectors; degree len(vectors)."""
     z = WedgeElement(field, m, 0, {(): 1})
@@ -258,20 +286,6 @@ def is_decomposable(z: WedgeElement) -> bool:
     if z.is_zero():
         raise ValueError("zero wedge element")
     return annihilator_dimension(z) == z.degree
-
-
-def restrict_functional(func: DualFunctional,
-                        alpha: tuple[int, ...]) -> DualFunctional | None:
-    """Keep only coefficients supported on the down-set of alpha.
-
-    Returns None when the restriction vanishes identically, i.e. the
-    hyperplane contains the Schubert variety at alpha.
-    """
-    keep = set(nabla_set(alpha, func.m))
-    coeffs = {a: c for a, c in func.coeffs.items() if a in keep}
-    if not coeffs:
-        return None
-    return DualFunctional(func.field, func.ell, func.m, coeffs)
 
 
 def check_functional(func: DualFunctional) -> bool:

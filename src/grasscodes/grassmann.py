@@ -14,20 +14,20 @@ Entries are stored as raw field-element indices (see ``gf``); columns are
 ``cell_minors`` and ``cell_matrices`` are the batched forms used to
 tabulate codes: a whole cell as one uint8 array of Pluecker coordinates,
 built one row at a time, the wedge of the rows so far extended linearly
-by each free entry of the next, or as one uint8 array of echelon
-matrices.  ``enumerate_cell`` and ``plucker`` are their point-at-a-time
-reference.
+by each free entry of the next through ``exterior.wedge_columns``, or as
+one uint8 array of echelon matrices.  ``enumerate_cell`` and ``plucker``
+are their point-at-a-time reference.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from .exterior import wedge_columns, wedge_layout
 from .gf import GF
 from .linalg import determinant  # plucker calls it through this global
 from .qcombin import check_index_tuple, index_tuples, nabla_set
@@ -176,32 +176,14 @@ def cell_minors(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
     w = np.ones((1, 1), dtype=np.uint8)
     for i, p in enumerate(alpha):
         n = len(w)
-        # -w = w in characteristic 2
-        neg = w if field.p == 2 else field.neg_array[w]
-        ext = np.concatenate([w, neg, np.zeros((n, 1), dtype=np.uint8)],
-                             axis=1)
-        acc = ext[:, _wedge_columns(i, m, p)]
+        ext = wedge_layout(field, w)
+        acc = ext[:, wedge_columns(i, m, p)]
         width = acc.shape[1]
         for c in [c + 1 for r, c in slots if r == i]:
-            term = field.vmul(ext[:, None, _wedge_columns(i, m, c)], xs)
+            term = field.vmul(ext[:, None, wedge_columns(i, m, c)], xs)
             acc = field.vadd(acc.reshape(n, -1, 1, width), term[:, None])
         w = acc.reshape(-1, width)
     return w
-
-
-@cache
-def _wedge_columns(i: int, m: int, a: int) -> np.ndarray:
-    """The columns of [w, -w, 0] that give w ^ e_a, for w in the i-th
-    exterior power of F_q^m (the batched ``exterior.wedge_with_vector``):
-    coordinate b of ``index_tuples(i + 1, m)`` is zero unless a is in b,
-    and otherwise w at b without a, negated when an odd number of entries
-    of b exceed a."""
-    prev = {b: j for j, b in
-            enumerate(itertools.combinations(range(1, m + 1), i))}
-    k = len(prev)
-    return np.array([prev[tuple(x for x in b if x != a)]
-                     + k * (sum(x > a for x in b) % 2) if a in b else 2 * k
-                     for b in index_tuples(i + 1, m)])
 
 
 # -- the string decomposition ------------------------------------------------

@@ -192,6 +192,22 @@ def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
                                 " ~777927917054 bytes, budget is 2147483648\n")
 
 
+def test_strings_listing_byte_ceiling_exit_two(capsys, monkeypatch):
+    # C(1,7)/F_16 passes the table price, but its listing of 16^6 fibers
+    # needs several GiB: both forms are refused before any fiber is built
+    def no_listing(*args):
+        raise AssertionError("string partition listed past its price")
+    for name in ("_fiber_labels", "cell_matrices", "cell_minors"):
+        monkeypatch.setattr(codes, name, no_listing)
+    codes.check_work(codes.CodeSpec(GF(2, 4), 1, 7), ["table"])
+    for flag, what in (([], "string partition"),
+                       (["--full"], "string partition --full")):
+        code, out, err = run(capsys, "strings", "-q", "16", "-l", "1",
+                             "-m", "7", *flag)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {what} requires ~")
+
+
 def test_usage_error_exit_one(capsys):
     code, _, err = run(capsys, "params", "-q", "2", "-l", "2")
     assert code == 1 and "error" in err

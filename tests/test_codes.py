@@ -1142,13 +1142,13 @@ def test_transform_divisibility_checked(monkeypatch):
 def test_walsh_hadamard_divisibility_checked(monkeypatch):
     # a label map that is not the trace dual still gives counts divisible
     # by q for p = 2; an off-by-one in one transform entry does not
-    transform = codes._walsh_hadamard_swapped
+    transform = codes._transform_swapped
 
-    def skewed(f, r):
-        f = transform(f, r)
-        f[1] += 1
-        return f
-    monkeypatch.setattr(codes, "_walsh_hadamard_swapped", skewed)
+    def skewed(buf, p, s):
+        out = transform(buf, p, s)
+        out[0, 1] += 1
+        return out
+    monkeypatch.setattr(codes, "_transform_swapped", skewed)
     with pytest.raises(InvariantError, match="divisible by 4"):
         weight_array(Code(CodeSpec(GF(2, 2), 2, 4)))
 
@@ -1159,12 +1159,12 @@ def test_walsh_hadamard_check_survives_optimize_flag():
         "from grasscodes.codes import Code, CodeSpec, InvariantError, "
         "weight_array\n"
         "from grasscodes.gf import GF\n"
-        "transform = codes._walsh_hadamard_swapped\n"
-        "def skewed(f, r):\n"
-        "    f = transform(f, r)\n"
-        "    f[1] += 1\n"
-        "    return f\n"
-        "codes._walsh_hadamard_swapped = skewed\n"
+        "transform = codes._transform_swapped\n"
+        "def skewed(buf, p, s):\n"
+        "    out = transform(buf, p, s)\n"
+        "    out[0, 1] += 1\n"
+        "    return out\n"
+        "codes._transform_swapped = skewed\n"
         "try:\n"
         "    weight_array(Code(CodeSpec(GF(2, 2), 2, 4)))\n"
         "except InvariantError:\n"
@@ -1175,13 +1175,13 @@ def test_walsh_hadamard_check_survives_optimize_flag():
 def test_residue_butterfly_divisibility_checked(monkeypatch):
     # an off-by-one in one odd-p count: p N0 - n (q - p) moves by p = 3,
     # which q (p - 1) = 6 does not divide
-    transform = codes._residue_butterfly_swapped
+    transform = codes._transform_swapped
 
     def skewed(buf, p, s):
         out = transform(buf, p, s)
         out[0, 1] += 1
         return out
-    monkeypatch.setattr(codes, "_residue_butterfly_swapped", skewed)
+    monkeypatch.setattr(codes, "_transform_swapped", skewed)
     with pytest.raises(InvariantError, match="divisible by 6"):
         weight_array(Code(CodeSpec(GF(3), 2, 4)))
 
@@ -1192,12 +1192,12 @@ def test_residue_butterfly_check_survives_optimize_flag():
         "from grasscodes.codes import Code, CodeSpec, InvariantError, "
         "weight_array\n"
         "from grasscodes.gf import GF\n"
-        "transform = codes._residue_butterfly_swapped\n"
+        "transform = codes._transform_swapped\n"
         "def skewed(buf, p, s):\n"
         "    out = transform(buf, p, s)\n"
         "    out[0, 1] += 1\n"
         "    return out\n"
-        "codes._residue_butterfly_swapped = skewed\n"
+        "codes._transform_swapped = skewed\n"
         "try:\n"
         "    weight_array(Code(CodeSpec(GF(3), 2, 4)))\n"
         "except InvariantError:\n"
@@ -1253,9 +1253,9 @@ def test_table_weights_lanes_agree_at_int16_boundary(monkeypatch, p):
     lanes = []
     histogram = codes._label_histogram
 
-    def spy(field, table, rows, lane):
+    def spy(field, table, lane):
         lanes.append(lane)
-        return histogram(field, table, rows, lane)
+        return histogram(field, table, lane)
     monkeypatch.setattr(codes, "_label_histogram", spy)
     field = GF(p)
     n = 2**15 // (p - 1) - 1
@@ -1291,10 +1291,10 @@ def test_two_phase_walsh_hadamard_matches_oracle(r):
         y = np.arange(2**r)
         parity = np.array([[bin(c & v).count("1") % 2 for v in y] for c in y])
         assert np.array_equal((1 - 2 * parity) @ values, expected)
-    f = np.zeros(2**r, dtype=np.int32)
-    f[codes._swap_digits(np.arange(2**r), 2, r)] = values
-    out = codes._walsh_hadamard_swapped(f, r)
-    assert out.dtype == np.int32 and np.array_equal(out, expected)
+    f = np.zeros((1, 2**r), dtype=np.int32)
+    f[0, codes._swap_digits(np.arange(2**r), 2, r)] = values
+    out = codes._transform_swapped(f, 2, r)
+    assert out.dtype == np.int32 and np.array_equal(out[0], expected)
 
 
 def _residue_butterfly_oracle(buf: np.ndarray, p: int) -> np.ndarray:
@@ -1343,7 +1343,7 @@ def test_swapped_residue_butterfly_matches_oracle(p, s, lane):
         assert np.array_equal(brute, expected)
     buf = np.zeros((p, size), dtype=lane)
     buf[0, codes._swap_digits(np.arange(size), p, s)] = values
-    out = codes._residue_butterfly_swapped(buf, p, s)
+    out = codes._transform_swapped(buf, p, s)
     assert out.dtype == lane and np.array_equal(out, expected)
 
 
@@ -1357,9 +1357,9 @@ def test_int16_walsh_hadamard_wraps_exactly(r):
     pos = codes._swap_digits(np.arange(2**r), 2, r)
     out = {}
     for lane in (np.int16, np.int32):
-        f = np.zeros(2**r, dtype=lane)
-        f[pos] = values
-        out[lane] = codes._walsh_hadamard_swapped(f, r)
+        f = np.zeros((1, 2**r), dtype=lane)
+        f[0, pos] = values
+        out[lane] = codes._transform_swapped(f, 2, r)[0]
     expected = values.copy()
     _walsh_hadamard_oracle(expected)
     assert out[np.int16].dtype == np.int16
@@ -1374,12 +1374,12 @@ def test_weight_array_lane(monkeypatch, e, m, lane):
     # (q-1) n: 7 * 4745 = 33 215 for C(2,4)/F_8, 3 * 5797 for C(2,5)/F_4
     assert ((spec.field.q - 1) * spec.n >= 2**15) == (lane is np.int32)
     seen = []
-    transform = codes._walsh_hadamard_swapped
+    transform = codes._transform_swapped
 
-    def recording(f, r):
-        seen.append(f.dtype)
-        return transform(f, r)
-    monkeypatch.setattr(codes, "_walsh_hadamard_swapped", recording)
+    def recording(buf, p, s):
+        seen.append(buf.dtype)
+        return transform(buf, p, s)
+    monkeypatch.setattr(codes, "_transform_swapped", recording)
     code = Code(spec)
     table = code.table
     weights = weight_array(code)

@@ -1,21 +1,23 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasscodes import exterior, grassmann
 from grasscodes.codes import class_representatives
 from grasscodes.exterior import (DualFunctional, WedgeElement,
                                  annihilator_basis, annihilator_dimension,
                                  annihilator_matrix, annihilator_ranks,
                                  check_functional, functional_to_wedge,
                                  is_decomposable, parse_functional,
-                                 restrict_functional, shuffle_sign,
+                                 shuffle_sign, wedge_columns, wedge_layout,
                                  wedge_of_vectors, wedge_pairing,
                                  wedge_with_vector)
 from grasscodes.gf import GF
-from grasscodes.grassmann import enumerate_grassmannian, plucker
+from grasscodes.grassmann import cell_minors, enumerate_grassmannian, plucker
 from grasscodes.linalg import rank as matrix_rank
 from grasscodes.qcombin import index_tuples
 
@@ -148,12 +150,49 @@ def test_check_functional_examples(f2):
     assert not check_functional(parse_functional("X:1,2 + X:3,4", 2, 4, f2))
 
 
-def test_restrict_functional(f2):
-    func = parse_functional("X:1,3 + X:2,4", 2, 4, f2)
-    r = restrict_functional(func, (1, 4))
-    assert r is not None and set(r.coeffs) == {(1, 3)}
-    gone = restrict_functional(parse_functional("X:3,4", 2, 4, f2), (1, 4))
-    assert gone is None
+@pytest.mark.parametrize("field", [GF(3), GF(2, 2)], ids=["F3", "F4"])
+def test_wedge_columns_match_wedge_with_vector(field):
+    rng = np.random.default_rng(field.q)
+    for m in range(1, 7):
+        for i in range(m):
+            basis = list(itertools.combinations(range(1, m + 1), i))
+            rows = rng.integers(0, field.q, (4, len(basis)), dtype=np.uint8)
+            ext = wedge_layout(field, rows)
+            for a in range(1, m + 1):
+                e = [int(j == a) for j in range(1, m + 1)]
+                got = ext[:, wedge_columns(i, m, a)].tolist()
+                for row, out in zip(rows.tolist(), got):
+                    z = wedge_with_vector(
+                        WedgeElement(field, m, i, dict(zip(basis, row))), e)
+                    assert out == [z.coeffs.get(b, 0)
+                                   for b in index_tuples(i + 1, m)]
+
+
+def _flipped_wedge_columns(i, m, a):
+    """``wedge_columns`` with the sign of every other entry flipped."""
+    k = math.comb(m, i)
+    cols = wedge_columns(i, m, a).copy()
+    odd = cols[1::2]
+    odd[odd < 2 * k] = (odd[odd < 2 * k] + k) % (2 * k)
+    return cols
+
+
+def test_annihilator_ranks_do_not_share_the_wedge_map(monkeypatch, f3):
+    # the rank cross-check stays independent of the map behind the point
+    # table: a wrong map breaks the minors but no annihilator rank
+    rng = np.random.default_rng(3)
+    cases = [(2, 4, np.array(list(class_representatives(3, 6)),
+                             dtype=np.uint8)),
+             (2, 5, rng.integers(0, 3, (200, 10), dtype=np.uint8)),
+             (3, 5, rng.integers(0, 3, (200, 10), dtype=np.uint8))]
+    cases = [(ell, m, vecs[vecs.any(axis=1)]) for ell, m, vecs in cases]
+    expected = [annihilator_ranks(f3, ell, m, vecs) for ell, m, vecs in cases]
+    minors = cell_minors((3, 4), 4, f3)
+    monkeypatch.setattr(exterior, "wedge_columns", _flipped_wedge_columns)
+    monkeypatch.setattr(grassmann, "wedge_columns", _flipped_wedge_columns)
+    assert not np.array_equal(cell_minors((3, 4), 4, f3), minors)
+    for (ell, m, vecs), ranks in zip(cases, expected):
+        assert np.array_equal(annihilator_ranks(f3, ell, m, vecs), ranks)
 
 
 # -- batched annihilator ranks --------------------------------------------------
