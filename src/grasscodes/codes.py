@@ -1,14 +1,19 @@
 """Grassmann and Schubert codes: generator matrices, weight distributions,
 and the theorem-verification suites.
 
-The projective system of a code is the ordered list of (projectively
-normalized) Pluecker coordinate vectors of all Grassmannian or Schubert
-points, kept as one (n, k) uint8 array (``point_table``); the weight of
-the codeword attached to a hyperplane functional is the number of points
-where the functional does not vanish.
+The projective system of a code is the ordered list of the Pluecker
+coordinate vectors of all Grassmannian or Schubert points, kept as one
+(n, k) uint8 array; the weight of the codeword attached to a hyperplane
+functional is the number of points where the functional does not vanish.
+That number, and every section and incidence the suites count, is the
+same for any rescaling of a point's vector.  So ``Code.table`` keeps the
+minors as ``minors_table`` builds them, each point's right-echelon
+representative, and only ``point_table`` (hence ``build_generator``) and
+``decomposable_table`` normalize, in one pass, to the representative
+whose first nonzero coordinate is 1.
 
 A ``Code`` builds each array the suites read once, on first use; a
-command makes one.  ``point_table`` is the one builder of Pluecker
+command makes one.  ``minors_table`` is the one builder of Pluecker
 minors; ``Code.matrices`` holds the echelon matrices alone.
 
 Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
@@ -21,7 +26,12 @@ rows of at least p^(ek // 2) entries.  The transform runs in int16 when
 (q-1) n < 2^15, since its values lie within +-(q-1) n, and in int32
 above.  The transform (``_table_weights``) weighs the rows of any
 uint8 array; the attained-family suite runs it on the ell + 2 columns its
-family uses.  ``class_weights`` is a view of it.
+family uses.  Its input, the histogram of the labelled multiples of the
+rows, is written straight into the digit-swapped layout
+(``_label_histogram``): the swap only moves base-p digits, so one
+(q-1, q) table per column gives each label its place there, and the
+places are added column by column into one int64 buffer.
+``class_weights`` is a view of the transform.
 
 The split (``split_distribution``) gives the weight distribution of a
 Grassmann code without a sweep, from the paper's decomposition of
@@ -90,7 +100,8 @@ from .grassmann import cell_matrices, cell_minors
 __all__ = [
     "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
     "BudgetExceeded", "InvariantError", "DEFAULT_BUDGET", "MAX_SWEEP_BYTES",
-    "build_generator", "point_table", "check_work", "decomposable_table",
+    "build_generator", "point_table", "minors_table", "check_work",
+    "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
     "weight_array", "weight_distribution", "split_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
@@ -170,6 +181,10 @@ class CodeSpec:
 _REPORT_BYTES = 8192
 _COUNT_BYTES = {"strings": 384, "zanella": 192}
 
+# bytes of one block of ``_normalize_rows``: well under glibc's default
+# mmap threshold of 128 KiB, so each block's temporaries reuse heap pages
+_BLOCK_BYTES = 2**15
+
 # peak bytes of the ``strings`` listing: per fiber, and with --full per
 # point plus per matrix entry; fitted on peak RSS (see README), rounded up
 _FIBER_BYTES, _POINT_BYTES, _ENTRY_BYTES = 512, 512, 16
@@ -181,11 +196,11 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
     list order, whose operations exceed ``budget`` (None: no limit) or,
     checked after that, whose bytes exceed ``MAX_SWEEP_BYTES``.
 
-    - ``"table"``: ``point_table`` or ``Code.matrices``, cell by cell; the
-      largest cell as ``cell_minors`` or ``cell_matrices`` builds it
-      (``_cell_bytes``) and its normalization temporaries, plus two bytes
-      per point for every coordinate or matrix entry kept across cells.
-      Bytes only.
+    - ``"table"``: ``minors_table`` (so ``point_table``) or
+      ``Code.matrices``, cell by cell; the largest cell as ``cell_minors``
+      or ``cell_matrices`` builds it (``_cell_bytes``) and 2k + 24 bytes
+      per point of it, plus two bytes per point for every coordinate or
+      matrix entry kept across cells.  Bytes only.
     - ``"sweep"``: a pass over every scalar class, priced as classes times
       points, and one transform over the q^k codewords.
     - ``"split"``: the transform of ``_split_counts`` on side ell of
@@ -231,10 +246,20 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
         what = {"table": "point table", "sweep": "sweep", "split": "split",
                 "partition": "string partition", "partition-full":
                 "string partition --full"}.get(work, f"--suite {work}")
-        if budget is not None and ops is not None and ops > budget:
-            raise BudgetExceeded(what, ops, "operations", budget)
-        if nbytes > MAX_SWEEP_BYTES:
-            raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
+        _refuse(what, ops, nbytes, budget)
+
+
+def _refuse(what: str, ops: int | None, nbytes: int,
+            budget: int | None = None) -> None:
+    """The refusal rule of ``check_work`` (and of
+    ``macwilliams.dual_distribution``) for one piece of work, ``what``:
+    ``BudgetExceeded`` when its operations exceed ``budget`` (None, for
+    either: no limit) or, checked after that, its bytes exceed
+    ``MAX_SWEEP_BYTES``."""
+    if budget is not None and ops is not None and ops > budget:
+        raise BudgetExceeded(what, ops, "operations", budget)
+    if nbytes > MAX_SWEEP_BYTES:
+        raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
 
 
 def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
@@ -250,9 +275,57 @@ def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
 
 
 def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
-    """Scale each (nonzero) row so its first nonzero entry is 1."""
-    lead = coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)]
-    return field.vmul(field.inv_array[lead][:, None], coords)
+    """Scale each (nonzero) row of ``coords`` in place so that its first
+    nonzero entry is 1, and return it; nothing to do when q = 2.
+
+    The lead is looked up column by column, only in the rows still zero.
+    Scaling row x by t = 1 / lead(x) is one byte-table lookup: t q + x_i,
+    below q^2 <= 256, indexes the flat multiplication table, which
+    ``bytes.translate`` reads without the 8-byte index copy of a numpy
+    gather.  It runs on blocks of ``_BLOCK_BYTES``, so that no temporary
+    outgrows the allocator's reusable heap."""
+    q = field.q
+    if q == 2:
+        return coords
+    lead = coords[:, 0].copy()
+    rest = np.flatnonzero(lead == 0)
+    for column in coords.T[1:]:
+        if not len(rest):
+            break
+        lead[rest] = column[rest]
+        rest = rest[lead[rest] == 0]
+    coords += (field.inv_array[lead] * np.uint8(q))[:, None]
+    table = field.mul_array.tobytes().ljust(256, b"\0")
+    step = max(1, _BLOCK_BYTES // coords.shape[1])
+    for i in range(0, len(coords), step):
+        block = coords[i:i + step]
+        block[...] = np.frombuffer(block.tobytes().translate(table),
+                                   np.uint8).reshape(block.shape)
+    return coords
+
+
+def minors_table(spec: CodeSpec) -> np.ndarray:
+    """The Pluecker coordinates of every point as ``cell_minors`` gives
+    them, an (n, k) uint8 array in ``point_table`` order, not normalized.
+
+    Row i is ``plucker(mat)`` of the i-th point, restricted to the columns
+    of ``spec.support``: its right-echelon representative, whose minor at
+    the pivot tuple of its cell is 1 and whose later minors in lex order
+    are 0.  It is the same projective point as row i of ``point_table``,
+    so every weight, section and incidence the suites count reads the
+    same off either; ``Code.table`` keeps it.  Raises ``BudgetExceeded``
+    over ``MAX_SWEEP_BYTES``, before allocating.
+    """
+    check_work(spec, ["table"])
+    field, ell, m = spec.field, spec.ell, spec.m
+    # the cells of the code are its support; a point of the Schubert
+    # variety vanishes off the support
+    cells = [cell_minors(alpha, m, field) for alpha in spec.support]
+    if spec.is_schubert:
+        all_tuples = index_tuples(ell, m)
+        keep = [all_tuples.index(a) for a in spec.support]
+        cells = [minors[:, keep] for minors in cells]
+    return np.concatenate(cells)
 
 
 def point_table(spec: CodeSpec) -> np.ndarray:
@@ -261,20 +334,12 @@ def point_table(spec: CodeSpec) -> np.ndarray:
     Row i is ``plucker(mat).normalized()`` of the i-th point of
     ``enumerate_grassmannian`` (for a Schubert code,
     ``enumerate_schubert_variety``), restricted to the columns of
-    ``spec.support``.  Built one cell at a time with ``cell_minors``;
-    ``Code.table`` keeps it for the suites.  Raises ``BudgetExceeded``
-    over ``MAX_SWEEP_BYTES``, before allocating.
+    ``spec.support``: ``minors_table`` normalized in one pass (restricting
+    keeps the leading coordinate, since the point vanishes off the
+    support).  Raises ``BudgetExceeded`` over ``MAX_SWEEP_BYTES``, before
+    allocating.
     """
-    check_work(spec, ["table"])
-    field, ell, m = spec.field, spec.ell, spec.m
-    all_tuples = index_tuples(ell, m)
-    keep = [all_tuples.index(a) for a in spec.support]
-    # the cells of the code are its support; a point of the Schubert
-    # variety vanishes off the support, so restricting keeps its leading
-    # coordinate
-    return np.concatenate([
-        _normalize_rows(field, cell_minors(alpha, m, field)[:, keep])
-        for alpha in spec.support])
+    return _normalize_rows(spec.field, minors_table(spec))
 
 
 @dataclass(eq=False)
@@ -285,7 +350,7 @@ class Code:
     wrapper installed on them sees every build."""
 
     spec: CodeSpec
-    table = cached_property(lambda self: point_table(self.spec))
+    table = cached_property(lambda self: minors_table(self.spec))
     weights = cached_property(lambda self: weight_array(self))
     decomposables = cached_property(lambda self: decomposable_table(self))
 
@@ -379,8 +444,9 @@ def build_generator(spec: CodeSpec) -> GeneratorMatrix:
 
 def codeword_weight(func: DualFunctional, spec: CodeSpec,
                     table: np.ndarray) -> int:
-    """Number of points of ``table``, the code's ``point_table``, where the
-    functional does not vanish: the reference for ``weight_array``."""
+    """Number of points of ``table``, the code's ``Code.table`` or
+    ``point_table``, where the functional does not vanish: the reference
+    for ``weight_array``."""
     if func.ell != spec.ell or func.m != spec.m or func.field != spec.field:
         raise ValueError("functional does not match the code parameters")
     support = spec.support
@@ -526,19 +592,26 @@ def _label_histogram(field: GF, table: np.ndarray, lane: type) -> np.ndarray:
     zero below row 0, where row 0 counts the labelled multiples of the
     points of ``table`` at each codeword index, in the layout of
     ``_swap_digits``."""
-    q, k = field.q, table.shape[1]
+    q, p, k = field.q, field.p, table.shape[1]
+    s = field.e * k
     # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0,
-    # at the base-q index of its labelled coordinates, built one at a time
+    # at the base-q index of its labelled coordinates.  The swap only moves
+    # base-p digits, so column j's label lands, digits already in place,
+    # at _swap_digits(label q^(k-1-j)); those places are added one column
+    # at a time into one buffer
     labels = _trace_dual(field)[field.mul_array[1:]]
     idx = np.zeros((q - 1, len(table)), dtype=np.int64)
-    for column in table.T:
-        idx *= q
-        idx += labels[:, column]
-    hist = np.zeros((1 if field.p == 2 else field.p, q**k), dtype=lane)
+    places = np.empty_like(idx)
+    for j, column in enumerate(table.T):
+        # mode "clip" (the labels are in range): in the default mode,
+        # ``take`` buffers its ``out``
+        np.take(_swap_digits(labels * q ** (k - 1 - j), p, s), column,
+                axis=1, out=places, mode="clip")
+        idx += places
+    hist = np.zeros((1 if p == 2 else p, q**k), dtype=lane)
     # a 1 of the histogram's own dtype keeps ``add.at`` on its uncast
     # loop; a Python int 1 is read as int64, which is ~30x slower
-    np.add.at(hist[0], _swap_digits(idx.ravel(), field.p, field.e * k),
-              lane(1))
+    np.add.at(hist[0], idx.ravel(), lane(1))
     return hist
 
 
@@ -733,10 +806,10 @@ def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
     if inner is not None:
         check_work(inner, ["table"])
     check_work(CodeSpec(field, s, m), ["split"])
-    outer_table = point_table(outer)
+    outer_table = minors_table(outer)
     # G(0, m-1) is one point, with the single coordinate of the empty tuple
     inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
-        else point_table(inner)
+        else minors_table(inner)
     ext = wedge_layout(field, inner_table)
     # row j-1: the columns of ext that give U' ^ e_j
     wedges = np.stack([wedge_columns(s - 1, n, j) for j in range(1, n + 1)])

@@ -19,13 +19,17 @@ at once, holding two steps, O(#weights * n log q) bits, where
 division by j+1 is exact; a remainder is a program fault and raises
 ``InvariantError``.  The cost is O(#weights * n) big-integer steps.  A
 complete distribution is consistent only if every B_j is a nonnegative
-integer.
+integer.  ``dual_distribution`` prices the n + 1 values it keeps before
+its first step and refuses them over ``codes.MAX_SWEEP_BYTES`` by the rule
+of ``codes.check_work``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
+from .codes import _refuse
 from .qcombin import InvariantError
 
 __all__ = ["dual_distribution", "check_macwilliams"]
@@ -68,10 +72,20 @@ def _transform_sums(items: list[tuple[int, int]], n: int,
         yield sum(terms)
 
 
+# peak bytes of ``dual_distribution`` per bit of its n + 1 sums
+# sum_i A_i K_j(i), each below q^(n+k) in absolute value, so priced at
+# (n + k) log2(q) bits: the tracemalloc peaks of C(2,4)/F_8, C(2,6)/F_3
+# and C(2,7)/F_2 are 0.101, 0.111 and 0.128 B per bit, rounded up
+_DUAL_BYTES_PER_BIT = 0.13
+
+
 def dual_distribution(counts: dict[int, int], n: int, q: int, k: int) -> dict[int, int]:
     """Weight distribution of the dual code, exact; raises ``ValueError``
     on a weight outside 0..n, a negative count, or an inconsistent
-    distribution."""
+    distribution, and ``codes.BudgetExceeded`` before any step when its
+    n + 1 exact sums would exceed ``codes.MAX_SWEEP_BYTES``."""
+    _refuse("dual distribution", None, math.ceil(
+        _DUAL_BYTES_PER_BIT * (n + 1) * (n + k) * math.log2(q)))
     # every step runs before a B_j is judged, so that an inexact step
     # raises ``InvariantError`` rather than an inconsistency; each sum is
     # then replaced by its B_j, so the two are never held together

@@ -250,7 +250,7 @@ def test_prime_power_field_order(capsys):
 
 
 def test_memory_ceiling_exit_two(capsys, monkeypatch):
-    monkeypatch.setattr(codes, "point_table", None)  # must not be reached
+    monkeypatch.setattr(codes, "minors_table", None)  # must not be reached
     tracemalloc.start()
     try:
         for argv in (["wdist"], ["verify", "--suite", "nogin"]):
@@ -435,12 +435,12 @@ def test_unwritable_output_path(capsys, tmp_path):
 
 
 def test_verify_all_builds_each_array_once(capsys, monkeypatch):
-    # one command, one Code: each point table and the weight array are
-    # built once, the minors of each cell once, inside the point tables of
-    # C(2,4) and C(1,3), and the echelon matrices of each cell of C(2,4)
-    # at most once
+    # one command, one Code: each table of minors and the weight array are
+    # built once, the minors of each cell once, inside the tables of C(2,4)
+    # and C(1,3), and the echelon matrices of each cell of C(2,4) at most
+    # once
     log = []
-    for name in ("point_table", "weight_array", "cell_matrices",
+    for name in ("minors_table", "weight_array", "cell_matrices",
                  "cell_minors"):
         def counted(*args, _name=name, _fn=getattr(codes, name)):
             log.append((_name, args[0]))
@@ -449,7 +449,7 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "-q", "2", "-l", "2", "-m", "4",
                        "--suite", "all")
     assert code == 0 and json.loads(out)["pass"] is True
-    tables = sorted((s.ell, s.m) for name, s in log if name == "point_table")
+    tables = sorted((s.ell, s.m) for name, s in log if name == "minors_table")
     assert tables == [(1, 3), (2, 4)]
     assert [name for name, _ in log].count("weight_array") == 1
     minors = sorted(alpha for name, alpha in log if name == "cell_minors")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
-from grasscodes import codes, exterior
+from grasscodes import codes, exterior, macwilliams
 from grasscodes.cli import _jsonify
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               InvariantError, WeightDistribution,
@@ -40,8 +40,8 @@ from grasscodes.grassmann import (cell_matrices, cell_minors,
 from grasscodes.linalg import rank as matrix_rank
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
 from grasscodes.linalg import ranks
-from grasscodes.qcombin import (alternating_count, delta_set, gaussian_binomial,
-                                index_tuples)
+from grasscodes.qcombin import (alternating_count, delta, delta_set,
+                                gaussian_binomial, index_tuples)
 
 
 def test_spec_parameters(f2, f3):
@@ -270,6 +270,27 @@ def test_weight_array_matches_codeword_weight(p, e, modulus, ell, m, alpha):
                              f"{p}^{e}:{modulus}:{ell}:{m}:{alpha}")
 
 
+@pytest.mark.parametrize("p,e,modulus,ell,m,alpha", ENGINE_CODES,
+                         ids=lambda v: "".join(map(str, v))
+                         if isinstance(v, tuple) else str(v))
+def test_minors_table_normalizes_to_point_table(p, e, modulus, ell, m, alpha):
+    # Code.table holds each point's right-echelon minors, cell after cell
+    # of the support: 1 at the cell's pivot tuple and 0 at every later
+    # tuple; normalized in one pass, they are point_table
+    field = GF(p, e, modulus=modulus)
+    spec = CodeSpec(field, ell, m, alpha)
+    raw = Code(spec).table
+    assert raw.shape == (spec.n, spec.k) and raw.dtype == np.uint8
+    start = 0
+    for j, cell in enumerate(spec.support):
+        rows = raw[start:start + field.q ** delta(cell)]
+        assert (rows[:, j] == 1).all() and not rows[:, j + 1:].any(), cell
+        start += len(rows)
+    assert start == spec.n
+    assert np.array_equal(codes._normalize_rows(field, raw.copy()),
+                          point_table(spec))
+
+
 def _assert_codeword_weights(spec, table, weights, seed):
     """``weights`` agrees with ``codeword_weight`` on seeded samples from
     every weight class, so that a wrong labelling, which permutes the
@@ -302,7 +323,7 @@ def test_memory_ceiling_refuses_before_allocating(monkeypatch):
 
     def no_table(spec):
         raise AssertionError("point table built for a refused sweep")
-    monkeypatch.setattr(codes, "point_table", no_table)
+    monkeypatch.setattr(codes, "minors_table", no_table)
     with pytest.raises(BudgetExceeded, match="bytes"):
         weight_array(Code(spec))
     with pytest.raises(BudgetExceeded, match="bytes"):
@@ -1032,6 +1053,23 @@ def _pinned_distributions():
         yield name, spec, {int(w): int(c) for w, c in counts.items()}
 
 
+def test_dual_distribution_priced_before_work(monkeypatch):
+    def no_steps(*args):
+        raise AssertionError("Krawtchouk steps started")
+    monkeypatch.setattr(macwilliams, "_weighted_krawtchouk", no_steps)
+    # C(2,4) over F_16, n = 70 161: its n + 1 exact sums are priced over
+    # the ceiling before any step
+    spec = CodeSpec(GF(2, 4), 2, 4)
+    counts = split_distribution(Code(spec)).counts
+    with pytest.raises(BudgetExceeded, match=r"^dual distribution requires "
+                       r"~\d+ bytes, budget is 2147483648$") as refused:
+        dual_distribution(counts, spec.n, 16, spec.k)
+    assert refused.value.required > codes.MAX_SWEEP_BYTES
+    # a length under the price reaches the steps
+    with pytest.raises(AssertionError, match="steps started"):
+        dual_distribution({0: 1, 4: 7}, 7, 2, 3)
+
+
 def test_streamed_check_matches_dual_distribution():
     names = []
     for name, spec, counts in _pinned_distributions():
@@ -1244,6 +1282,31 @@ def test_table_weights_match_direct_evaluation(p, e):
             weights = codes._table_weights(field, case, "rows")
             assert weights.dtype == np.int32
             assert np.array_equal(weights, _direct_weights(field, case))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
+                                 (2, 4), (2, 3)])
+def test_label_histogram_matches_swapped_indices(p, e):
+    # the reference: the natural base-q index of every labelled multiple
+    # over (q-1) N entries, moved by _swap_digits and counted with add.at;
+    # for odd e k (F_8 always, F_4, F_16 and F_9 at odd K) one column's
+    # digits straddle the swap point
+    field = GF(p, e)
+    q = field.q
+    labels = codes._trace_dual(field)[field.mul_array[1:]]
+    rng = np.random.default_rng([p, e, 19])
+    for k in range(1, 6):
+        rows = rng.integers(0, q, (40, k), dtype=np.uint8)
+        rows[3] = rows[8]  # a repeated row
+        rows[5] = 0  # a zero row
+        idx = np.zeros((q - 1, len(rows)), dtype=np.int64)
+        for column in rows.T:
+            idx = idx * q + labels[:, column]
+        expected = np.zeros((1 if p == 2 else p, q**k), dtype=np.int64)
+        np.add.at(expected[0], codes._swap_digits(idx.ravel(), p, e * k), 1)
+        for lane in (np.int16, np.int32):
+            hist = codes._label_histogram(field, rows, lane)
+            assert hist.dtype == lane and np.array_equal(hist, expected)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1526,7 +1589,7 @@ def test_split_c36_f3_second_weight_count():
 def test_split_refuses_before_allocating(monkeypatch):
     def no_table(spec):
         raise AssertionError("point table built for a refused split")
-    monkeypatch.setattr(codes, "point_table", no_table)
+    monkeypatch.setattr(codes, "minors_table", no_table)
     # C(3,7) over F_3: side 4 needs a transform of 3^20 codewords
     with pytest.raises(BudgetExceeded, match="^split requires"):
         split_distribution(Code(CodeSpec(GF(3), 3, 7)))

@@ -129,8 +129,11 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     layers["histogram"], (values, hist) = median_of(
         lambda: np.unique(weights, return_counts=True))
     counts = dict(zip(values.tolist(), hist.tolist()))
-    layers["dual_distribution"], _ = median_of(
-        lambda: dual_distribution(counts, n, q, k))
+    try:
+        layers["dual_distribution"], _ = median_of(
+            lambda: dual_distribution(counts, n, q, k))
+    except BudgetExceeded as exc:
+        layers["dual_distribution"] = f"refused: {exc}"
     if nogin:
         layers["verify_nogin"], _ = median_of(lambda: verify_nogin(Code(spec)))
     return row
