@@ -7,7 +7,7 @@ decomposable hyperplanes together with the second-minimum-weight formula
 and the supporting combinatorial identities.
 """
 
-from .gf import GF, FieldElement
+from .gf import GF
 from .qcombin import (index_tuples, delta, bruhat_leq, nabla_set, delta_set,
                       complement, gaussian_binomial, e_bound, e_prime_bound,
                       verify_gaussian_identities, verify_e_inequalities)

@@ -16,6 +16,9 @@ A ``Code`` builds each array the suites read once, on first use; a
 command makes one.  ``minors_table`` is the one builder of Pluecker
 minors; ``Code.matrices`` holds the echelon matrices alone.
 
+A codeword c in F_q^k is held as its big-endian base-q index
+c @ ``_places(q, k)``, and ``_digits`` gives the vectors back.
+
 Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
 once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
 & Sloane ch. 5): one two-phase driver, ``_transform_swapped``, runs the
@@ -80,11 +83,10 @@ reduced at once by ``exterior.annihilator_ranks``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
@@ -463,22 +465,17 @@ def class_count(q: int, k: int) -> int:
     return (q**k - 1) // (q - 1)
 
 
-def class_representatives(q: int, k: int):
-    """One representative per scalar class: first nonzero coefficient 1.
+def _places(q: int, k: int) -> np.ndarray:
+    """q^(k-1-j) for j < k: the codeword c of F_q^k has index
+    c @ _places(q, k)."""
+    return q ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
-    Deterministic order: by position of the leading 1, then by the base-q
-    digits of the tail (earlier coordinates most significant).
-    """
-    for lead in range(k):
-        tail = k - lead - 1
-        for t in range(q**tail):
-            vec = [0] * k
-            vec[lead] = 1
-            x = t
-            for j in range(k - 1, lead, -1):
-                vec[j] = x % q
-                x //= q
-            yield tuple(vec)
+
+def _digits(idx: np.ndarray, q: int, k: int) -> np.ndarray:
+    """The coefficient vectors of the codeword indices ``idx``, an (N, k)
+    uint8 array: the inverse of ``_places``."""
+    return (np.asarray(idx, dtype=np.int64)[:, None] // _places(q, k)
+            % q).astype(np.uint8)
 
 
 def _class_indices(q: int, k: int) -> np.ndarray:
@@ -488,18 +485,23 @@ def _class_indices(q: int, k: int) -> np.ndarray:
                            for j in reversed(range(k))])
 
 
-def _index_vector(i: int, q: int, k: int) -> list[int]:
-    """The coefficient vector of codeword index i = sum_j c_j q^(k-1-j)."""
-    return [i // q ** (k - 1 - j) % q for j in range(k)]
+def class_representatives(q: int, k: int):
+    """One representative per scalar class: first nonzero coefficient 1.
+
+    Deterministic order: by position of the leading 1, then by the base-q
+    digits of the tail (earlier coordinates most significant), i.e. by
+    codeword index.
+    """
+    return map(tuple, _digits(_class_indices(q, k), q, k).tolist())
 
 
 def class_weights(code: Code):
     """Yield (representative vector, weight) over all scalar classes, in
     ``class_representatives`` order, read off ``code.weights``."""
-    weights = code.weights
+    weights = code.weights  # refused before any class is built
     q, k = code.spec.field.q, code.spec.k
-    for vec, i in zip(class_representatives(q, k), _class_indices(q, k)):
-        yield vec, weights.item(i)
+    yield from zip(class_representatives(q, k),
+                   weights[_class_indices(q, k)].tolist())
 
 
 @cache
@@ -508,7 +510,8 @@ def _trace_dual(field: GF) -> np.ndarray:
     inner product of the base-p digits of c with ell(a) is Tr(c a).  Built
     once per field and kept read-only."""
     p, e = field.p, field.e
-    tr = [sum((field.element(b) ** p**j for j in range(e)), field.zero).idx
+    tr = [reduce(field.add, (reduce(field.mul, [b] * p**j, 1)
+                             for j in range(e)), 0)
           for b in range(field.q)]
     dual = np.array([sum(tr[field.mul(a, p**s)] * p**s for s in range(e))
                      for a in range(field.q)])
@@ -892,9 +895,24 @@ _CROSS_CHECK_SEED = 0
 _CROSS_CHECK_SAMPLES = 200
 
 
-def _functional(spec: CodeSpec, vec) -> DualFunctional:
-    return DualFunctional.from_vector(vec, spec.ell, spec.m, spec.field,
-                                      spec.support)
+def _functional_dicts(field: GF, tuples, vecs: np.ndarray) -> list[dict]:
+    """``DualFunctional.to_json_dict`` of the functional with coefficients
+    v over ``tuples``, for every row v of the uint8 array ``vecs``: its
+    nonzero coefficients, keyed by tuple in sorted order."""
+    order = sorted(range(len(tuples)), key=lambda i: tuples[i])
+    names = [format_index_tuple(tuples[i]) for i in order]
+    fmt = [field.format_element(c) for c in range(field.q)]
+    return [{a: fmt[c] for a, c in zip(names, vec) if c}
+            for vec in vecs[:, order].tolist()]
+
+
+def _failures(field: GF, tuples, vecs: np.ndarray, **values) -> list[dict]:
+    """One failure entry per row of ``vecs``: its functional over
+    ``tuples`` (``_functional_dicts``), then its entry of each list in
+    ``values`` under that keyword."""
+    return [{"functional": func, **dict(zip(values, row))}
+            for func, *row in zip(_functional_dicts(field, tuples, vecs),
+                                  *values.values())]
 
 
 def _dual_classes(code: Code):
@@ -904,9 +922,8 @@ def _dual_classes(code: Code):
     spec = code.spec
     q, k = spec.field.q, spec.k
     rows = code.decomposables
-    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     is_dec = np.zeros(q**k, dtype=bool)
-    is_dec[spec.field.mul_array[1:][:, rows] @ places] = True  # t c, t != 0
+    is_dec[spec.field.mul_array[1:][:, rows] @ _places(q, k)] = True  # t c
     classes = _class_indices(q, k)
     return rows, is_dec, classes[~is_dec[classes]]
 
@@ -924,14 +941,12 @@ def _rank_cross_check(spec: CodeSpec, rows: np.ndarray,
         rng = random.Random(_CROSS_CHECK_SEED)
         others = others[sorted(rng.sample(range(len(others)),
                                           _CROSS_CHECK_SAMPLES))]
-    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    vecs = np.concatenate([rows, (others[:, None] // places % q).astype(np.uint8)])
+    vecs = np.concatenate([rows, _digits(others, q, k)])
     expected = np.arange(len(vecs)) < len(rows)
     found = annihilator_ranks(spec.field, spec.ell, spec.m, vecs) == spec.ell
     wrong = found != expected
-    failures = [{"functional": _functional(spec, vec).to_json_dict(),
-                 "decomposable": dec}
-                for vec, dec in zip(vecs[wrong].tolist(), found[wrong].tolist())]
+    failures = _failures(spec.field, spec.support, vecs[wrong],
+                         decomposable=found[wrong].tolist())
     return {"identity": "rank-cross-check", "decomposable": len(rows),
             "sampled": len(others), "failures": failures,
             "pass": not failures}
@@ -951,16 +966,13 @@ def verify_nogin(code: Code) -> dict:
     rows, is_dec, others = _dual_classes(code)
     at_d = weights == d
     bad = np.flatnonzero((weights[1:] < d) | (at_d[1:] != is_dec[1:])) + 1
-    failures = []
-    seen = set()
-    for i, flag in zip(bad.tolist(), is_dec[bad].tolist()):
-        vec = _index_vector(i, q, k)
-        lead = field.inv(next(c for c in vec if c))
-        if (cls := tuple(field.mul(lead, c) for c in vec)) not in seen:
-            seen.add(cls)
-            func = _functional(spec, vec)
-            failures.append({"functional": func.to_json_dict(),
-                             "weight": weights.item(i), "decomposable": flag})
+    # the first bad index of each class, in index order
+    _, first = np.unique(_normalize_rows(field, _digits(bad, q, k))
+                         @ _places(q, k), return_index=True)
+    listed = bad[np.sort(first)]
+    failures = _failures(field, spec.support, _digits(listed, q, k),
+                         weight=weights[listed].tolist(),
+                         decomposable=is_dec[listed].tolist())
     n_min = int(np.count_nonzero(at_d)) // (q - 1)
     expected_classes = gaussian_binomial(spec.m, spec.ell, q)
     checks = [
@@ -1015,13 +1027,14 @@ def _attained_sample(q: int, nfree: int, max_samples: int):
     """
     size = q**nfree
     if (q - 1) * size <= max_samples:
-        return itertools.product(range(1, q), *[range(q)] * nfree)
-    rng = random.Random(_ATTAINED_SEED)
-    per, extra = divmod(max_samples, q - 1)
-    return ((c_theta, *(code // q**j % q for j in reversed(range(nfree))))
-            for c_theta in range(1, q)
-            for code in sorted(rng.sample(range(size),
-                                          per + (c_theta <= extra))))
+        idx = np.arange(size, q * size)
+    else:
+        rng = random.Random(_ATTAINED_SEED)
+        per, extra = divmod(max_samples, q - 1)
+        idx = np.array([c_theta * size + code for c_theta in range(1, q)
+                        for code in sorted(rng.sample(
+                            range(size), per + (c_theta <= extra)))])
+    return map(tuple, _digits(idx, q, nfree + 1).tolist())
 
 
 def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
@@ -1037,7 +1050,7 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     on them at once: one over those columns of ``code.table``, one over
     the same columns of the points of Omega_theta.  A sampled member is
     read off both at the index of its coefficients (c_theta, 1, c_free...);
-    only a failure builds its ``DualFunctional``.
+    only a failure is rendered as a functional.
     """
     if max_samples < 1:
         raise ValueError(f"max_samples must be at least 1, got {max_samples}")
@@ -1050,11 +1063,11 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     dtheta = delta_set(theta, m)
     free = [a for a in dtheta if a != gamma]
     q = field.q
-    family = (q - 1) * q ** len(free)
     n_theta = CodeSpec(field, ell, m, alpha=theta).n
     expected_meet = n_theta - q ** (ell * (m - ell) - 2)
     col = {a: i for i, a in enumerate(spec.support)}
-    family_cols = [col[a] for a in (theta, gamma, *free)]
+    family = (theta, gamma, *free)
+    family_cols = [col[a] for a in family]
     # Omega_theta is the linear section {p_beta = 0 : beta in Delta(theta)}
     omega = table[~table[:, [col[a] for a in dtheta]].any(axis=1)]
     what = f"{spec.describe()} attained family"
@@ -1063,28 +1076,32 @@ def verify_attained_family(code: Code, max_samples: int = 200) -> dict:
     # (c_theta, c_free...) -> (c_theta, 1, c_free...) -> codeword index
     sample = np.array(list(_attained_sample(q, len(free), max_samples)),
                       dtype=np.int64)
-    idx = np.insert(sample, 1, 1, axis=1) @ (
-        q ** np.arange(len(family_cols) - 1, -1, -1, dtype=np.int64))
+    idx = np.insert(sample, 1, 1, axis=1) @ _places(q, len(family))
     w = weights[idx]
     meet = len(omega) - omega_weights[idx]
-    failures = []
-    for i in np.flatnonzero((w != expected_weight) | (meet != expected_meet)):
-        c_theta, *c_free = sample[i].tolist()
-        coeffs = {theta: c_theta, gamma: 1, **dict(zip(free, c_free))}
-        failures.append({
-            "functional": DualFunctional(field, ell, m, coeffs).to_json_dict(),
-            "weight": w.item(i), "omega_meet": meet.item(i)})
+    bad = np.flatnonzero((w != expected_weight) | (meet != expected_meet))
+    failures = _failures(field, family, _digits(idx[bad], q, len(family)),
+                         weight=w[bad].tolist(), omega_meet=meet[bad].tolist())
     checks = [{"identity": "attained-family", "sampled": len(sample),
-               "family": family, "failures": failures, "pass": not failures}]
+               "family": (q - 1) * q ** len(free), "failures": failures,
+               "pass": not failures}]
     return _suite_report("attained", checks, theta=theta, gamma=gamma,
                          expected_weight=expected_weight,
                          expected_omega_meet=expected_meet)
 
 
 def _check_grassmann(code: Code, suite: str) -> None:
-    s = code.spec
-    if s != CodeSpec(s.field, s.ell, s.m):
+    """Refuse a Schubert code; the top cell is the Grassmann code itself."""
+    if code.spec.is_schubert:
         raise ValueError(f"the {suite} suite applies to Grassmann codes")
+
+
+def _check_functional_code(code: Code, func: DualFunctional) -> None:
+    """Refuse a functional that is not one of the Grassmann code ``code``."""
+    s = code.spec
+    if s.is_schubert or (s.field, s.ell, s.m) != (func.field, func.ell,
+                                                  func.m):
+        raise ValueError("functional must be of the Grassmann code")
 
 
 def _string_columns(spec: CodeSpec) -> list[int]:
@@ -1096,9 +1113,11 @@ def _string_columns(spec: CodeSpec) -> list[int]:
 
 
 def _fiber_labels(spec: CodeSpec) -> list[str]:
-    """The fiber labels nu of the strings reports, lexicographic."""
-    return [",".join(map(str, nu)) for nu in itertools.product(
-        range(spec.field.q), repeat=spec.m - spec.ell)]
+    """The fiber labels nu of the strings reports, lexicographic: the
+    digits of 0, 1, ..., q^(m-ell) - 1."""
+    q, s = spec.field.q, spec.m - spec.ell
+    return [",".join(map(str, nu))
+            for nu in _digits(np.arange(q**s), q, s).tolist()]
 
 
 def _strings_report(functional: dict, labels: list[str], on_h: list[int],
@@ -1169,8 +1188,7 @@ def verify_string_section(code: Code, func: DualFunctional) -> dict:
     the re-indexed functional on G(ell-1, V_{m-1}).
     """
     ell, m, field = func.ell, func.m, func.field
-    if code.spec != CodeSpec(field, ell, m):
-        raise ValueError("functional must be of the Grassmann code")
+    _check_functional_code(code, func)
     if any(a[-1] != m for a in func.coeffs):
         raise ValueError("functional must be supported on tuples ending at m")
     cols = _string_columns(code.spec)
@@ -1189,15 +1207,6 @@ def verify_string_section(code: Code, func: DualFunctional) -> dict:
                                                 sub_code.table)
     return _strings_report(func.to_json_dict(), _fiber_labels(code.spec),
                            on_h.tolist(), sub)
-
-
-def _class_functionals(field: GF, tuples: list[tuple[int, ...]]):
-    """``DualFunctional.to_json_dict`` of the functional of every
-    ``class_representatives`` vector over the (sorted) ``tuples``."""
-    names = [format_index_tuple(a) for a in tuples]
-    fmt = [field.format_element(c) for c in range(field.q)]
-    for vec in class_representatives(field.q, len(tuples)):
-        yield {a: fmt[c] for a, c in zip(names, vec) if c}
 
 
 def verify_string_sections(code: Code) -> list[dict]:
@@ -1232,7 +1241,9 @@ def verify_string_sections(code: Code) -> list[dict]:
     labels = _fiber_labels(spec)
     return [_strings_report(functional, labels, counts, sub)
             for functional, counts, sub in zip(
-                _class_functionals(field, last), on_h.tolist(), subs)]
+                _functional_dicts(field, last,
+                                  _digits(classes, field.q, len(last))),
+                on_h.tolist(), subs)]
 
 
 def _kernel_masks(field: GF, mats: np.ndarray):
@@ -1240,13 +1251,12 @@ def _kernel_masks(field: GF, mats: np.ndarray):
     scalar in ``class_representatives`` order, a mask over the (N, ell, m)
     echelon matrices ``mats``: True where the point lies in ker u, i.e.
     each of its rows pairs to 0 with u."""
-    mul = field.mul_array
-    for u in class_representatives(field.q, mats.shape[2]):
-        pairs = np.zeros(mats.shape[:2], dtype=np.uint8)
-        for j, c in enumerate(u):
-            if c:
-                pairs = field.vadd(pairs, mul[c][mats[:, :, j]])
-        yield ~pairs.any(axis=1)
+    m = mats.shape[2]
+    rows = mats.reshape(-1, m)
+    for u in class_representatives(field.q, m):
+        pairs = form_values(field, {j: c for j, c in enumerate(u) if c},
+                            rows, range(m))
+        yield ~pairs.reshape(mats.shape[:2]).any(axis=1)
 
 
 def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
@@ -1268,13 +1278,11 @@ def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
 
 def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
     """Incidence-count bound for hyperplane sections over all V_{m-1}."""
-    ell, m, field = func.ell, func.m, func.field
-    if code.spec != CodeSpec(field, ell, m):
-        raise ValueError("functional must be of the Grassmann code")
+    _check_functional_code(code, func)
     # the echelon matrices of the points on the hyperplane
     on_pi = code.matrices[func.evaluate_rows(code.table) == 0]
     sub_counts = [int(np.count_nonzero(mask))
-                  for mask in _kernel_masks(field, on_pi)]
+                  for mask in _kernel_masks(func.field, on_pi)]
     return _zanella_report(code.spec, len(on_pi), sub_counts)
 
 
@@ -1319,11 +1327,10 @@ def verify_l2_dichotomy(code: Code) -> dict:
     expected_meet = q**3 + q**2 + q + 1
     rows, _, others = _dual_classes(code)
     meets = spec.n - code.weights[others]
-    failures = []
-    for i, meet in zip(others.tolist(), meets.tolist()):
-        if meet != expected_meet:
-            func = _functional(spec, _index_vector(i, q, spec.k))
-            failures.append({"functional": func.to_json_dict(), "meet": meet})
+    wrong = meets != expected_meet
+    failures = _failures(spec.field, spec.support,
+                         _digits(others[wrong], q, spec.k),
+                         meet=meets[wrong].tolist())
     checks = [{"identity": "two-weight",
                "nondecomposable_classes": len(others),
                "expected_meet": expected_meet, "failures": failures,

@@ -1,8 +1,8 @@
 """Exact arithmetic in small finite fields F_q, q = p^e.
 
-Elements are carried as integers in [0, q).  For e = 1 the integer is the
-residue mod p; for e > 1 its base-p digits are the coefficients of the
-polynomial representative, constant term first:
+Elements are integers in [0, q), with no element object.  For e = 1 the
+integer is the residue mod p; for e > 1 its base-p digits are the
+coefficients of the polynomial representative, constant term first:
 
     idx = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
@@ -29,11 +29,9 @@ extension), which keeps element encodings reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["GF", "FieldElement", "DEFAULT_MAX_ORDER"]
+__all__ = ["GF", "DEFAULT_MAX_ORDER"]
 
 DEFAULT_MAX_ORDER = 16
 
@@ -192,7 +190,7 @@ class GF:
             return np.bitwise_and(a, b, dtype=np.uint8)
         return self._mul_flat[a * self.q + b]
 
-    # -- raw integer arithmetic (internal fast path) --------------------------
+    # -- scalar arithmetic on element indices ---------------------------------
 
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
@@ -211,9 +209,6 @@ class GF:
             raise ZeroDivisionError("zero has no inverse")
         return self._inv[a]
 
-    def div(self, a: int, b: int) -> int:
-        return self._mul[a][self.inv(b)]
-
     def coeffs(self, a: int) -> tuple[int, ...]:
         """Coefficient vector (c0, ..., c_{e-1}) of element index a."""
         out = []
@@ -227,32 +222,6 @@ class GF:
             return str(a)
         return "(" + ",".join(str(c) for c in self.coeffs(a)) + ")"
 
-    # -- element-level API -----------------------------------------------------
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def element(self, idx: int) -> "FieldElement":
-        if not 0 <= idx < self.q:
-            raise ValueError(f"element index {idx} out of range for F_{self.q}")
-        return FieldElement(self, idx)
-
-    def elements(self):
-        """All q elements exactly once, zero first, in canonical order."""
-        for i in range(self.q):
-            yield FieldElement(self, i)
-
-    def __iter__(self):
-        return self.elements()
-
-    def __len__(self) -> int:
-        return self.q
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, GF) and self.p == other.p and self.e == other.e
                 and self.modulus == other.modulus)
@@ -265,63 +234,3 @@ class GF:
             return f"GF({self.p})"
         return f"GF({self.p}^{self.e})"
 
-
-@dataclass(frozen=True)
-class FieldElement:
-    """An element of a GF instance; immutable, fully reduced."""
-
-    field: GF
-    idx: int
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if self.field != other.field:
-            raise ValueError("mismatched fields")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.add(self.idx, other.idx))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.sub(self.idx, other.idx))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.mul(self.idx, other.idx))
-
-    def __truediv__(self, other):
-        self._check(other)
-        return FieldElement(self.field, self.field.div(self.idx, other.idx))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.idx))
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.idx))
-
-    def __bool__(self) -> bool:
-        return self.idx != 0
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.field.coeffs(self.idx)
-
-    def __str__(self) -> str:
-        return self.field.format_element(self.idx)
-
-    def __repr__(self) -> str:
-        return f"{self.field!r}:{self}"

@@ -131,10 +131,9 @@ def verify_gaussian_identities(m: int, ell: int, q: int) -> list[dict]:
         raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
     g = gaussian_binomial
     out = [_report("symmetry", g(m, ell, q), g(m, m - ell, q))]
-    if m >= 1 and ell >= 1:
-        pascal = g(m - 1, ell, q) + q ** (m - ell) * g(m - 1, ell - 1, q) \
-            if ell <= m - 1 else q ** (m - ell) * g(m - 1, ell - 1, q)
-        out.append(_report("q-pascal", g(m, ell, q), pascal))
+    pascal = g(m - 1, ell, q) + q ** (m - ell) * g(m - 1, ell - 1, q) \
+        if ell <= m - 1 else q ** (m - ell) * g(m - 1, ell - 1, q)
+    out.append(_report("q-pascal", g(m, ell, q), pascal))
     if ell <= m - 1:
         out.append(_report("ratio",
                            g(m, ell, q) * (q ** (m - ell) - 1),

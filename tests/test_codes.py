@@ -185,6 +185,44 @@ def test_class_representatives(f3):
     assert reps == list(class_representatives(3, 3))
 
 
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 7), (3, 4), (4, 3), (9, 2),
+                                 (16, 2)])
+def test_class_representatives_match_digit_loop(q, k):
+    expected = []
+    for lead in range(k):
+        for t in range(q ** (k - lead - 1)):
+            vec = [0] * k
+            vec[lead] = 1
+            for j in range(k - 1, lead, -1):
+                vec[j] = t % q
+                t //= q
+            expected.append(tuple(vec))
+    assert list(class_representatives(q, k)) == expected
+    assert [sum(c * q ** (k - 1 - i) for i, c in enumerate(vec))
+            for vec in expected] == codes._class_indices(q, k).tolist()
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 20), (3, 6), (4, 5), (9, 3),
+                                 (16, 4)])
+def test_codeword_index_round_trip(q, k):
+    rng = random.Random(q * 100 + k)
+    idx = np.array([0, q**k - 1] + [rng.randrange(q**k) for _ in range(50)])
+    vecs = codes._digits(idx, q, k)
+    assert vecs.dtype == np.uint8 and vecs.shape == (len(idx), k)
+    assert (vecs @ codes._places(q, k)).tolist() == idx.tolist()
+    assert vecs.tolist() == [[i // q ** (k - 1 - j) % q for j in range(k)]
+                             for i in idx.tolist()]
+
+
+@pytest.mark.parametrize("q,ell,m", [(2, 2, 5), (3, 2, 4), (4, 1, 3),
+                                    (3, 3, 3)])
+def test_fiber_labels_in_product_order(q, ell, m):
+    field = GF(2, 2) if q == 4 else GF(q)
+    assert codes._fiber_labels(CodeSpec(field, ell, m)) == [
+        ",".join(map(str, nu))
+        for nu in itertools.product(range(q), repeat=m - ell)]
+
+
 def test_codeword_weight_single_coordinate(f2):
     """Weight of X_alpha is n minus the hyperplane section e(ell, m)."""
     spec = CodeSpec(f2, 2, 4)
@@ -601,6 +639,28 @@ def test_all_class_reports_match_per_functional(q, ell, m):
         assert _jsonify(every(code)) == _jsonify(reference)
 
 
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=["F2", "F3"])
+def test_top_cell_spec_is_the_grassmann_code(field):
+    """alpha = (m-ell+1, ..., m) gives the Grassmann code itself: the
+    strings and Zanella functions report on it as on the plain spec, and a
+    proper Schubert spec is still refused."""
+    text = "X:1,4 + X:3,4"
+    suites = [
+        lambda code: codes.string_partition(code, False),
+        lambda code: codes.string_partition(code, True),
+        verify_string_sections, verify_zanella_incidences,
+        lambda code: verify_string_section(
+            code, parse_functional(text, 2, 4, field)),
+        lambda code: verify_zanella_incidence(
+            code, parse_functional(text, 2, 4, field)),
+    ]
+    for run in suites:
+        assert _jsonify(run(Code(CodeSpec(field, 2, 4, alpha=(3, 4))))) == \
+            _jsonify(run(Code(CodeSpec(field, 2, 4))))
+        with pytest.raises(ValueError, match="Grassmann"):
+            run(Code(CodeSpec(field, 2, 4, alpha=(2, 4))))
+
+
 def test_trace_dual_built_once_per_field():
     # every _table_weights call reads it; equal fields share one table
     dual = codes._trace_dual(GF(2, 4))
@@ -757,6 +817,31 @@ def test_corrupted_weight_array_fails_nogin(monkeypatch, f3, delta):
             _digits(target, q, k), 2, 4, f3).to_json_dict(),
          "weight": d + delta, "decomposable": delta > 0}]
     assert report["checks"][2]["pass"]  # the rank test is not affected
+
+
+def test_nogin_lists_each_failing_class_once(monkeypatch, f3):
+    # C(2,4)/F_3: both multiples of a decomposable class c and the double
+    # of a nondecomposable class c' fail; c is listed once, at its first
+    # bad index (c itself), and c' at 2 c'
+    spec = CodeSpec(f3, 2, 4)
+    d, q, k = min_distance(spec), 3, spec.k
+    weights = weight_array(Code(spec))
+    index = {tuple(_digits(i, q, k)): i for i in range(q**k)}
+    dec = tuple(decomposable_table(Code(spec))[0].tolist())
+    other = next(tuple(_digits(i, q, k)) for i in np.flatnonzero(
+        weights > d).tolist() if next(c for c in _digits(i, q, k) if c) == 1)
+    double = [tuple(f3.mul(2, c) for c in vec) for vec in (dec, other)]
+    for vec in (dec, double[0]):
+        weights[index[vec]] = d + 1
+    weights[index[double[1]]] = d - 1
+    monkeypatch.setattr(codes, "weight_array", lambda code: weights)
+    failures = verify_nogin(Code(spec))["checks"][0]["failures"]
+    listed = sorted([(index[dec], dec, d + 1, True),
+                     (index[double[1]], double[1], d - 1, False)])
+    assert failures == [
+        {"functional": DualFunctional.from_vector(
+            vec, 2, 4, f3).to_json_dict(), "weight": w, "decomposable": flag}
+        for _, vec, w, flag in listed]
 
 
 def test_corrupted_weight_array_fails_l2(monkeypatch, f3):
