@@ -56,16 +56,21 @@ has such a side, else a sweep (Schubert codes, C(ell, m) with
 
 The decomposition suites run on the same engine.  The strings suite
 weighs, fiber by fiber, the points of the last-column locus; the Zanella
-suite weighs, covector by covector, the points in each V_{m-1}.  A
-class meets a set of points in their number minus its weight over them,
-so one transform per fiber or covector checks every scalar class at
-once (``verify_string_sections``, ``verify_zanella_incidences``).  The
-per-functional ``verify_string_section`` and ``verify_zanella_incidence``
-share their fiber and covector helpers and report builders; their
-reports stay the reference.  Their fiber layout, ``_string_fibers``,
-also gives ``string_partition`` with ``full`` (``strings --full``) from
-the echelon matrices; the plain partition counts the same fibers from the
-cell sizes.
+suite weighs, covector by covector, the points in each V_{m-1} = ker u.
+A class meets a set of points in their number minus its weight over
+them, so one transform per fiber or covector checks every scalar class
+at once (``verify_string_sections``, ``verify_zanella_incidences``).
+A point lies in ker u exactly when u is in its annihilator, which the
+echelon matrix gives directly, so ``_annihilator_classes`` lists the
+[m-ell, 1]_q covector classes of each point once, and both Zanella
+suites read them: the per-functional one as a histogram, the all-class
+one as an incidence mask by covector.  The per-functional
+``verify_string_section`` and ``verify_zanella_incidence`` share their
+fiber and covector helpers and report builders; their reports stay the
+reference.  Their fiber layout, ``_string_fibers``, also gives
+``string_partition`` with ``full`` (``strings --full``) from the echelon
+matrices, each distinct row formatted once; the plain partition counts
+the same fibers from the cell sizes.
 
 ``check_work`` is the one refusal policy: it prices each named piece of
 work (a point table, a sweep, a split transform, the strings or Zanella
@@ -186,6 +191,12 @@ _COUNT_BYTES = {"strings": 384, "zanella": 192}
 # bytes of one block of ``_normalize_rows``: well under glibc's default
 # mmap threshold of 128 KiB, so each block's temporaries reuse heap pages
 _BLOCK_BYTES = 2**15
+
+# bytes of the class numbers in one block of ``_annihilator_classes``; a
+# block's few temporaries of that size stay under 1 MiB, and ell = 1 codes,
+# whose points each carry [m-1, 1]_q classes, still get several points per
+# block (C(1,5) over F_16: 3), so the per-block calls do not dominate
+_ANNIHILATOR_BYTES = 2**17
 
 # peak bytes of the ``strings`` listing: per fiber, and with --full per
 # point plus per matrix entry; fitted on peak RSS (see README), rounded up
@@ -1168,11 +1179,16 @@ def string_partition(code: Code, full: bool) -> dict:
     # the points of the locus of _string_fibers, in count fibers of equal size
     locus = sum(q ** delta(a) for a in spec.support if a[-1] == spec.m)
     if full:
-        fibers = _string_fibers(spec, code.matrices)
+        # the codeword index of every row, and each distinct row as text once
+        rows = _string_fibers(spec, code.matrices).swapaxes(0, 1) \
+            @ _places(q, spec.m)
+        text = dict.fromkeys(rows.ravel().tolist())
         names = [spec.field.format_element(x) for x in range(q)]
-        values = [[";".join(",".join(names[x] for x in row) for row in mat)
-                   for mat in fiber]
-                  for fiber in fibers.swapaxes(0, 1).tolist()]
+        for key, row in zip(text, _digits(np.fromiter(text, np.int64),
+                                          q, spec.m).tolist()):
+            text[key] = ",".join([names[x] for x in row])
+        values = [[";".join([text[i] for i in mat]) for mat in fiber]
+                  for fiber in rows.tolist()]
     else:
         values = [locus // count] * count
     return {"sub_grassmannian_points": spec.n - locus,
@@ -1246,17 +1262,59 @@ def verify_string_sections(code: Code) -> list[dict]:
                 on_h.tolist(), subs)]
 
 
-def _kernel_masks(field: GF, mats: np.ndarray):
-    """For every (m-1)-subspace of V_m, as the kernel of a covector u up to
-    scalar in ``class_representatives`` order, a mask over the (N, ell, m)
-    echelon matrices ``mats``: True where the point lies in ker u, i.e.
-    each of its rows pairs to 0 with u."""
-    m = mats.shape[2]
-    rows = mats.reshape(-1, m)
-    for u in class_representatives(field.q, m):
-        pairs = form_values(field, {j: c for j, c in enumerate(u) if c},
-                            rows, range(m))
-        yield ~pairs.reshape(mats.shape[:2]).any(axis=1)
+def _annihilator_classes(field: GF, mats: np.ndarray):
+    """The covectors that vanish on each point of an (N, ell, m) stack of
+    echelon matrices: yields, for consecutive blocks of the points, an
+    (N', [m-ell, 1]_q) int64 array whose row lists the
+    ``class_representatives(q, m)`` numbers of the classes in that
+    point's annihilator V^perp = {u : v.u = 0 for every v in V}, so that
+    V lies in ker u exactly for those u.
+
+    With pivots alpha_i and free columns c_1 < ... < c_(m-ell), V^perp has
+    the basis k_c = e_c - sum_i M[i, c] e_(alpha_i).  Row i is 0 right of
+    its pivot, so M[i, c] != 0 only for c < alpha_i: k_c leads with the 1
+    at c and vanishes at the other free columns.  So for y over
+    ``class_representatives(q, m-ell)``, led by a 1 at j, u = sum y_j k_(c_j)
+    is already in normal form, led by a 1 at t = c_j, and its class number
+    is (q^m - q^(m-t))/(q-1) + I - q^(m-1-t), I = u @ ``_places(q, m)``.
+    Column by column that is a row gather per free column and, at each
+    pivot, a field sum of row gathers.  A block holds at most
+    ``_ANNIHILATOR_BYTES`` of class numbers (one point at least)."""
+    q = field.q
+    n, ell, m = mats.shape
+    s = m - ell
+    if not s:  # ell = m: V^perp = 0
+        yield np.zeros((n, 0), dtype=np.int64)
+        return
+    ys = _digits(_class_indices(q, s), q, s)
+    place = _places(q, m)
+    # the class numbers before those led at column t, less the lead's place
+    before = (q**m - q * place) // (q - 1) - place
+    lead = np.repeat(np.arange(s), q ** np.arange(s - 1, -1, -1))
+    # row gathers by column: free[j][c] is what y_j at the free column c
+    # adds to the class number, y_j q^(m-1-c), plus before[c] for the y
+    # led at j; times[j][a] = a y_j
+    free = [np.outer(place, y) + np.outer(before, lead == j)
+            for j, y in enumerate(ys.T)]
+    times = [np.ascontiguousarray(field.mul_array[:, y]) for y in ys.T]
+    step = max(1, _ANNIHILATOR_BYTES // (8 * len(ys)))
+    for start in range(0, n, step):
+        block = mats[start:start + step]
+        # the pivot of a row is its last nonzero column
+        pivots = m - 1 - np.argmax(block[:, :, ::-1] != 0, axis=2)
+        is_free = np.ones((len(block), m), dtype=bool)
+        np.put_along_axis(is_free, pivots, False, axis=1)
+        cols = np.nonzero(is_free)[1].reshape(-1, s)
+        classes = free[0][cols[:, 0]]
+        for table, col in zip(free[1:], cols.T[1:]):
+            classes += table[col]
+        # -M[i, c_j], so that u at alpha_i is a sum of their multiples
+        coeffs = field.neg_array[np.take_along_axis(block, cols[:, None], 2)]
+        for row, pivot in zip(coeffs.swapaxes(0, 1), pivots.T):
+            value = reduce(field.vadd, (table[a] for table, a in
+                                        zip(times, row.T)))
+            classes += value * place[pivot][:, None]
+        yield classes
 
 
 def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
@@ -1277,13 +1335,19 @@ def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
 
 
 def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
-    """Incidence-count bound for hyperplane sections over all V_{m-1}."""
+    """Incidence-count bound for hyperplane sections over all V_{m-1}.
+
+    The points of the section in V_{m-1} = ker u are those whose
+    annihilator holds u, so the counts are the histogram of
+    ``_annihilator_classes`` over the section, block by block."""
     _check_functional_code(code, func)
     # the echelon matrices of the points on the hyperplane
     on_pi = code.matrices[func.evaluate_rows(code.table) == 0]
-    sub_counts = [int(np.count_nonzero(mask))
-                  for mask in _kernel_masks(func.field, on_pi)]
-    return _zanella_report(code.spec, len(on_pi), sub_counts)
+    subspaces = class_count(func.field.q, func.m)
+    sub_counts = sum((np.bincount(block.ravel(), minlength=subspaces)
+                      for block in _annihilator_classes(func.field, on_pi)),
+                     np.zeros(subspaces, dtype=np.int64))
+    return _zanella_report(code.spec, len(on_pi), sub_counts.tolist())
 
 
 def verify_zanella_incidences(code: Code) -> list[dict]:
@@ -1293,8 +1357,11 @@ def verify_zanella_incidences(code: Code) -> list[dict]:
     A class c meets the subspace ker u in the points of ker u minus the
     weight of c over them, so one ``_table_weights`` call per covector u
     over the rows of ``code.table`` in ker u counts every class; the
-    section sizes are read off ``code.weights``.  Raises ``BudgetExceeded``
-    when the reports would exceed ``MAX_SWEEP_BYTES``, before any work.
+    section sizes are read off ``code.weights``.  The points in each
+    ker u are a row of one incidence mask, set from the
+    ``_annihilator_classes`` numbers of every point.  Raises
+    ``BudgetExceeded`` when the reports would exceed ``MAX_SWEEP_BYTES``,
+    before any work.
     """
     spec = code.spec
     _check_grassmann(code, "zanella")
@@ -1303,10 +1370,13 @@ def verify_zanella_incidences(code: Code) -> list[dict]:
     classes = _class_indices(field.q, spec.k)
     table = code.table
     what = f"{spec.describe()} zanella suite"
+    # in_ker[u, i]: point i lies in ker u
+    in_ker = np.zeros((class_count(field.q, spec.m), spec.n), dtype=bool)
+    in_ker[np.concatenate(list(_annihilator_classes(field, code.matrices))),
+           np.arange(spec.n)[:, None]] = True
     sub_counts = np.stack([
-        np.count_nonzero(mask) - _table_weights(field, table[mask],
-                                                what)[classes]
-        for mask in _kernel_masks(field, code.matrices)], axis=1)
+        len(rows) - _table_weights(field, table[rows], what)[classes]
+        for rows in map(np.flatnonzero, in_ker)], axis=1)
     totals = spec.n - code.weights[classes]
     return [_zanella_report(spec, total, counts)
             for total, counts in zip(totals.tolist(), sub_counts.tolist())]

@@ -598,9 +598,11 @@ def test_verify_zanella_incidence(f2):
 
 
 def test_zanella_counts_match_point_oracle(f2, f3):
+    # C(2,2): the one point is off X:1,2, an empty section
     for field, ell, m, text in [(f2, 2, 4, "X:1,4 + X:2,3"),
                                 (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
-                                (f2, 3, 5, "X:1,2,3 + X:2,4,5")]:
+                                (f2, 3, 5, "X:1,2,3 + X:2,4,5"),
+                                (f3, 2, 2, "X:1,2")]:
         func = parse_functional(text, ell, m, field)
         report = verify_zanella_incidence(Code(CodeSpec(field, ell, m)), func)
         on_pi = [mat for mat in enumerate_grassmannian(ell, m, field)
@@ -620,7 +622,8 @@ def test_zanella_equality_case(f2):
 
 
 @pytest.mark.parametrize("q,ell,m", [(2, 2, 4), (3, 2, 4), (4, 2, 4),
-                                    (2, 2, 5), (2, 3, 5), (2, 1, 3)])
+                                    (2, 2, 5), (2, 3, 5), (2, 1, 3),
+                                    (4, 3, 4), (4, 1, 4)])
 def test_all_class_reports_match_per_functional(q, ell, m):
     """The strings and Zanella suites over every class give, class by
     class, the report of the suite on that one functional (for ell = 1
@@ -976,6 +979,62 @@ def _point_in_kernel(mat, u) -> bool:
         if acc:
             return False
     return True
+
+
+@pytest.mark.parametrize("p,e,ell,m", [
+    (2, 2, 2, 4), (2, 3, 2, 4), (3, 2, 1, 3), (3, 2, 2, 3), (2, 2, 1, 4),
+    (2, 3, 3, 4), (3, 1, 3, 3), (2, 2, 2, 2)])
+def test_annihilator_classes_match_point_oracle(monkeypatch, p, e, ell, m):
+    """Each point's row of ``_annihilator_classes`` holds exactly the
+    numbers of the covector classes u with the point in ker u, for ell = 1,
+    ell = m-1 and ell = m (an empty annihilator), in one block and in
+    blocks of three points."""
+    field = GF(p, e)
+    code = Code(CodeSpec(field, ell, m))
+    points = list(enumerate_grassmannian(ell, m, field))
+    # at most 40 points, spread over every cell
+    idx = np.linspace(0, len(points) - 1, min(40, len(points))).astype(int)
+    mats = code.matrices[idx]
+    assert mats.tolist() == [list(map(list, points[i].rows)) for i in idx]
+    covectors = list(class_representatives(field.q, m))
+    expected = [[c for c, u in enumerate(covectors)
+                 if _point_in_kernel(points[i], u)] for i in idx]
+    width = class_count(field.q, m - ell) if ell < m else 0
+    assert all(len(row) == width for row in expected)
+    whole = list(codes._annihilator_classes(field, mats))
+    monkeypatch.setattr(codes, "_ANNIHILATOR_BYTES", 8 * max(1, width) * 3)
+    blocks = list(codes._annihilator_classes(field, mats))
+    assert len(whole) == 1 and len(blocks) == (-(-len(idx) // 3) if width
+                                               else 1)
+    for got in (whole, blocks):
+        rows = np.concatenate(got)
+        assert rows.shape == (len(idx), width)
+        assert np.sort(rows, axis=1).tolist() == expected
+    # an empty section: no class numbers
+    empty = list(codes._annihilator_classes(field, mats[:0]))
+    assert sum(len(block) for block in empty) == 0
+
+
+def test_zanella_peak_within_blocks():
+    """After the table and the matrices are built, the single-functional
+    Zanella suite on C(2,4)/F_16 holds its class numbers in blocks: its
+    tracemalloc peak stays within five blocks (a block and its
+    temporaries, and the block before it) plus 4 bytes per point for the
+    hyperplane mask over the table, although the section's class numbers
+    fill several blocks."""
+    f16 = GF(2, 4)
+    code = Code(CodeSpec(f16, 2, 4))
+    code.table, code.matrices
+    func = parse_functional("X:1,2", 2, 4, f16)
+    tracemalloc.start()
+    try:
+        report = verify_zanella_incidence(code, func)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = codes._ANNIHILATOR_BYTES
+    assert report["section_size"] * class_count(16, 2) * 8 > 4 * block
+    assert peak < 5 * block + 4 * code.spec.n
 
 
 @pytest.mark.parametrize("ell,m", [(2, 4), (3, 5)])

@@ -6,7 +6,11 @@ For every code of the matrix it times the public layers of a sweep, as
 the median of 7 calls in one process (a best of 3 could not resolve a
 change to a ~10 ms layer on a shared host): the point table
 (``codes.point_table``), the attained-family suite on that table
-(``codes.verify_attained_family``, for 2 <= ell <= m-2), the weight
+(``codes.verify_attained_family``, for 2 <= ell <= m-2), the Zanella
+suite on the fixed functional X_first + X_last of the first and last
+index tuples (``codes.verify_zanella_incidence``, with the echelon
+matrices built untimed, on codes of at most ``ZANELLA_POINTS`` points),
+the weight
 distribution as ``wdist`` computes it on a new ``Code``
 (``codes.weight_distribution``, which takes the split on these codes),
 the codeword-weight transform (``codes.weight_array``), the histogram of
@@ -43,7 +47,9 @@ import numpy as np
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                               check_work, point_table, split_distribution,
                               verify_attained_family, verify_nogin,
-                              weight_array, weight_distribution)
+                              verify_zanella_incidence, weight_array,
+                              weight_distribution)
+from grasscodes.exterior import DualFunctional
 from grasscodes.gf import GF
 from grasscodes.macwilliams import dual_distribution
 
@@ -58,6 +64,10 @@ MATRIX = [
     (2, 1, 2, 8, False), (3, 1, 3, 6, False), (3, 1, 3, 7, False),
 ]
 REPEATS = 7
+# the Zanella layer's limit, so that the script also runs on source trees
+# whose suite tests every covector on every point: there C(3,7) over F_3
+# (925 771 points) takes minutes per call
+ZANELLA_POINTS = 10**5
 
 
 def median_of(fn):
@@ -110,6 +120,13 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     if 2 <= ell <= m - 2:
         layers["verify_attained"], _ = median_of(
             lambda: verify_attained_family(code))
+    if n <= ZANELLA_POINTS:
+        tuples = spec.support
+        func = DualFunctional(spec.field, ell, m,
+                              {tuples[0]: 1, tuples[-1]: 1})
+        code.matrices
+        layers["verify_zanella"], _ = median_of(
+            lambda: verify_zanella_incidence(code, func))
     try:
         layers["weight_distribution"], _ = median_of(
             lambda: weight_distribution(Code(spec)))
