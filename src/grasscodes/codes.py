@@ -157,22 +157,24 @@ class CodeSpec:
         return self.alpha is not None and self.alpha != tuple(
             range(self.m - self.ell + 1, self.m + 1))
 
-    @property
-    def support(self) -> list[tuple[int, ...]]:
+    # support, k and n are computed on first read and kept; the support is
+    # a tuple, so that no caller can change what every later read returns
+    @cached_property
+    def support(self) -> tuple[tuple[int, ...], ...]:
         """Coordinate tuples carried by the code, in lexicographic order."""
         if self.alpha is None:
-            return index_tuples(self.ell, self.m)
-        return nabla_set(self.alpha, self.m)
+            return tuple(index_tuples(self.ell, self.m))
+        return tuple(nabla_set(self.alpha, self.m))
 
-    @property
+    @cached_property
     def k(self) -> int:
         return len(self.support)
 
-    @property
+    @cached_property
     def n(self) -> int:
         if self.alpha is None:
             return gaussian_binomial(self.m, self.ell, self.field.q)
-        return sum(self.field.q ** delta(b) for b in nabla_set(self.alpha, self.m))
+        return sum(self.field.q ** delta(b) for b in self.support)
 
     def describe(self) -> str:
         name = f"C({self.ell},{self.m})" if self.alpha is None \
@@ -1317,6 +1319,21 @@ def _annihilator_classes(field: GF, mats: np.ndarray):
         yield classes
 
 
+def _runs(blocks, size: int):
+    """The entries of the arrays of ``blocks``, in order, joined into flat
+    runs of consecutive blocks: each run holds at least ``size`` entries,
+    but the last may hold fewer, and a run of one block is that block."""
+    run, total = [], 0
+    for block in blocks:
+        run.append(block.ravel())
+        total += block.size
+        if total >= size:
+            yield run[0] if len(run) == 1 else np.concatenate(run)
+            run, total = [], 0
+    if run:
+        yield run[0] if len(run) == 1 else np.concatenate(run)
+
+
 def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
     """The Zanella report of one hyperplane: ``total`` points on it, and
     ``sub_counts`` of them in each (m-1)-subspace of V_m."""
@@ -1339,13 +1356,18 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
 
     The points of the section in V_{m-1} = ker u are those whose
     annihilator holds u, so the counts are the histogram of
-    ``_annihilator_classes`` over the section, block by block."""
+    ``_annihilator_classes`` over the section, one ``np.bincount`` per run
+    of blocks (``_runs``)."""
     _check_functional_code(code, func)
     # the echelon matrices of the points on the hyperplane
     on_pi = code.matrices[func.evaluate_rows(code.table) == 0]
     subspaces = class_count(func.field.q, func.m)
-    sub_counts = sum((np.bincount(block.ravel(), minlength=subspaces)
-                      for block in _annihilator_classes(func.field, on_pi)),
+    # a histogram costs its bins as well as its numbers, so blocks are
+    # counted together until they hold as many numbers as there are bins:
+    # ell = 1 codes carry [m-1, 1]_q numbers per point, a few points a block
+    sub_counts = sum((np.bincount(run, minlength=subspaces) for run in
+                      _runs(_annihilator_classes(func.field, on_pi),
+                            subspaces)),
                      np.zeros(subspaces, dtype=np.int64))
     return _zanella_report(code.spec, len(on_pi), sub_counts.tolist())
 

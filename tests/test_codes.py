@@ -597,20 +597,39 @@ def test_verify_zanella_incidence(f2):
         assert report["pass"], report
 
 
-def test_zanella_counts_match_point_oracle(f2, f3):
-    # C(2,2): the one point is off X:1,2, an empty section
-    for field, ell, m, text in [(f2, 2, 4, "X:1,4 + X:2,3"),
-                                (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
-                                (f2, 3, 5, "X:1,2,3 + X:2,4,5"),
-                                (f3, 2, 2, "X:1,2")]:
-        func = parse_functional(text, ell, m, field)
-        report = verify_zanella_incidence(Code(CodeSpec(field, ell, m)), func)
-        on_pi = [mat for mat in enumerate_grassmannian(ell, m, field)
-                 if not func.evaluate(plucker(mat).coords)]
-        assert report["section_size"] == len(on_pi)
-        assert report["sub_counts"] == [
-            sum(1 for mat in on_pi if _point_in_kernel(mat, u))
-            for u in class_representatives(field.q, m)]
+def test_zanella_counts_match_point_oracle(monkeypatch, f2, f3):
+    # C(2,2): the one point is off X:1,2, an empty section; C(2,3) and
+    # C(1,4) end on a run of fewer class numbers than subspaces, in one
+    # block and in blocks of a point
+    cases = [(f2, 2, 4, "X:1,4 + X:2,3"), (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
+             (f2, 3, 5, "X:1,2,3 + X:2,4,5"), (f3, 1, 3, "X:1"),
+             (f2, 2, 3, "X:1,2"), (f3, 1, 4, "X:1 + X:2"),
+             (f3, 2, 2, "X:1,2")]
+    for block_bytes in (codes._ANNIHILATOR_BYTES, 8):
+        # 8 bytes: a block per point, so one histogram counts several blocks
+        monkeypatch.setattr(codes, "_ANNIHILATOR_BYTES", block_bytes)
+        for field, ell, m, text in cases:
+            func = parse_functional(text, ell, m, field)
+            report = verify_zanella_incidence(Code(CodeSpec(field, ell, m)),
+                                              func)
+            on_pi = [mat for mat in enumerate_grassmannian(ell, m, field)
+                     if not func.evaluate(plucker(mat).coords)]
+            assert report["section_size"] == len(on_pi)
+            assert report["sub_counts"] == [
+                sum(1 for mat in on_pi if _point_in_kernel(mat, u))
+                for u in class_representatives(field.q, m)]
+
+
+def test_runs_join_blocks_up_to_size():
+    blocks = [np.arange(a, b).reshape(-1, 1) for a, b in
+              [(0, 2), (2, 4), (4, 6), (6, 11), (11, 12)]]
+    runs = list(codes._runs(iter(blocks), 4))
+    assert [run.tolist() for run in runs] == [
+        [0, 1, 2, 3], [4, 5, 6, 7, 8, 9, 10], [11]]
+    # a block as large as the size is a run alone, and not copied
+    runs = list(codes._runs(iter(blocks[3:]), 4))
+    assert len(runs) == 2 and np.shares_memory(runs[0], blocks[3])
+    assert list(codes._runs(iter([]), 4)) == []
 
 
 def test_zanella_equality_case(f2):
@@ -1200,7 +1219,8 @@ def _pinned_distributions():
 def test_dual_distribution_priced_before_work(monkeypatch):
     def no_steps(*args):
         raise AssertionError("Krawtchouk steps started")
-    monkeypatch.setattr(macwilliams, "_weighted_krawtchouk", no_steps)
+    # the steps run inline in the one transform loop
+    monkeypatch.setattr(macwilliams, "_transform_sums", no_steps)
     # C(2,4) over F_16, n = 70 161: its n + 1 exact sums are priced over
     # the ceiling before any step
     spec = CodeSpec(GF(2, 4), 2, 4)
@@ -1245,11 +1265,58 @@ class _SkewedWeight(int):
 
 def test_krawtchouk_recurrence_checked():
     counts = {0: 1, _SkewedWeight(4): 7}
-    with pytest.raises(InvariantError, match="not exact"):
-        dual_distribution(counts, 7, 2, 3)
-    # not swallowed as an inconsistent distribution
-    with pytest.raises(InvariantError, match="not exact"):
-        check_macwilliams(counts, 7, 2, 3)
+    # q = 2 steps half the lengths by the reflection, with odd and even n;
+    # q = 3 steps every length
+    for n, q in [(7, 2), (8, 2), (7, 3)]:
+        message = rf"not exact at K_\d+\(4\), n={n}, q={q}$"
+        with pytest.raises(InvariantError, match=message):
+            dual_distribution(counts, n, q, 3)
+        # not swallowed as an inconsistent distribution
+        with pytest.raises(InvariantError, match=message):
+            check_macwilliams(counts, n, q, 3)
+
+
+# (counts, n, k) over F_2: the lengths 1, 2 and 3 of the reflection's edge
+# cases, odd and even n, A_0 = 0, weight n present and a single weight;
+# {0: 1, 2: 3} and {0: 1, 4: 3} have integral duals with B_0 = 1 and the
+# right sum, but a negative B_1
+BINARY_DISTRIBUTIONS = [
+    ({0: 1, 1: 1}, 1, 1), ({1: 1}, 1, 0), ({0: 1, 2: 1}, 2, 1),
+    ({0: 1, 1: 2, 2: 1}, 2, 2), ({0: 1, 2: 3}, 2, 2), ({0: 1, 4: 3}, 4, 2),
+    ({0: 1, 3: 1}, 3, 1), ({2: 3}, 3, 0),
+    ({0: 1, 3: 7, 4: 7, 7: 1}, 7, 4), ({0: 1, 4: 7}, 7, 3),
+    ({0: 1, 4: 14, 8: 1}, 8, 4), ({0: 1, 4: 6}, 7, 3),
+    ({3: 2, 5: 1, 6: 4}, 6, 1), ({0: 1}, 5, 0), ({5: 9}, 10, 2),
+]
+
+
+@pytest.mark.parametrize("counts,n,k", BINARY_DISTRIBUTIONS)
+def test_binary_reflection_matches_oracle(counts, n, k):
+    args = (counts, n, 2, k)
+    assert _outcome(dual_distribution, args) == _outcome(_dual_oracle, args)
+    assert check_macwilliams(*args) == _dual_verdict(*args)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+def test_transform_sums_give_each_length_once(n, q):
+    items = [(0, 1), (1, 2), (n, 1)]
+    seen = [j for j, _ in macwilliams._transform_sums(items, n, q)]
+    assert sorted(seen) == list(range(n + 1))
+
+
+def test_streamed_check_peak_bounded(f2):
+    # C(2,7) over F_2, n = 2667: the check holds two steps of each weight's
+    # recurrence, not the n + 1 sums of ~n + k bits each (~0.9 MB)
+    spec = CodeSpec(f2, 2, 7)
+    counts = weight_distribution(Code(spec)).counts
+    tracemalloc.start()
+    try:
+        assert check_macwilliams(counts, spec.n, 2, spec.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10
 
 
 def _optimized_output(script: str) -> list[str]:

@@ -38,4 +38,4 @@ def test_bench_layers_runs_one_code():
                                     "verify_zanella",
                                     "weight_distribution", "weight_array",
                                     "histogram", "dual_distribution",
-                                    "verify_nogin"}
+                                    "check_macwilliams", "verify_nogin"}

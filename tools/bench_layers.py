@@ -16,9 +16,12 @@ distribution as ``wdist`` computes it on a new ``Code``
 the codeword-weight transform (``codes.weight_array``), the histogram of
 its array (``np.unique``, as ``codes.weight_distribution`` counts a
 weight array already built), the dual distribution
-(``macwilliams.dual_distribution``), and the Nogin suite where the
-matrix asks for it.  Where the default budget refuses the distribution,
-``codes.split_distribution`` is timed instead, or recorded as refused.
+(``macwilliams.dual_distribution``), the MacWilliams check
+(``macwilliams.check_macwilliams``) on the distribution at lengths up to
+``MACWILLIAMS_LENGTH``, and the Nogin suite where the matrix asks for it.
+Where the default budget refuses the distribution,
+``codes.split_distribution`` is timed instead, or recorded as refused,
+and the MacWilliams check reads the split's distribution.
 It also records the tracemalloc peak of one untimed ``weight_array``
 call, and whether the default operation budget refuses the sweep
 (``codes.check_work`` on the sweep, as ``wdist`` and ``verify`` call
@@ -51,23 +54,28 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                               weight_distribution)
 from grasscodes.exterior import DualFunctional
 from grasscodes.gf import GF
-from grasscodes.macwilliams import dual_distribution
+from grasscodes.macwilliams import check_macwilliams, dual_distribution
 
 # (p, e, ell, m, time the Nogin suite): the fixed matrix, C(2,7) over F_2,
-# C(2,8) over F_2, which the memory ceiling refuses, and C(3,6) over F_3
-# (the benchmark's generator code) and C(3,7) over F_3, whose sweeps the
-# operation budget refuses
+# C(2,8) and C(3,7) over F_2, which the memory ceiling refuses, and C(3,6)
+# over F_3 (the benchmark's generator code) and C(3,7) over F_3, whose
+# sweeps the operation budget refuses
 MATRIX = [
     (2, 1, 3, 6, False), (3, 1, 2, 5, True), (2, 2, 2, 5, False),
     (5, 1, 2, 4, False), (2, 3, 2, 4, False), (3, 2, 2, 4, False),
     (2, 4, 2, 4, False), (3, 1, 2, 6, False), (2, 1, 2, 7, False),
     (2, 1, 2, 8, False), (3, 1, 3, 6, False), (3, 1, 3, 7, False),
+    (2, 1, 3, 7, False),
 ]
 REPEATS = 7
 # the Zanella layer's limit, so that the script also runs on source trees
 # whose suite tests every covector on every point: there C(3,7) over F_3
 # (925 771 points) takes minutes per call
 ZANELLA_POINTS = 10**5
+# the MacWilliams layer's limit: its O(#weights * n) big-integer steps take
+# about 0.1-0.5 s per call at n ~ 10^4 (C(2,8) and C(3,7) over F_2), and
+# about 4 s at C(3,6) over F_3 (n = 33 880)
+MACWILLIAMS_LENGTH = 12_000
 
 
 def median_of(fn):
@@ -127,15 +135,19 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
         code.matrices
         layers["verify_zanella"], _ = median_of(
             lambda: verify_zanella_incidence(code, func))
+    dist = None
     try:
-        layers["weight_distribution"], _ = median_of(
+        layers["weight_distribution"], dist = median_of(
             lambda: weight_distribution(Code(spec)))
     except BudgetExceeded:
         try:
-            layers["split_distribution"], _ = median_of(
+            layers["split_distribution"], dist = median_of(
                 lambda: split_distribution(Code(spec)))
         except BudgetExceeded as exc:
             layers["split_distribution"] = f"refused: {exc}"
+    if dist is not None and n <= MACWILLIAMS_LENGTH:
+        layers["check_macwilliams"], _ = median_of(
+            lambda: check_macwilliams(dist.counts, n, q, k))
     try:
         layers["weight_array"], weights = median_of(lambda: weight_array(code))
     except BudgetExceeded as exc:
