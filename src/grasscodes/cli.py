@@ -21,15 +21,26 @@ that ``strings`` reads), the ``strings`` listing or the reports of those
 suites over the fixed memory ceiling.
 The PLUCKER_BUDGET environment variable, an integer >= 1 like
 ``--budget``, overrides the default operation budget.
+
+Each call pays only for its own command.  ``main`` builds the parser of
+the command that ``argv`` starts with, once per process; the top parser,
+with every command, is built only to report a missing or unknown command
+and for the ``-h`` listing.  ``GF.from_string`` keeps one field per
+spelling, so a field built once serves every later call.  JSON is
+written as it is made (``_json_chunks``): the text of
+``json.dumps(_jsonify(obj), indent=2)``, a few thousand pieces at a
+time, with no stringified copy and never the whole document in memory.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                     check_work, verify_attained_family, verify_l2_dichotomy,
@@ -95,52 +106,35 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("-q", "--field", required=True,
                    help='field order, "q" or "p^e" (4 = 2^2)')
     p.add_argument("-l", "--ell", type=int, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--alpha", help='Schubert pivot tuple, e.g. "1,4"')
+    for flags, options in _COMMANDS[command][2]:
+        p.add_argument(*flags, **options)
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built on the first call and shared by every
-    later ``main`` call of the process."""
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of one command, built on its first call and shared by
+    every later ``main`` call of the process.
+
+    Without a command it is the top parser with every command as a
+    subparser: ``main`` uses it only when ``argv`` does not start with a
+    command, to give argparse's own text for a missing or unknown command
+    (or for a command after a bad first argument), and its help listing.
+    """
+    if command is not None:
+        parser = _Parser(prog=f"grasscodes {command}")
+        parser.set_defaults(command=command)
+        _add_arguments(parser, command)
+        return parser
     parser = _Parser(prog="grasscodes")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("params", help="closed-form code parameters")
-    _add_common(p)
-
-    p = sub.add_parser("wdist", help="complete weight distribution sweep")
-    _add_common(p)
-    p.add_argument("-o", "--output", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("-j", "--workers", type=int, default=1,
-                   help="accepted and ignored: sweeps run in one process")
-    p.add_argument("--budget", type=_positive_int, default=None)
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    _add_common(p)
-    p.add_argument("--suite", choices=SUITES, required=True)
-    p.add_argument("-f", "--functional",
-                   help="restrict zanella/strings to one functional")
-    p.add_argument("-o", "--output", help="report path (default stdout)")
-    p.add_argument("-j", "--workers", type=int, default=1,
-                   help="accepted and ignored: sweeps run in one process")
-    p.add_argument("--budget", type=_positive_int, default=None)
-    p.add_argument("--samples", type=_positive_int, default=200,
-                   help="sample cap for the attained-family suite")
-
-    p = sub.add_parser("decompose", help="decomposability of a hyperplane")
-    _add_common(p)
-    p.add_argument("-f", "--functional", required=True)
-
-    p = sub.add_parser("strings", help="dump the string partition")
-    _add_common(p)
-    p.add_argument("--full", action="store_true",
-                   help="list the echelon matrices of every fiber")
+    for name, (_, text, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -170,18 +164,95 @@ def _grassmann_spec(args, what: str) -> CodeSpec:
     return CodeSpec(spec.field, spec.ell, spec.m)  # drops a top-cell alpha
 
 
-def _emit(payload: str, path: str | None) -> None:
+def _emit(chunks: Iterable[str], path: str | None) -> None:
+    """Write the text, piece by piece, to the ``-o`` file (opened only
+    now, once the work is done) or to stdout, ending in a newline."""
     if path:
         with open(path, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
-        if not payload.endswith("\n"):
-            sys.stdout.write("\n")
+            fh.writelines(chunks)
+        return
+    last = ""
+    for last in chunks:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
+
+
+_escape = json.encoder.encode_basestring_ascii
+# pieces of text joined into one write: a bounded amount of text is held,
+# not the whole document
+_PIECES = 4096
+
+
+def _scalar(obj) -> str | None:
+    """The JSON text of ``_jsonify(obj)`` for a scalar, None for a list,
+    tuple or dict."""
+    kind = type(obj)
+    if kind is int:
+        return f'"{obj}"'
+    if kind is str:
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if kind is bool:
+        return "true" if obj else "false"
+    if isinstance(obj, (list, tuple, dict)):
+        return None
+    if isinstance(obj, int):
+        obj = str(obj)
+    if isinstance(obj, (str, float)):
+        return json.dumps(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_chunks(obj) -> Iterator[str]:
+    """The text of ``json.dumps(_jsonify(obj), indent=2)``, in chunks of
+    about ``_PIECES`` pieces.  Ints are written as quoted decimals where
+    they are met and strings escaped by json's C encoder, so neither the
+    stringified copy nor the whole text is built."""
+    out: list[str] = []
+
+    def walk(obj, pad: str) -> Iterator[str]:
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            obj = {str(k): v for k, v in obj.items()}  # as _jsonify keys it
+            heads = [f"{inner}{_escape(k)}: " for k in obj]
+            values, brackets = obj.values(), "{}"
+        else:
+            texts = list(map(_scalar, obj))
+            if None not in texts:  # no container inside: one piece
+                out.append(f"[{inner}{f',{inner}'.join(texts)}{pad}]")
+                return
+            heads, values, brackets = itertools.repeat(inner), obj, "[]"
+        out.append(brackets[0])
+        comma = ""
+        for head, value in zip(heads, values):
+            text = _scalar(value)
+            if text is None:
+                out.append(comma + head)
+                yield from walk(value, inner)
+            else:
+                out.append(comma + head + text)
+            comma = ","
+            if len(out) >= _PIECES:
+                yield "".join(out)
+                out.clear()
+        out.append(pad + brackets[1])
+
+    text = _scalar(obj)
+    if text is not None:
+        yield text
+        return
+    yield from walk(obj, "\n")
+    yield "".join(out)
 
 
 def _jsonify(obj):
-    """Stringify all ints (counts exceed 53-bit float precision)."""
+    """Stringify all ints (counts exceed 53-bit float precision); what
+    ``_json_chunks`` writes is ``json.dumps`` of this, indented by 2."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
@@ -212,16 +283,16 @@ def cmd_params(args) -> int:
         out["n_alpha"] = spec.n
         out["k_alpha"] = spec.k
         out["d"] = schubert_min_distance(spec.alpha, m, q)
-    _emit(json.dumps(_jsonify(out), indent=2), None)
+    _emit(_json_chunks(out), None)
     return 0
 
 
 def cmd_wdist(args) -> int:
     dist = weight_distribution(Code(_spec(args)), budget=_budget(args))
     if args.format == "csv":
-        _emit(dist.to_csv(), args.output)
+        _emit([dist.to_csv()], args.output)
     else:
-        _emit(json.dumps(dist.to_json_dict(), indent=2), args.output)
+        _emit(_json_chunks(dist.to_json_dict()), args.output)
     return 0
 
 
@@ -254,8 +325,7 @@ def cmd_verify(args) -> int:
     reports = [report for name in runs
                for report in _SUITE_RUNS[name][2](code, func, args, budget)]
     ok = all(r["pass"] for r in reports)
-    payload = json.dumps(_jsonify({"pass": ok, "reports": reports}), indent=2)
-    _emit(payload, args.output)
+    _emit(_json_chunks({"pass": ok, "reports": reports}), args.output)
     return 0 if ok else 1
 
 
@@ -272,25 +342,53 @@ def cmd_decompose(args) -> int:
         fmt = spec.field.format_element
         out["annihilator_basis"] = [[fmt(c) for c in vec]
                                     for vec in annihilator_basis(z)]
-    _emit(json.dumps(_jsonify(out), indent=2), None)
+    _emit(_json_chunks(out), None)
     return 0
 
 
 def cmd_strings(args) -> int:
     spec = _grassmann_spec(args, "the string partition")
     out = string_partition(Code(spec), args.full)
-    _emit(json.dumps(_jsonify(out), indent=2), None)
+    _emit(_json_chunks(out), None)
     return 0
 
 
+# name -> (handler, help, the arguments after -q, -l, -m and --alpha)
+_OUTPUT = ("-o", "--output")
+_WORKERS = (("-j", "--workers"), {
+    "type": int, "default": 1,
+    "help": "accepted and ignored: sweeps run in one process"})
+_BUDGET = (("--budget",), {"type": _positive_int, "default": None})
+_COMMANDS = {
+    "params": (cmd_params, "closed-form code parameters", []),
+    "wdist": (cmd_wdist, "complete weight distribution sweep", [
+        (_OUTPUT, {"help": "output path (default stdout)"}),
+        (("--format",), {"choices": ("json", "csv"), "default": "json"}),
+        _WORKERS, _BUDGET]),
+    "verify": (cmd_verify, "run a verification suite", [
+        (("--suite",), {"choices": SUITES, "required": True}),
+        (("-f", "--functional"),
+         {"help": "restrict zanella/strings to one functional"}),
+        (_OUTPUT, {"help": "report path (default stdout)"}),
+        _WORKERS, _BUDGET,
+        (("--samples",), {
+            "type": _positive_int, "default": 200,
+            "help": "sample cap for the attained-family suite"})]),
+    "decompose": (cmd_decompose, "decomposability of a hyperplane", [
+        (("-f", "--functional"), {"required": True})]),
+    "strings": (cmd_strings, "dump the string partition", [
+        (("--full",), {"action": "store_true",
+                       "help": "list the echelon matrices of every fiber"})]),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
-        handler = {"params": cmd_params, "wdist": cmd_wdist,
-                   "verify": cmd_verify, "decompose": cmd_decompose,
-                   "strings": cmd_strings}[args.command]
-        return handler(args)
+        args = _build_parser(command).parse_args(
+            argv[1:] if command else argv)
+        return _COMMANDS[args.command][0](args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

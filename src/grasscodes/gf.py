@@ -6,8 +6,10 @@ coefficients of the polynomial representative, constant term first:
 
     idx = c0 + c1*p + ... + c_{e-1}*p^(e-1).
 
-Scalar arithmetic goes through tables precomputed at construction, so a
-``GF`` instance is immutable and cheap to share.  The same tables are
+Scalar arithmetic goes through tables precomputed at construction and
+stored as tuples, so a ``GF`` instance is immutable and cheap to share;
+``GF.from_string`` hands out one instance per spelling for the life of
+the process.  The same tables are
 kept as read-only uint8 numpy arrays (``add_array``, ``mul_array``,
 ``neg_array``, ``inv_array``) for arithmetic on arrays of elements:
 ``mul_array[c][x]`` multiplies an array by one element, and ``vadd(a, b)``
@@ -28,6 +30,8 @@ extension), which keeps element encodings reproducible across runs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -136,8 +140,12 @@ class GF:
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
+    @functools.cache
     def from_string(s: str) -> "GF":
-        """Parse the CLI field syntax "q" or "p^e", e.g. "3", "4", "2^2"."""
+        """Parse the CLI field syntax "q" or "p^e", e.g. "3", "4", "2^2".
+
+        Each spelling is built once per process and the same instance is
+        returned on every later call; a bad spelling raises every time."""
         parts = s.split("^")
         top = DEFAULT_MAX_ORDER
         try:
@@ -161,12 +169,13 @@ class GF:
         def idx(cs) -> int:
             return sum(c % p * p**i for i, c in enumerate(cs))
 
-        self._add = [[idx([x + y for x, y in zip(a, b)]) for b in elems]
-                     for a in elems]
-        self._neg = [idx([-x for x in a]) for a in elems]
-        self._mul = [[idx(_poly_mod(_poly_mul(a, b, p), self.modulus, p))
-                      for b in elems] for a in elems]
-        self._inv = [0] + [row.index(1) for row in self._mul[1:]]
+        self._add = tuple(tuple(idx([x + y for x, y in zip(a, b)])
+                                for b in elems) for a in elems)
+        self._neg = tuple(idx([-x for x in a]) for a in elems)
+        self._mul = tuple(tuple(idx(_poly_mod(_poly_mul(a, b, p),
+                                              self.modulus, p))
+                                for b in elems) for a in elems)
+        self._inv = (0, *(row.index(1) for row in self._mul[1:]))
         self.add_array, self.mul_array, self.neg_array, self.inv_array = (
             _read_only(t) for t in (self._add, self._mul, self._neg, self._inv))
         # read-only views, entry a * q + b

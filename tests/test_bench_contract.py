@@ -56,4 +56,4 @@ def test_job_argv_parses(workload):
     argvs = [job["argv"] for job in jobs.build(workload, 0) if "argv" in job]
     assert argvs
     for argv in argvs:
-        cli._build_parser().parse_args(argv)
+        cli._build_parser(argv[0]).parse_args(argv[1:])

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grasscodes import cli, codes, grassmann
 from grasscodes.cli import main
@@ -218,19 +219,45 @@ def test_usage_error_exit_one(capsys):
 
 
 def test_parser_reused_across_calls(capsys):
-    # one parser serves every call of the process; a usage error between
-    # two commands leaves it as a fresh one would be
+    # one parser per command serves every call of the process; a usage
+    # error between two commands leaves it as a fresh one would be
     calls = [["params", "-q", "3", "-l", "2", "-m", "5"],
              ["decompose", "-q", "2", "-l", "2", "-m"],
              ["decompose", "-q", "2", "-l", "2", "-m", "4", "-f", "X:1,2"]]
     reused = [run(capsys, *argv) for argv in calls]
-    assert cli._build_parser() is cli._build_parser()
+    assert cli._build_parser("decompose") is cli._build_parser("decompose")
     fresh = []
     for argv in calls:
         cli._build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 1, 0]
+
+
+def test_command_errors_are_argparse_texts(capsys):
+    # without a command first, the top parser gives argparse's own texts
+    choices = "'params', 'wdist', 'verify', 'decompose', 'strings'"
+    for argv, message in (
+            ([], "the following arguments are required: command"),
+            (["x"], f"argument command: invalid choice: 'x' (choose from"
+                    f" {choices})"),
+            (["-q", "2", "wdist"], "argument command: invalid choice: '2'"
+                                   f" (choose from {choices})"),
+            # the command's own parser runs before the first argument is
+            # refused
+            (["-x", "params", "-q", "2"],
+             "the following arguments are required: -l/--ell, -m"),
+            (["-x", "params", "-q", "2", "-l", "2", "-m", "4"],
+             "unrecognized arguments: -x")):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: grasscodes [-h]"
+                          " {params,wdist,verify,decompose,strings} ...\n")
+    for name in ("params", "wdist", "verify", "decompose", "strings"):
+        assert f"\n    {name} " in out
 
 
 def test_budget_exit_two(capsys):
@@ -496,3 +523,82 @@ def test_wdist_output_is_the_sweep_histogram(capsys, field, ell, m):
     assert run(capsys, *argv) == (
         0, json.dumps(swept.to_json_dict(), indent=2) + "\n", "")
     assert run(capsys, *argv, "--format", "csv") == (0, swept.to_csv(), "")
+
+
+# strings with the characters json escapes: quote, backslash, controls,
+# non-ASCII and lone surrogates
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é'),
+                          st.characters(blacklist_categories=())))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.floats(), _TEXT,
+                     st.integers(), st.integers(-2**80, 2**80))
+# int, bool and None keys stringify, so {1: .., "1": ..} keeps one key
+_KEYS = st.one_of(_TEXT, st.integers(-5, 5), st.booleans(), st.none(),
+                  st.sampled_from(["1", "True", "None"]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=5), st.lists(inner, max_size=5).map(tuple),
+    st.dictionaries(_KEYS, inner, max_size=5)), max_leaves=30))
+def test_json_chunks_match_the_oracle(obj):
+    text = "".join(cli._json_chunks(obj))
+    assert text == json.dumps(cli._jsonify(obj), indent=2)
+
+
+def test_json_chunks_hold_a_bounded_text():
+    # a report list is written in pieces, none of them the whole document
+    obj = {"pass": True, "reports": [{"suite": "zanella", "n": i,
+                                      "counts": list(range(i % 7))}
+                                     for i in range(5000)]}
+    chunks = list(cli._json_chunks(obj))
+    text = "".join(chunks)
+    assert text == json.dumps(cli._jsonify(obj), indent=2)
+    assert max(map(len, chunks)) < len(text) / 4
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        "".join(cli._json_chunks({"x": [np.int64(1)]}))
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", "-q", "3", "-l", "2", "-m", "5"],
+    ["params", "-q", "2", "-l", "2", "-m", "4", "--alpha", "1,4"],
+    ["wdist", "-q", "3", "-l", "2", "-m", "4"],
+    ["wdist", "-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"],
+    ["verify", "-q", "2", "-l", "2", "-m", "4", "--suite", "all"],
+    ["verify", "-q", "2", "-l", "2", "-m", "5", "--suite", "zanella"],
+    ["verify", "-q", "3", "-l", "2", "-m", "4", "--suite", "strings"],
+    ["decompose", "-q", "3", "-l", "2", "-m", "4", "-f", "X:1,2 + 2*X:1,3"],
+    ["decompose", "-q", "2", "-l", "2", "-m", "4", "-f", "X:1,2 + X:3,4"],
+    ["strings", "-q", "2^2", "-l", "2", "-m", "4"],
+    ["strings", "-q", "3", "-l", "2", "-m", "4", "--full"]],
+    ids=" ".join)
+def test_json_output_is_the_oracle(capsys, monkeypatch, tmp_path, argv):
+    # stdout, and the -o file where the command takes one, are
+    # json.dumps(_jsonify(...), indent=2) of what the command wrote
+    written = []
+
+    def recorded(obj, _chunks=cli._json_chunks):
+        written.append(obj)
+        return _chunks(obj)
+    monkeypatch.setattr(cli, "_json_chunks", recorded)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and len(written) == 1
+    oracle = json.dumps(cli._jsonify(written[0]), indent=2)
+    assert out == oracle + "\n"
+    if argv[0] in ("wdist", "verify"):
+        path = tmp_path / "out.json"
+        assert run(capsys, *argv, "-o", str(path)) == (0, "", "")
+        assert path.read_text() == oracle
+
+
+def test_all_class_report_written_as_it_is_made(capsys):
+    # 1023 Zanella reports, 0.75 MB of JSON: holding the stringified copy
+    # and the whole text peaked at 8.4 MiB (stdout captured)
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "verify", "-q", "2", "-l", "2", "-m", "5",
+                           "--suite", "zanella")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(json.loads(out)["reports"]) == 1023
+    assert peak < 4.2 * 2**20

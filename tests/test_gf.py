@@ -143,6 +143,16 @@ def test_from_string():
             GF.from_string(bad)
 
 
+def test_from_string_one_field_per_spelling():
+    # the CLI reads its field with every call: one instance per spelling,
+    # and two spellings of one field are equal
+    assert GF.from_string("3^2") is GF.from_string("3^2")
+    assert GF.from_string("4") == GF.from_string("2^2")
+    for _ in range(2):  # a bad spelling is not remembered
+        with pytest.raises(ValueError, match="bad field spec '6'"):
+            GF.from_string("6")
+
+
 def _monic_polys(p, deg):
     """All monic polynomials of degree deg over F_p, constant term first."""
     return [tuple(c) + (1,) for c in itertools.product(range(p), repeat=deg)]
@@ -188,7 +198,9 @@ def test_array_tables_match_list_tables(p, e):
                        (field.mul_array, field._mul),
                        (field.neg_array, field._neg),
                        (field.inv_array, field._inv)):
-        assert arr.dtype == np.uint8 and arr.tolist() == table
+        assert isinstance(table, tuple)
+        assert arr.dtype == np.uint8 and arr.tolist() == \
+            np.array(table).tolist()
         with pytest.raises(ValueError):  # shared by every user of the field
             arr[0] = 1
     # the flat gathers: every pair, so F_16 reaches entry 15 * 16 + 15 = 255

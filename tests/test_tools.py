@@ -39,3 +39,6 @@ def test_bench_layers_runs_one_code():
                                     "weight_distribution", "weight_array",
                                     "histogram", "dual_distribution",
                                     "check_macwilliams", "verify_nogin"}
+    assert set(module.bench_cli()) == {"params", "params_s", "report",
+                                       "report_s", "report_peak_bytes",
+                                       "report_bytes"}

@@ -28,6 +28,12 @@ call, and whether the default operation budget refuses the sweep
 it), with the ``BudgetExceeded`` text.  A layer that refuses its own work is recorded
 as refused, and the layers that need its result are skipped.
 
+The ``cli`` entry times two calls of ``cli.main`` with stdout captured:
+``params`` with the caches of the argument parser and of the field
+spelling cleared before each call, as in a new process, and the
+all-class Zanella report on C(2,4) over F_3 written with ``-o``, with
+its tracemalloc peak.
+
 The run is stored under ``runs[label]`` of the output file, beside the
 runs already there, so one file can hold the same matrix before and after
 a change: run the script once with PYTHONPATH at each source tree.
@@ -38,15 +44,19 @@ numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
+from grasscodes import cli
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                               check_work, point_table, split_distribution,
                               verify_attained_family, verify_nogin,
@@ -76,6 +86,9 @@ ZANELLA_POINTS = 10**5
 # about 0.1-0.5 s per call at n ~ 10^4 (C(2,8) and C(3,7) over F_2), and
 # about 4 s at C(3,6) over F_3 (n = 33 880)
 MACWILLIAMS_LENGTH = 12_000
+# the calls of the ``cli`` entry
+CLI_PARAMS = ["params", "-q", "3", "-l", "2", "-m", "5"]
+CLI_REPORT = ["verify", "-q", "3", "-l", "2", "-m", "4", "--suite", "zanella"]
 
 
 def median_of(fn):
@@ -168,6 +181,30 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     return row
 
 
+def bench_cli() -> dict:
+    # getattr: a source tree may hold either cache or neither
+    clears = [getattr(cached, "cache_clear", None)
+              for cached in (cli._build_parser, GF.from_string)]
+
+    def call(argv: list[str], cold: bool = False) -> None:
+        for clear in clears if cold else ():
+            if clear is not None:
+                clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"grasscodes {' '.join(argv)} failed")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        report = CLI_REPORT + ["-o", os.path.join(tmp, "report.json")]
+        return {
+            "params": " ".join(CLI_PARAMS),
+            "params_s": median_of(lambda: call(CLI_PARAMS, cold=True))[0],
+            "report": " ".join(CLI_REPORT + ["-o", "FILE"]),
+            "report_s": median_of(lambda: call(report))[0],
+            "report_peak_bytes": str(peak_bytes(lambda: call(report))),
+            "report_bytes": str(os.path.getsize(report[-1]))}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", required=True,
@@ -181,6 +218,8 @@ def main() -> None:
         record = {"runs": {}}
     run = {"date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
            "host": host_info(), "repeats": str(REPEATS), "codes": []}
+    run["cli"] = bench_cli()
+    print(json.dumps(run["cli"]), flush=True)
     for case in MATRIX:
         run["codes"].append(bench_code(*case))
         print(json.dumps(run["codes"][-1]), flush=True)
