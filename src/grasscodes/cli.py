@@ -11,14 +11,16 @@ they support, one report per class from one batched call per suite.
 ``-f`` is a usage error with any other suite but ``all``.  Each suite
 states once which parameters it applies to and what work it prices:
 ``verify`` prices the work of the suites that will run in one
-``codes.check_work`` call before any of them starts.
+``codes.check_work`` call before any of them starts.  ``wdist`` and the
+``second`` suite price nothing here: ``codes.weight_distribution``
+picks the engine and prices it before it starts.
 
 Exit codes: 0 success / all assertions pass, 1 usage or domain error
 (and failed verification), 2 work refused by ``codes.check_work`` before
-it starts: a sweep, or the strings/zanella suites over every class, over
-the operation budget; a sweep, a point table (also the echelon matrices
-that ``strings`` reads), the ``strings`` listing or the reports of those
-suites over the fixed memory ceiling.
+it starts: a sweep, a split, or the strings/zanella suites over every
+class, over the operation budget; a sweep, a split, a point table (also
+the echelon matrices that ``strings`` reads), the ``strings`` listing or
+the reports of those suites over the fixed memory ceiling.
 The PLUCKER_BUDGET environment variable, an integer >= 1 like
 ``--budget``, overrides the default operation budget.
 
@@ -67,11 +69,12 @@ def _any(spec: CodeSpec) -> bool:
 # Every suite of ``--suite all``, in run order: the codes it applies to,
 # the work ``check_work`` prices before any suite runs, and its reports
 # from (code, the -f functional or None, args, budget).  With -f, strings
-# and zanella check one functional and price nothing up front.
+# and zanella check one functional and price nothing up front.  Nor does
+# second: its ``weight_distribution`` prices the engine it picks.
 _SUITE_RUNS = {
     "nogin": (_any, ["sweep"], lambda code, func, args, budget:
               [verify_nogin(code)]),
-    "second": (_middle, ["sweep"], lambda code, func, args, budget:
+    "second": (_middle, [], lambda code, func, args, budget:
                [verify_second_weight(code, budget=budget)]),
     "strings": (_any, ["table", "strings"], lambda code, func, args, budget:
                 [verify_string_section(code, func)] if func
@@ -361,7 +364,7 @@ _WORKERS = (("-j", "--workers"), {
 _BUDGET = (("--budget",), {"type": _positive_int, "default": None})
 _COMMANDS = {
     "params": (cmd_params, "closed-form code parameters", []),
-    "wdist": (cmd_wdist, "complete weight distribution sweep", [
+    "wdist": (cmd_wdist, "complete weight distribution", [
         (_OUTPUT, {"help": "output path (default stdout)"}),
         (("--format",), {"choices": ("json", "csv"), "default": "json"}),
         _WORKERS, _BUDGET]),

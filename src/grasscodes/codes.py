@@ -48,10 +48,11 @@ is constant on the GL_(m-1)(F_q)-orbit of f', and on the side
 s in {ell, m-ell} with s <= 2 or s >= m-3 (C(ell, m) and C(m-ell, m) are
 equivalent codes) those orbits are rank classes of alternating forms,
 sized by ``qcombin.alternating_count``.  So each class costs one
-transform of q^(C(m-1, s-1)) codewords.  ``weight_distribution`` applies
-the same refusals as a sweep, then takes the histogram of
-``code.weights`` when that array is built, else the split when the code
-has such a side, else a sweep (Schubert codes, C(ell, m) with
+transform of q^(C(m-1, s-1)) codewords.  ``weight_distribution`` is the
+one place that picks the engine, and it prices the engine it runs: the
+histogram of ``code.weights`` when that array is built (no new work),
+else the split when the code has such a side, refused as a split, else
+a sweep, refused as a sweep (Schubert codes, C(ell, m) with
 4 <= ell <= m-4, and C(m, m)).
 
 The decomposition suites run on the same engine.  The strings suite
@@ -73,10 +74,12 @@ matrices, each distinct row formatted once; the plain partition counts
 the same fibers from the cell sizes.
 
 ``check_work`` is the one refusal policy: it prices each named piece of
-work (a point table, a sweep, a split transform, the strings or Zanella
-suite over every class, the string partition) in operations against a
-budget and in bytes against ``MAX_SWEEP_BYTES``, and raises
-``BudgetExceeded`` for the first piece refused, before any work starts.
+work (a point table, a sweep, a split, the strings or Zanella suite over
+every class, the string partition) in operations against a budget and
+in bytes against ``MAX_SWEEP_BYTES``, and raises ``BudgetExceeded`` for
+the first piece refused, before any work starts.  A sweep and a split
+are priced in one unit, classes times points: a split costs one sweep
+of the inner code C(s-1, m-1) per rank class.
 
 Nogin's theorem by duality: the minimum-weight classes are the decomposable
 hyperplanes, i.e. the points of the dual Grassmannian G(m-ell, m)
@@ -218,8 +221,10 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
       matrix entry kept across cells.  Bytes only.
     - ``"sweep"``: a pass over every scalar class, priced as classes times
       points, and one transform over the q^k codewords.
-    - ``"split"``: the transform of ``_split_counts`` on side ell of
-      ``spec``, over q^C(m-1, ell-1) codewords.  Bytes only.
+    - ``"split"``: ``_split_counts`` on side ell of ``spec``, priced in
+      the sweep's unit as one sweep of the inner code C(ell-1, m-1) per
+      rank class (``_rank_classes``), and one transform over
+      q^C(m-1, ell-1) codewords.
     - ``"strings"``, ``"zanella"``: the suite over every scalar class of
       the coefficients it supports, priced as classes times points, and
       its reports, one per class.  A strings report counts the q^(m-ell)
@@ -244,7 +249,12 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
         else:
             k = spec.k if work in ("sweep", "zanella") \
                 else math.comb(m - 1, ell - 1)
-            ops = None if work == "split" else class_count(q, k) * spec.n
+            if work == "split":  # one sweep of C(ell-1, m-1) per rank class
+                ops = (len(_rank_classes(field, ell, m - 1))
+                       * class_count(q, k)
+                       * gaussian_binomial(m - 1, ell - 1, q))
+            else:
+                ops = class_count(q, k) * spec.n
             if work in ("sweep", "split"):
                 # one ``_table_weights`` call: 16 B per codeword, plus 8p B
                 # for odd p, is a deliberate upper bound.  Besides the 4 B
@@ -741,17 +751,23 @@ class WeightDistribution:
 
 def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exact counts for all q^k codewords of the code, refused like a sweep
-    (``check_work``) before any work.  They are the histogram of
-    ``code.weights`` when that array is already built, else
+    """Exact counts for all q^k codewords of the code.  They are the
+    histogram of ``code.weights`` when that array is already built, else
     ``split_distribution`` when the code has a side for it, else the
-    histogram of a sweep."""
-    check_work(code.spec, ["sweep"], budget)
-    if "weights" not in vars(code) and _split_sides(code.spec):
-        return split_distribution(code)
+    histogram of a sweep.  This is the one choice of engine, and each
+    engine is priced as itself (``check_work`` on the ``"split"`` of the
+    first side, or on the ``"sweep"``) before any work starts."""
+    spec = code.spec
+    if "weights" not in vars(code):
+        sides = _split_sides(spec)
+        if sides:
+            check_work(CodeSpec(spec.field, sides[0], spec.m), ["split"],
+                       budget)
+            return split_distribution(code)
+        check_work(spec, ["sweep"], budget)
     weights, hist = np.unique(code.weights, return_counts=True)
     counts = dict(zip(weights.tolist(), hist.tolist()))
-    dist = WeightDistribution(code.spec, counts)
+    dist = WeightDistribution(spec, counts)
     dist.check_invariants()
     return dist
 

@@ -12,6 +12,8 @@ from grasscodes.grassmann import (enumerate_grassmannian,
                                   in_last_column_locus, string_label)
 from grasscodes.qcombin import index_tuples
 
+from test_codes import _nogin_distribution
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -280,7 +282,10 @@ def test_memory_ceiling_exit_two(capsys, monkeypatch):
     monkeypatch.setattr(codes, "minors_table", None)  # must not be reached
     tracemalloc.start()
     try:
-        for argv in (["wdist"], ["verify", "--suite", "nogin"]):
+        # the Schubert code C_(4,6)(2,6) sweeps 4^14 codewords, and the
+        # Nogin suite sweeps C(2,6): 4^15
+        for argv in (["wdist", "--alpha", "4,6"],
+                     ["verify", "--suite", "nogin"]):
             code, _, err = run(capsys, *argv, "-q", "4", "-l", "2", "-m", "6",
                                "--budget", str(10**20))
             assert code == 2 and "bytes" in err
@@ -319,25 +324,27 @@ def test_verify_nogin_roadmap_target(capsys):
 
 
 def test_budget_env_var(capsys, monkeypatch):
+    # the Schubert code C_(2,5)(2,5) sweeps at a price of 5461
+    code_args = ("-q", "2", "-l", "2", "-m", "5", "--alpha", "2,5")
     monkeypatch.setenv("PLUCKER_BUDGET", "1000")
-    code, _, err = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4")
+    code, _, err = run(capsys, "wdist", *code_args)
     assert code == 2
     monkeypatch.setenv("PLUCKER_BUDGET", "100000")
-    code, out, _ = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4")
+    code, out, _ = run(capsys, "wdist", *code_args)
     assert code == 0
     # explicit flag beats the environment
     monkeypatch.setenv("PLUCKER_BUDGET", "1000")
-    code, _, _ = run(capsys, "wdist", "-q", "2", "-l", "2", "-m", "4",
-                     "--budget", "100000")
+    code, _, _ = run(capsys, "wdist", *code_args, "--budget", "100000")
     assert code == 0
 
 
 def test_refusal_names_refused_work(capsys):
-    cases = [(["wdist", "-q", "2", "-l", "3", "-m", "6", "--budget", "1000"],
-              "sweep requires ~1462762125 operations, budget is 1000"),
-             (["wdist", "-q", "4", "-l", "2", "-m", "6", "--budget",
-               str(10**20)],
-              "sweep requires ~17179869184 bytes, budget is 2147483648"),
+    cases = [(["wdist", "-q", "2", "-l", "2", "-m", "5", "--alpha", "2,5",
+               "--budget", "1000"],
+              "sweep requires ~5461 operations, budget is 1000"),
+             (["wdist", "-q", "4", "-l", "2", "-m", "6", "--alpha", "4,6",
+               "--budget", str(10**20)],
+              "sweep requires ~4294967296 bytes, budget is 2147483648"),
              (["verify", "-q", "16", "-l", "2", "-m", "6", "--suite",
                "zanella", "-f", "X:1,2"],
               "point table requires ~777927917054 bytes, budget is 2147483648"),
@@ -354,6 +361,49 @@ def test_refusal_names_refused_work(capsys):
     for argv, message in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_split_refusal_names_the_split(capsys):
+    # C(3,6) over F_2 splits on side 3: 3 rank classes, each one sweep of
+    # C(2,5), 1023 classes of 155 points
+    for argv in (["wdist"], ["verify", "--suite", "second"]):
+        code, out, err = run(capsys, *argv, "-q", "2", "-l", "3", "-m", "6",
+                             "--budget", "1000")
+        assert (code, out, err) == (
+            2, "", "error: split requires ~475695 operations, budget is"
+            " 1000\n")
+
+
+def test_split_over_memory_ceiling_refused_before_tables(capsys,
+                                                         monkeypatch):
+    # C(3,7) over F_3 needs a 3^20 transform on its side, C(3,8) over F_2
+    # a 2^35 one: refused on bytes under any budget
+    monkeypatch.setattr(codes, "minors_table", None)  # must not be reached
+    for argv, nbytes in ((["-q", "3", "-l", "3", "-m", "7"], 139471376040),
+                         (["-q", "2", "-l", "3", "-m", "8"], 549755813888)):
+        code, out, err = run(capsys, "wdist", *argv, "--budget",
+                             str(10**17))
+        assert (code, out, err) == (
+            2, "", f"error: split requires ~{nbytes} bytes, budget is"
+            " 2147483648\n")
+
+
+@pytest.mark.parametrize("q,m", [("16", 4), ("3", 6)])
+def test_split_reaches_north_star_codes(capsys, q, m):
+    # refused at the price of a sweep (~7.8 10^10 and ~7.9 10^10
+    # operations), these run at the price of the split
+    expected = _nogin_distribution(m, int(q))
+    argv = ("-q", q, "-l", "2", "-m", str(m))
+    code, out, _ = run(capsys, "wdist", *argv)
+    assert code == 0
+    counts = json.loads(out)["counts"]
+    assert {int(w): int(c) for w, c in counts.items()} == expected
+    code, out, _ = run(capsys, "verify", *argv, "--suite", "second")
+    assert code == 0
+    report = json.loads(out)["reports"][0]
+    assert report["pass"] is True
+    counts = report["distribution"]["counts"]
+    assert {int(w): int(c) for w, c in counts.items()} == expected
 
 
 def test_suite_not_applicable_prices_nothing(capsys):

@@ -365,7 +365,9 @@ def test_memory_ceiling_refuses_before_allocating(monkeypatch):
     with pytest.raises(BudgetExceeded, match="bytes"):
         weight_array(Code(spec))
     with pytest.raises(BudgetExceeded, match="bytes"):
-        weight_distribution(Code(spec), budget=10**20)
+        # the Schubert code C_(4,6)(2,6) sweeps 4^14 codewords: 4 GiB
+        weight_distribution(Code(CodeSpec(GF(2, 2), 2, 6, alpha=(4, 6))),
+                            budget=10**20)
     with pytest.raises(BudgetExceeded, match="bytes"):
         next(class_weights(Code(spec)))
 
@@ -391,11 +393,23 @@ def test_check_work_refuses_first_piece_in_order(f2):
 
 
 def test_budget_enforced(f2):
+    spec = CodeSpec(f2, 2, 5, alpha=(2, 5))  # a Schubert code: a sweep
     with pytest.raises(BudgetExceeded) as exc:
-        weight_distribution(Code(CodeSpec(f2, 2, 4)), budget=100)
+        weight_distribution(Code(spec), budget=100)
     assert exc.value.required > 100
     # generous budget passes
-    weight_distribution(Code(CodeSpec(f2, 2, 4)), budget=10**7)
+    weight_distribution(Code(spec), budget=10**7)
+
+
+def test_split_priced_as_one_inner_sweep_per_rank_class(f2):
+    # C(2,4): 2 rank classes of f' on F_2^3, each a sweep of C(1,3),
+    # 7 classes of 7 points
+    spec = CodeSpec(f2, 2, 4)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^split requires ~98 operations, budget is 97$"):
+        weight_distribution(Code(spec), budget=97)
+    assert weight_distribution(Code(spec), budget=98).counts == \
+        _nogin_distribution(4, 2)
 
 
 def test_schubert_distribution_c14(f2):

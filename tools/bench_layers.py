@@ -12,21 +12,20 @@ index tuples (``codes.verify_zanella_incidence``, with the echelon
 matrices built untimed, on codes of at most ``ZANELLA_POINTS`` points),
 the weight
 distribution as ``wdist`` computes it on a new ``Code``
-(``codes.weight_distribution``, which takes the split on these codes),
+(``codes.weight_distribution``, which takes the split on these codes
+and prices it as a split),
 the codeword-weight transform (``codes.weight_array``), the histogram of
 its array (``np.unique``, as ``codes.weight_distribution`` counts a
 weight array already built), the dual distribution
 (``macwilliams.dual_distribution``), the MacWilliams check
 (``macwilliams.check_macwilliams``) on the distribution at lengths up to
 ``MACWILLIAMS_LENGTH``, and the Nogin suite where the matrix asks for it.
-Where the default budget refuses the distribution,
-``codes.split_distribution`` is timed instead, or recorded as refused,
-and the MacWilliams check reads the split's distribution.
 It also records the tracemalloc peak of one untimed ``weight_array``
-call, and whether the default operation budget refuses the sweep
-(``codes.check_work`` on the sweep, as ``wdist`` and ``verify`` call
-it), with the ``BudgetExceeded`` text.  A layer that refuses its own work is recorded
-as refused, and the layers that need its result are skipped.
+call, and whether the default operation budget refuses a sweep of the
+code (``codes.check_work`` on the sweep, as the suites that read every
+codeword's weight call it), with the ``BudgetExceeded`` text.  A layer
+that refuses its own work is recorded as ``refused: <text>``, and the
+layers that need its result are skipped.
 
 The ``cli`` entry times two calls of ``cli.main`` with stdout captured:
 ``params`` with the caches of the argument parser and of the field
@@ -58,7 +57,7 @@ import numpy as np
 
 from grasscodes import cli
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
-                              check_work, point_table, split_distribution,
+                              check_work, point_table,
                               verify_attained_family, verify_nogin,
                               verify_zanella_incidence, weight_array,
                               weight_distribution)
@@ -152,12 +151,8 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
     try:
         layers["weight_distribution"], dist = median_of(
             lambda: weight_distribution(Code(spec)))
-    except BudgetExceeded:
-        try:
-            layers["split_distribution"], dist = median_of(
-                lambda: split_distribution(Code(spec)))
-        except BudgetExceeded as exc:
-            layers["split_distribution"] = f"refused: {exc}"
+    except BudgetExceeded as exc:
+        layers["weight_distribution"] = f"refused: {exc}"
     if dist is not None and n <= MACWILLIAMS_LENGTH:
         layers["check_macwilliams"], _ = median_of(
             lambda: check_macwilliams(dist.counts, n, q, k))
