@@ -14,7 +14,9 @@ whose first nonzero coordinate is 1.
 
 A ``Code`` builds each array the suites read once, on first use; a
 command makes one.  ``minors_table`` is the one builder of Pluecker
-minors; ``Code.matrices`` holds the echelon matrices alone.
+minors, by one walk over the pivot prefixes of the code's cells
+(``grassmann.schubert_minors``); ``Code.matrices`` holds the echelon
+matrices alone, cell by cell.
 
 A codeword c in F_q^k is held as its big-endian base-q index
 c @ ``_places(q, k)``, and ``_digits`` gives the vectors back.
@@ -105,7 +107,7 @@ from .linalg import ranks
 from .qcombin import (InvariantError, alternating_count, check_index_tuple,
                       complement, delta, delta_set, format_index_tuple,
                       gaussian_binomial, index_tuples, nabla_set)
-from .grassmann import cell_matrices, cell_minors
+from .grassmann import cell_matrices, schubert_minors
 
 __all__ = [
     "CodeSpec", "Code", "GeneratorMatrix", "WeightDistribution",
@@ -214,11 +216,9 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
     list order, whose operations exceed ``budget`` (None: no limit) or,
     checked after that, whose bytes exceed ``MAX_SWEEP_BYTES``.
 
-    - ``"table"``: ``minors_table`` (so ``point_table``) or
-      ``Code.matrices``, cell by cell; the largest cell as ``cell_minors``
-      or ``cell_matrices`` builds it (``_cell_bytes``) and 2k + 24 bytes
-      per point of it, plus two bytes per point for every coordinate or
-      matrix entry kept across cells.  Bytes only.
+    - ``"table"``: ``minors_table`` (so ``point_table``), one walk over
+      the pivot prefixes, or ``Code.matrices``, cell by cell, priced by
+      ``_table_bytes``.  Bytes only.
     - ``"sweep"``: a pass over every scalar class, priced as classes times
       points, and one transform over the q^k codewords.
     - ``"split"``: ``_split_counts`` on side ell of ``spec``, priced in
@@ -236,10 +236,7 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
     q = field.q
     for work in works:
         if work == "table":
-            top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
-            ops, nbytes = None, (_cell_bytes(field, ell, m, top)
-                                 + q**top * (2 * spec.k + 24)
-                                 + 2 * spec.n * max(spec.k, ell * m))
+            ops, nbytes = None, _table_bytes(spec)
         elif work.startswith("partition"):
             fibers = q ** (m - ell)
             ops, nbytes = None, fibers * _FIBER_BYTES
@@ -287,16 +284,19 @@ def _refuse(what: str, ops: int | None, nbytes: int,
         raise BudgetExceeded(what, nbytes, "bytes", MAX_SWEEP_BYTES)
 
 
-def _cell_bytes(field: GF, ell: int, m: int, top: int) -> int:
-    """The peak bytes of ``cell_minors`` and ``cell_matrices``, priced as
-    one build, on a cell of q^top points: its matrices, the base-q digits
-    of its slots and five minor arrays as wide as the widest exterior
-    power up to ell.  The minors hold about three at most, at the last
-    slot of its largest row: the index of one table gather and its result,
-    each as large as the output, and the wedges before that slot with
-    their scaled copy, each q times smaller."""
-    width = max(len(index_tuples(i, m)) for i in range(1, ell + 1))
-    return field.q**top * (ell * m + top + 5 * width)
+def _table_bytes(spec: CodeSpec) -> int:
+    """The peak bytes of ``minors_table`` (``schubert_minors``), of
+    ``point_table`` and of ``Code.matrices`` on ``spec``.  Per point: the
+    minors and their support columns or normalization, or the matrices
+    twice.  Per point of the top cell: its matrices and slot digits, and
+    five minor arrays as wide as the widest exterior power up to ell.  The
+    walk holds up to three at its largest leaf (its rows, one gather's
+    index, the slot sums) and each ancestor's smaller wedges."""
+    ell, m = spec.ell, spec.m
+    top = ell * (m - ell) if spec.alpha is None else delta(spec.alpha)
+    width = max(math.comb(m, i) for i in range(1, ell + 1))
+    return (spec.field.q**top * (ell * m + top + 5 * width)
+            + spec.n * max(math.comb(m, ell) + spec.k, 2 * ell * m))
 
 
 def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
@@ -330,7 +330,7 @@ def _normalize_rows(field: GF, coords: np.ndarray) -> np.ndarray:
 
 
 def minors_table(spec: CodeSpec) -> np.ndarray:
-    """The Pluecker coordinates of every point as ``cell_minors`` gives
+    """The Pluecker coordinates of every point as ``schubert_minors`` gives
     them, an (n, k) uint8 array in ``point_table`` order, not normalized.
 
     Row i is ``plucker(mat)`` of the i-th point, restricted to the columns
@@ -342,15 +342,11 @@ def minors_table(spec: CodeSpec) -> np.ndarray:
     over ``MAX_SWEEP_BYTES``, before allocating.
     """
     check_work(spec, ["table"])
-    field, ell, m = spec.field, spec.ell, spec.m
-    # the cells of the code are its support; a point of the Schubert
-    # variety vanishes off the support
-    cells = [cell_minors(alpha, m, field) for alpha in spec.support]
-    if spec.is_schubert:
-        all_tuples = index_tuples(ell, m)
-        keep = [all_tuples.index(a) for a in spec.support]
-        cells = [minors[:, keep] for minors in cells]
-    return np.concatenate(cells)
+    # the last tuple of the support is its top cell, alpha; a point of the
+    # Schubert variety vanishes off the support
+    minors = schubert_minors(spec.support[-1], spec.m, spec.field)
+    return minors[:, [a in spec.support for a in index_tuples(
+        spec.ell, spec.m)]] if spec.is_schubert else minors
 
 
 def point_table(spec: CodeSpec) -> np.ndarray:

@@ -11,12 +11,12 @@ Entries are stored as raw field-element indices (see ``gf``); columns are
 0-based internally while pivot tuples and Pluecker index tuples are
 1-based, matching the serialization format.
 
-``cell_minors`` and ``cell_matrices`` are the batched forms used to
-tabulate codes: a whole cell as one uint8 array of Pluecker coordinates,
-built one row at a time, the wedge of the rows so far extended linearly
-by each free entry of the next through ``exterior.wedge_columns``, or as
-one uint8 array of echelon matrices.  ``enumerate_cell`` and ``plucker``
-are their point-at-a-time reference.
+``schubert_minors`` and ``cell_matrices`` are the batched forms used to
+tabulate codes: a whole Schubert variety as one uint8 array of Pluecker
+coordinates, built by one walk over the pivot prefixes of its cells, the
+wedge of the rows so far extended linearly by each free entry of the next
+(``exterior.wedge_columns``), or a cell as one uint8 array of echelon
+matrices.  ``enumerate_cell`` and ``plucker`` are their reference.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import numpy as np
 from .exterior import wedge_columns, wedge_layout
 from .gf import GF
 from .linalg import determinant  # plucker calls it through this global
-from .qcombin import check_index_tuple, index_tuples, nabla_set
+from .qcombin import check_index_tuple, delta, index_tuples, nabla_set
 
 __all__ = [
     "EchelonMatrix", "PluckerVector",
     "enumerate_cell", "enumerate_grassmannian", "enumerate_schubert_variety",
-    "plucker", "determinant", "cell_matrices", "cell_minors",
+    "plucker", "determinant", "cell_matrices", "schubert_minors",
     "in_last_column_locus", "string_label", "string_fiber", "project_tau",
 ]
 
@@ -161,29 +161,52 @@ def cell_matrices(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
     return mats
 
 
-def cell_minors(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
-    """The Pluecker coordinates (``plucker``, not normalized) of the cell
-    C_alpha, a (q^delta, C(m, ell)) uint8 array in ``index_tuples`` order,
-    rows in ``enumerate_cell`` order; the matrices are never built."""
+def schubert_minors(alpha: Sequence[int], m: int, field: GF) -> np.ndarray:
+    """The Pluecker coordinates (``plucker``, not normalized) of the
+    Schubert variety of alpha, an (n, C(m, ell)) uint8 array in
+    ``index_tuples`` order, rows in ``enumerate_schubert_variety`` order.
+    One walk over pivot prefixes: row i is e_p plus x e_c over the columns
+    c < p outside the prefix, so each column in turn is a child pivot
+    p <= alpha_i, whose wedges are T + w ^ e_p, then a slot extending T,
+    the sums of x (w ^ e_c) over the slots so far."""
     alpha = check_index_tuple(tuple(alpha), m)
-    slots = _free_positions(alpha, m)
-    # the minors by linear extension, row by row: w is the wedge of rows
-    # 0..i-1 at every point of their slots, and row i is e_(alpha_i) plus
-    # x e_c over its slots (i, c), so w ^ row i starts from w ^ e_(alpha_i)
-    # and each slot, most significant first, extends every point by each x
-    # in F_q, adding x (w ^ e_c)
+    sizes = [field.q ** delta(b) for b in nabla_set(alpha, m)]
+    table = np.empty((sum(sizes), len(index_tuples(len(alpha), m))), np.uint8)
+    cells = iter(np.split(table, np.cumsum(sizes)[:-1]))  # in lex order
     xs = np.arange(field.q, dtype=np.uint8)[:, None]
-    w = np.ones((1, 1), dtype=np.uint8)
-    for i, p in enumerate(alpha):
-        n = len(w)
-        ext = wedge_layout(field, w)
-        acc = ext[:, wedge_columns(i, m, p)]
-        width = acc.shape[1]
-        for c in [c + 1 for r, c in slots if r == i]:
-            term = field.vmul(ext[:, None, wedge_columns(i, m, c)], xs)
-            acc = field.vadd(acc.reshape(n, -1, 1, width), term[:, None])
-        w = acc.reshape(-1, width)
-    return w
+
+    def walk(w: np.ndarray, prefix: tuple[int, ...]) -> None:
+        i, last = len(prefix), prefix[-1] if prefix else 0
+        cols = [c for c in range(1, alpha[i] + 1) if c not in prefix]
+        wedges = wedge_layout(field, w)[:, np.stack(
+            [wedge_columns(i, m, c) for c in cols])]
+        shape = (len(w), -1, wedges.shape[2])
+
+        def add(sums, term):  # every row of sums plus every row of term
+            return term if sums is None else field.vadd(
+                sums[:, :, None], term[:, None]).reshape(shape)
+
+        # T is done + final, None before any slot: done sums every slot
+        # but the last, an (n, q^s, C(m, i+1)) array, and final holds the
+        # last one's x (w ^ e_c) at every x in F_q
+        done = final = None
+        for j, c in enumerate(cols):
+            wedge = wedges[:, None, j]
+            if c > last:
+                child = add(done, wedge if final is None else field.vadd(
+                    final, wedge)).reshape(-1, shape[2])
+            if c == alpha[i]:
+                done = final = None  # freed before the last subtree
+            else:
+                done = done if final is None else add(done, final)
+                final = field.vmul(wedge, xs)
+            if c > last and i + 1 < len(alpha):
+                walk(child, prefix + (c,))
+            elif c > last:  # a leaf: its rows go straight into the table
+                next(cells)[...] = child
+
+    walk(np.ones((1, 1), dtype=np.uint8), ())
+    return table
 
 
 # -- the string decomposition ------------------------------------------------

@@ -10,7 +10,6 @@ from grasscodes.cli import main
 from grasscodes.gf import GF
 from grasscodes.grassmann import (enumerate_grassmannian,
                                   in_last_column_locus, string_label)
-from grasscodes.qcombin import index_tuples
 
 from test_codes import _nogin_distribution
 
@@ -154,7 +153,7 @@ def test_strings_builds_no_minors(capsys, monkeypatch):
     def no_minors(*args):
         raise AssertionError("Pluecker minors built for the string partition")
     for module in (codes, grassmann):
-        monkeypatch.setattr(module, "cell_minors", no_minors)
+        monkeypatch.setattr(module, "schubert_minors", no_minors)
     for flag in ([], ["--full"]):
         code, out, err = run(capsys, "strings", "-q", "3", "-l", "2",
                              "-m", "4", *flag)
@@ -170,8 +169,9 @@ def test_plain_strings_builds_no_matrices(capsys, monkeypatch):
     cases = [("3", 2, 4), ("2", 3, 5), ("11", 1, 3), ("2", 3, 3)]
     plain = []
     with monkeypatch.context() as patch:
-        for name in ("cell_matrices", "cell_minors"):
-            patch.setattr(codes, name, no_matrices)
+        for module in (codes, grassmann):
+            for name in ("cell_matrices", "schubert_minors"):
+                patch.setattr(module, name, no_matrices)
         for field, ell, m in cases:
             code, out, err = run(capsys, "strings", "-q", field, "-l",
                                  str(ell), "-m", str(m))
@@ -188,11 +188,12 @@ def test_plain_strings_builds_no_matrices(capsys, monkeypatch):
 
 
 def test_strings_table_byte_ceiling_exit_two(capsys, monkeypatch):
-    for name in ("cell_matrices", "cell_minors"):
-        monkeypatch.setattr(codes, name, None)  # must not be reached
+    for module in (codes, grassmann):
+        for name in ("cell_matrices", "schubert_minors"):
+            monkeypatch.setattr(module, name, None)  # must not be reached
     code, out, err = run(capsys, "strings", "-q", "16", "-l", "2", "-m", "6")
     assert (code, out, err) == (2, "", "error: point table requires"
-                                " ~777927917054 bytes, budget is 2147483648\n")
+                                " ~545999683070 bytes, budget is 2147483648\n")
 
 
 def test_strings_listing_byte_ceiling_exit_two(capsys, monkeypatch):
@@ -200,8 +201,10 @@ def test_strings_listing_byte_ceiling_exit_two(capsys, monkeypatch):
     # needs several GiB: both forms are refused before any fiber is built
     def no_listing(*args):
         raise AssertionError("string partition listed past its price")
-    for name in ("_fiber_labels", "cell_matrices", "cell_minors"):
+    for name in ("_fiber_labels", "cell_matrices", "schubert_minors"):
         monkeypatch.setattr(codes, name, no_listing)
+    for name in ("cell_matrices", "schubert_minors"):
+        monkeypatch.setattr(grassmann, name, no_listing)
     codes.check_work(codes.CodeSpec(GF(2, 4), 1, 7), ["table"])
     for flag, what in (([], "string partition"),
                        (["--full"], "string partition --full")):
@@ -297,8 +300,9 @@ def test_memory_ceiling_exit_two(capsys, monkeypatch):
 
 def test_table_byte_ceiling_exit_two(capsys, monkeypatch):
     # C(2,6) over F_16: its largest cell alone needs about 48 GiB
-    for name in ("cell_matrices", "cell_minors"):
-        monkeypatch.setattr(codes, name, None)  # must not be reached
+    for module in (codes, grassmann):
+        for name in ("cell_matrices", "schubert_minors"):
+            monkeypatch.setattr(module, name, None)  # must not be reached
     tracemalloc.start()
     try:
         for argv in (["--suite", "zanella", "-f", "X:1,2"],
@@ -347,7 +351,7 @@ def test_refusal_names_refused_work(capsys):
               "sweep requires ~4294967296 bytes, budget is 2147483648"),
              (["verify", "-q", "16", "-l", "2", "-m", "6", "--suite",
                "zanella", "-f", "X:1,2"],
-              "point table requires ~777927917054 bytes, budget is 2147483648"),
+              "point table requires ~545999683070 bytes, budget is 2147483648"),
              # a command of several pieces of work names the first refused
              (["verify", "-q", "2", "-l", "3", "-m", "6", "--suite", "all",
                "--budget", "1000"],
@@ -449,8 +453,9 @@ def test_per_class_suites_budget_exit_two(capsys, monkeypatch, tmp_path):
 def test_all_class_report_bytes_exit_two(capsys, monkeypatch, tmp_path):
     # within the default operation budget, but 1 048 575 Zanella reports of
     # 63 counts for C(3,6)/F_2 and 349 525 of 341 for C(2,5)/F_4
-    for name in ("cell_matrices", "cell_minors"):
-        monkeypatch.setattr(codes, name, None)  # must not be reached
+    for module in (codes, grassmann):
+        for name in ("cell_matrices", "schubert_minors"):
+            monkeypatch.setattr(module, name, None)  # must not be reached
     report = tmp_path / "report.json"
     for field, ell, m, price in (("2", 3, 6, 1048575 * (8192 + 63 * 192)),
                                  ("2^2", 2, 5, 349525 * (8192 + 341 * 192))):
@@ -513,12 +518,12 @@ def test_unwritable_output_path(capsys, tmp_path):
 
 def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     # one command, one Code: each table of minors and the weight array are
-    # built once, the minors of each cell once, inside the tables of C(2,4)
-    # and C(1,3), and the echelon matrices of each cell of C(2,4) at most
-    # once
+    # built once, each table of C(2,4) and C(1,3) by one walk over its
+    # pivot prefixes, and the echelon matrices of each cell of C(2,4) at
+    # most once
     log = []
     for name in ("minors_table", "weight_array", "cell_matrices",
-                 "cell_minors"):
+                 "schubert_minors"):
         def counted(*args, _name=name, _fn=getattr(codes, name)):
             log.append((_name, args[0]))
             return _fn(*args)
@@ -529,15 +534,17 @@ def test_verify_all_builds_each_array_once(capsys, monkeypatch):
     tables = sorted((s.ell, s.m) for name, s in log if name == "minors_table")
     assert tables == [(1, 3), (2, 4)]
     assert [name for name, _ in log].count("weight_array") == 1
-    minors = sorted(alpha for name, alpha in log if name == "cell_minors")
-    assert minors == sorted(index_tuples(2, 4) + index_tuples(1, 3))
+    walks = sorted(alpha for name, alpha in log if name == "schubert_minors")
+    assert walks == [(3,), (3, 4)]
     assert [name for name, _ in log].count("cell_matrices") <= 6
 
 
 def test_schubert_alpha_refused_before_work(capsys, monkeypatch):
-    for name in ("point_table", "cell_matrices", "cell_minors",
+    for name in ("point_table", "cell_matrices", "schubert_minors",
                  "weight_array"):
         monkeypatch.setattr(codes, name, None)  # must not be reached
+    for name in ("cell_matrices", "schubert_minors"):
+        monkeypatch.setattr(grassmann, name, None)
     schubert = ["-q", "2", "-l", "2", "-m", "4", "--alpha", "2,4"]
     for suite in cli.SUITES:
         code, out, err = run(capsys, "verify", *schubert, "--suite", suite)

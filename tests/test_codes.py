@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import grasscodes
-from grasscodes import codes, exterior, macwilliams
+from grasscodes import codes, exterior, grassmann, macwilliams
 from grasscodes.cli import _jsonify
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               InvariantError, WeightDistribution,
@@ -33,8 +33,7 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
-from grasscodes.grassmann import (cell_matrices, cell_minors,
-                                  enumerate_grassmannian,
+from grasscodes.grassmann import (enumerate_grassmannian,
                                   enumerate_schubert_variety, plucker,
                                   string_fiber)
 from grasscodes.linalg import rank as matrix_rank
@@ -709,8 +708,9 @@ def test_all_class_suites_refuse_before_work(monkeypatch, f2):
     # 2^35 - 1 strings reports
     def no_cells(*args):
         raise AssertionError("cell built for refused reports")
-    monkeypatch.setattr(codes, "cell_matrices", no_cells)
-    monkeypatch.setattr(codes, "cell_minors", no_cells)
+    for module in (codes, grassmann):
+        monkeypatch.setattr(module, "cell_matrices", no_cells)
+        monkeypatch.setattr(module, "schubert_minors", no_cells)
     for every, spec in ((verify_zanella_incidences, CodeSpec(f2, 3, 6)),
                         (verify_string_sections, CodeSpec(f2, 4, 8))):
         with pytest.raises(BudgetExceeded, match="bytes"):
@@ -955,8 +955,9 @@ def test_table_byte_ceiling_refuses_before_allocating(monkeypatch):
 
     def no_cells(*args):
         raise AssertionError("cell built for a refused table")
-    monkeypatch.setattr(codes, "cell_matrices", no_cells)
-    monkeypatch.setattr(codes, "cell_minors", no_cells)
+    for module in (codes, grassmann):
+        monkeypatch.setattr(module, "cell_matrices", no_cells)
+        monkeypatch.setattr(module, "schubert_minors", no_cells)
     tracemalloc.start()
     try:
         for call in (lambda: point_table(spec),
@@ -987,19 +988,20 @@ def test_point_table_builds_no_matrices(monkeypatch, f3):
 @pytest.mark.parametrize("p,e,ell,m", [(3, 1, 3, 6), (2, 4, 2, 4),
                                        (2, 1, 4, 7)])
 def test_cell_arrays_peak_within_estimate(p, e, ell, m):
-    """The tracemalloc peaks of cell_minors and of cell_matrices on the top
-    cell each stay within the per-cell part of check_table_bytes'
-    estimate."""
-    field = GF(p, e)
+    """The tracemalloc peaks of the walk (``schubert_minors`` over the whole
+    Grassmannian), of ``point_table`` and of ``Code.matrices`` each stay
+    within the table price of ``check_work``."""
+    spec = CodeSpec(GF(p, e), ell, m)
     top = tuple(range(m - ell + 1, m + 1))
-    for build in (cell_minors, cell_matrices):
+    for build in (lambda: grassmann.schubert_minors(top, m, spec.field),
+                  lambda: point_table(spec), lambda: Code(spec).matrices):
         tracemalloc.start()
         try:
-            build(top, m, field)
+            build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < codes._cell_bytes(field, ell, m, ell * (m - ell))
+        assert peak < codes._table_bytes(spec)
 
 
 def _point_in_kernel(mat, u) -> bool:

@@ -17,7 +17,8 @@ from grasscodes.exterior import (DualFunctional, WedgeElement,
                                  wedge_of_vectors, wedge_pairing,
                                  wedge_with_vector)
 from grasscodes.gf import GF
-from grasscodes.grassmann import cell_minors, enumerate_grassmannian, plucker
+from grasscodes.grassmann import (enumerate_grassmannian, plucker,
+                                  schubert_minors)
 from grasscodes.linalg import rank as matrix_rank
 from grasscodes.qcombin import index_tuples
 
@@ -187,10 +188,10 @@ def test_annihilator_ranks_do_not_share_the_wedge_map(monkeypatch, f3):
              (3, 5, rng.integers(0, 3, (200, 10), dtype=np.uint8))]
     cases = [(ell, m, vecs[vecs.any(axis=1)]) for ell, m, vecs in cases]
     expected = [annihilator_ranks(f3, ell, m, vecs) for ell, m, vecs in cases]
-    minors = cell_minors((3, 4), 4, f3)
+    minors = schubert_minors((3, 4), 4, f3)
     monkeypatch.setattr(exterior, "wedge_columns", _flipped_wedge_columns)
     monkeypatch.setattr(grassmann, "wedge_columns", _flipped_wedge_columns)
-    assert not np.array_equal(cell_minors((3, 4), 4, f3), minors)
+    assert not np.array_equal(schubert_minors((3, 4), 4, f3), minors)
     for (ell, m, vecs), ranks in zip(cases, expected):
         assert np.array_equal(annihilator_ranks(f3, ell, m, vecs), ranks)
 

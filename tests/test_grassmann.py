@@ -5,14 +5,15 @@ import pytest
 
 from grasscodes.gf import GF
 from grasscodes.grassmann import (EchelonMatrix, _free_positions,
-                                  cell_matrices, cell_minors,
-                                  determinant, enumerate_cell,
+                                  cell_matrices, determinant, enumerate_cell,
                                   enumerate_grassmannian,
                                   enumerate_schubert_variety,
                                   in_last_column_locus, plucker, project_tau,
-                                  string_fiber, string_label)
+                                  schubert_minors, string_fiber,
+                                  string_label)
 from grasscodes.linalg import rank, row_reduce
-from grasscodes.qcombin import delta, gaussian_binomial, index_tuples
+from grasscodes.qcombin import (delta, gaussian_binomial, index_tuples,
+                                nabla_set)
 
 
 def test_echelon_validation(f2):
@@ -55,26 +56,21 @@ def test_grassmannian_count(ell, m, q):
     (2, 1, 4, 6),
 ])
 def test_cell_arrays_match_enumeration(p, e, ell, m):
-    """Each cell's arrays, ``cell_matrices`` and ``cell_minors``, equal
-    enumerate_cell and plucker, row for row.
+    """Each cell's ``cell_matrices`` equals enumerate_cell, row for row.
 
-    plucker takes ~0.1 ms a point, so a cell over WALK points is checked
-    on SAMPLE evenly spaced rows: each is an echelon matrix whose slots
-    hold the base-q digits of its index, as enumerate_cell orders them,
-    with the minors of plucker.
+    A cell over WALK points is checked on SAMPLE evenly spaced rows: each
+    is an echelon matrix whose slots hold the base-q digits of its index,
+    as enumerate_cell orders them.
     """
     field = GF(p, e)
     for alpha in index_tuples(ell, m):
         mats = cell_matrices(alpha, m, field)
-        coords = cell_minors(alpha, m, field)
-        assert mats.dtype == coords.dtype == np.uint8
+        assert mats.dtype == np.uint8
         assert len(mats) == field.q ** delta(alpha)
         if len(mats) <= WALK:
-            points = list(enumerate_cell(alpha, m, field))
             assert mats.tolist() == [[list(r) for r in mat.rows]
-                                     for mat in points]
-            assert coords.tolist() == [list(plucker(mat).coords)
-                                       for mat in points]
+                                     for mat in enumerate_cell(alpha, m,
+                                                               field)]
             continue
         slots = _free_positions(alpha, m)
         for i in np.linspace(0, len(mats) - 1, SAMPLE, dtype=int):
@@ -82,10 +78,60 @@ def test_cell_arrays_match_enumeration(p, e, ell, m):
                                 alpha)
             digits = np.unravel_index(i, (field.q,) * len(slots))
             assert [mat.rows[r][c] for r, c in slots] == list(digits)
-            assert coords[i].tolist() == list(plucker(mat).coords)
 
 
 WALK, SAMPLE = 8192, 2048
+
+
+def _schubert_point(alpha, m, field, i):
+    """The i-th point of ``enumerate_schubert_variety(alpha, m, field)``,
+    built from its cell and the base-q digits of its index in the cell."""
+    for beta in nabla_set(alpha, m):
+        size = field.q ** delta(beta)
+        if i >= size:
+            i -= size
+            continue
+        rows = [[0] * m for _ in beta]
+        for r, b in enumerate(beta):
+            rows[r][b - 1] = 1
+        slots = _free_positions(beta, m)
+        digits = np.unravel_index(i, (field.q,) * len(slots))
+        for (r, c), x in zip(slots, digits):
+            rows[r][c] = int(x)
+        return EchelonMatrix(field, m, tuple(map(tuple, rows)), beta)
+    raise IndexError(i)
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
+                                 (2, 3), (3, 2), (11, 1), (13, 1), (2, 4)])
+def test_schubert_minors_match_plucker(p, e):
+    """The walk's rows equal ``plucker(mat).coords`` over
+    ``enumerate_schubert_variety``, row for row, on every supported field:
+    ell = 1, ell = m, whole Grassmannians and proper Schubert alpha.
+
+    Past CAP points, ROWS evenly spaced rows are checked, each against the
+    point ``_schubert_point`` builds for its index."""
+    field = GF(p, e)
+    for alpha, m in [((3,), 3), ((1, 2, 3), 3), ((3, 4), 4), ((2, 4), 4),
+                     ((1, 4), 5), ((2, 4, 5), 5), ((1, 3, 5), 6),
+                     *LARGER.get((p, e), [])]:
+        coords = schubert_minors(alpha, m, field)
+        n = sum(field.q ** delta(b) for b in nabla_set(alpha, m))
+        assert coords.dtype == np.uint8
+        assert coords.shape == (n, len(index_tuples(len(alpha), m)))
+        if n <= CAP:
+            assert coords.tolist() == [
+                list(plucker(mat).coords)
+                for mat in enumerate_schubert_variety(alpha, m, field)]
+            continue
+        for i in np.linspace(0, n - 1, ROWS, dtype=int):
+            mat = _schubert_point(alpha, m, field, int(i))
+            assert coords[i].tolist() == list(plucker(mat).coords)
+
+
+CAP, ROWS = 1024, 256
+# ell = 3 and 4 over F_2, and cells up to 9^6 points
+LARGER = {(2, 1): [((4, 5, 6), 6), ((3, 4, 5, 6), 6)], (3, 2): [((3, 4, 5), 5)]}
 
 
 def test_schubert_variety_count(f2):

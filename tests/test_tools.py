@@ -34,7 +34,8 @@ def test_bench_layers_runs_one_code():
     spec.loader.exec_module(module)
     row = module.bench_code(2, 1, 2, 4, True)  # C(2,4) over F_2
     assert row["default_budget"] == "allowed"
-    assert set(row["layers_s"]) == {"point_table", "verify_attained",
+    assert set(row["layers_s"]) == {"minors_table", "point_table",
+                                    "verify_attained",
                                     "verify_zanella",
                                     "weight_distribution", "weight_array",
                                     "histogram", "dual_distribution",

@@ -4,8 +4,9 @@
 
 For every code of the matrix it times the public layers of a sweep, as
 the median of 7 calls in one process (a best of 3 could not resolve a
-change to a ~10 ms layer on a shared host): the point table
-(``codes.point_table``), the attained-family suite on that table
+change to a ~10 ms layer on a shared host): the raw minors
+(``codes.minors_table``), the point table (``codes.point_table``, the
+minors normalized), the attained-family suite on that table
 (``codes.verify_attained_family``, for 2 <= ell <= m-2), the Zanella
 suite on the fixed functional X_first + X_last of the first and last
 index tuples (``codes.verify_zanella_incidence``, with the echelon
@@ -57,7 +58,7 @@ import numpy as np
 
 from grasscodes import cli
 from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
-                              check_work, point_table,
+                              check_work, minors_table, point_table,
                               verify_attained_family, verify_nogin,
                               verify_zanella_incidence, weight_array,
                               weight_distribution)
@@ -136,6 +137,7 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
         row["default_budget"] = f"refused: {exc}"
     layers = row["layers_s"] = {}
     code = Code(spec)
+    layers["minors_table"], _ = median_of(lambda: minors_table(spec))
     layers["point_table"], code.table = median_of(lambda: point_table(spec))
     if 2 <= ell <= m - 2:
         layers["verify_attained"], _ = median_of(
