@@ -22,9 +22,8 @@ from .exterior import (DualFunctional, WedgeElement, functional_to_wedge,
 from .codes import (CodeSpec, Code, GeneratorMatrix, WeightDistribution,
                     BudgetExceeded, build_generator, point_table,
                     decomposable_table, codeword_weight, weight_distribution,
-                    split_distribution, min_distance,
-                    second_min_weight, schubert_min_distance, verify_nogin,
-                    verify_second_weight, verify_attained_family,
+                    min_distance, second_min_weight, schubert_min_distance,
+                    verify_nogin, verify_second_weight, verify_attained_family,
                     verify_string_section, verify_zanella_incidence,
                     verify_l2_dichotomy)
 from .macwilliams import dual_distribution, check_macwilliams

@@ -38,7 +38,7 @@ rows, is written straight into the digit-swapped layout
 places are added column by column into one int64 buffer.
 ``class_weights`` is a view of the transform.
 
-The split (``split_distribution``) gives the weight distribution of a
+The split (``_split_counts``) gives the weight distribution of a
 Grassmann code without a sweep, from the paper's decomposition of
 G(ell, m) into G(ell, m-1) and strings of q^(m-ell) points over
 G(ell-1, m-1).  A functional splits as f = (f', f'') over the tuples
@@ -51,11 +51,12 @@ s in {ell, m-ell} with s <= 2 or s >= m-3 (C(ell, m) and C(m-ell, m) are
 equivalent codes) those orbits are rank classes of alternating forms,
 sized by ``qcombin.alternating_count``.  So each class costs one
 transform of q^(C(m-1, s-1)) codewords.  ``weight_distribution`` is the
-one place that picks the engine, and it prices the engine it runs: the
+one way into either engine and the one place that picks it: the
 histogram of ``code.weights`` when that array is built (no new work),
-else the split when the code has such a side, refused as a split, else
-a sweep, refused as a sweep (Schubert codes, C(ell, m) with
-4 <= ell <= m-4, and C(m, m)).
+else the split when the code has such a side, else a sweep (Schubert
+codes, C(ell, m) with 4 <= ell <= m-4, and C(m, m)).  Each is refused as
+itself before any work: the split in ``_split_counts``, the one site
+that prices a split, and the sweep in ``weight_distribution``.
 
 The decomposition suites run on the same engine.  The strings suite
 weighs, fiber by fiber, the points of the last-column locus; the Zanella
@@ -115,7 +116,7 @@ __all__ = [
     "build_generator", "point_table", "minors_table", "check_work",
     "decomposable_table",
     "codeword_weight", "class_representatives", "class_weights",
-    "weight_array", "weight_distribution", "split_distribution",
+    "weight_array", "weight_distribution",
     "min_distance", "second_min_weight", "schubert_min_distance",
     "verify_nogin", "verify_second_weight", "verify_attained_family",
     "verify_string_section", "verify_zanella_incidence",
@@ -200,9 +201,7 @@ _COUNT_BYTES = {"strings": 384, "zanella": 192}
 _BLOCK_BYTES = 2**15
 
 # bytes of the class numbers in one block of ``_annihilator_classes``; a
-# block's few temporaries of that size stay under 1 MiB, and ell = 1 codes,
-# whose points each carry [m-1, 1]_q classes, still get several points per
-# block (C(1,5) over F_16: 3), so the per-block calls do not dominate
+# block's few temporaries of that size stay under 1 MiB
 _ANNIHILATOR_BYTES = 2**17
 
 # peak bytes of the ``strings`` listing: per fiber, and with --full per
@@ -221,9 +220,10 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
       ``_table_bytes``.  Bytes only.
     - ``"sweep"``: a pass over every scalar class, priced as classes times
       points, and one transform over the q^k codewords.
-    - ``"split"``: ``_split_counts`` on side ell of ``spec``, priced in
-      the sweep's unit as one sweep of the inner code C(ell-1, m-1) per
-      rank class (``_rank_classes``), and one transform over
+    - ``"split"``: ``_split_counts`` on side ell of ``spec`` (its one
+      caller), priced in the sweep's unit as one sweep of the inner code
+      C(ell-1, m-1) per rank class (``_rank_classes``, which raises
+      ``ValueError`` when side ell has none), and one transform over
       q^C(m-1, ell-1) codewords.
     - ``"strings"``, ``"zanella"``: the suite over every scalar class of
       the coefficients it supports, priced as classes times points, and
@@ -747,22 +747,22 @@ class WeightDistribution:
 
 def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exact counts for all q^k codewords of the code.  They are the
-    histogram of ``code.weights`` when that array is already built, else
-    ``split_distribution`` when the code has a side for it, else the
-    histogram of a sweep.  This is the one choice of engine, and each
-    engine is priced as itself (``check_work`` on the ``"split"`` of the
-    first side, or on the ``"sweep"``) before any work starts."""
+    """Exact counts for all q^k codewords of the code, which pass
+    ``check_invariants``.  They are the histogram of ``code.weights`` when
+    that array is already built, else the split (``_split_counts``) on the
+    first of ``_split_sides`` when the code has one, else the histogram of
+    a sweep.  This is the one choice of engine, and each engine is priced
+    as itself before any work starts: the split by ``_split_counts``, the
+    sweep here (``check_work`` on the ``"sweep"``)."""
     spec = code.spec
-    if "weights" not in vars(code):
-        sides = _split_sides(spec)
-        if sides:
-            check_work(CodeSpec(spec.field, sides[0], spec.m), ["split"],
-                       budget)
-            return split_distribution(code)
-        check_work(spec, ["sweep"], budget)
-    weights, hist = np.unique(code.weights, return_counts=True)
-    counts = dict(zip(weights.tolist(), hist.tolist()))
+    built = "weights" in vars(code)
+    if not built and (sides := _split_sides(spec)):
+        counts = _split_counts(spec, sides[0], budget)
+    else:
+        if not built:
+            check_work(spec, ["sweep"], budget)
+        weights, hist = np.unique(code.weights, return_counts=True)
+        counts = dict(zip(weights.tolist(), hist.tolist()))
     dist = WeightDistribution(spec, counts)
     dist.check_invariants()
     return dist
@@ -771,11 +771,11 @@ def weight_distribution(code: Code,
 # -- the split: one transform per rank class ---------------------------------
 
 def _split_sides(spec: CodeSpec) -> list[int]:
-    """The sides s in {ell, m-ell} that ``split_distribution`` can take
-    for a Grassmann code, the smallest k'' = C(m-1, s-1) first (C(ell, m)
-    and C(m-ell, m) are equivalent codes).  On side s the split form f'
-    lies in the dual of the s-th exterior power of F_q^(m-1); for s <= 2
-    or s >= m-3 its orbits under GL_(m-1)(F_q) and scalars are rank
+    """The sides s in {ell, m-ell} that the split (``_split_counts``) can
+    take for a Grassmann code, the smallest k'' = C(m-1, s-1) first
+    (C(ell, m) and C(m-ell, m) are equivalent codes).  On side s the split
+    form f' lies in the dual of the s-th exterior power of F_q^(m-1); for
+    s <= 2 or s >= m-3 its orbits under GL_(m-1)(F_q) and scalars are rank
     classes (``_rank_classes``)."""
     ell, m = spec.ell, spec.m
     if spec.is_schubert:
@@ -795,7 +795,10 @@ def _rank_classes(field: GF, s: int, n: int) -> list[tuple[list, int]]:
     by sum_{i<r} X_(2i+1, 2i+2) in A(n, 2r) forms, for t = 2, and zero or
     nonzero for t <= 1.  The representative of a complement has the
     complementary tuples in [n]; the signs the complement map gives do
-    not change the rank."""
+    not change the rank.  Raises ``ValueError`` for 2 < s < n-2, where
+    the forms have no rank classes."""
+    if 2 < s < n - 2:
+        raise ValueError(f"the {s}-forms on F_q^{n} have no rank classes")
     t = s if s <= 2 else n - s
     if t == 2:
         forms = [([(2 * i + 1, 2 * i + 2) for i in range(r)],
@@ -810,7 +813,8 @@ def _rank_classes(field: GF, s: int, n: int) -> list[tuple[list, int]]:
     return forms
 
 
-def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
+def _split_counts(spec: CodeSpec, s: int,
+                  budget: int | None = None) -> dict[int, int]:
     """The weight distribution of C(s, m), equivalent to the Grassmann
     code ``spec``, from the split f = (f', f'') over the tuples without
     and with m.  Over the fiber of q^(m-s) points above each point U' of
@@ -824,16 +828,17 @@ def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
     The distribution over f'' is constant on a class of f', so each class
     of ``_rank_classes`` adds its size times the histogram of one
     ``_table_weights`` call over the Z rows of the C(s-1, m-1) table.  The
-    two tables and that q^k'' transform are priced under
-    ``MAX_SWEEP_BYTES`` before any is built."""
+    split is priced first (``check_work`` on the ``"split"`` of C(s, m),
+    against ``budget``, None: no limit), then its two tables, before any
+    work starts."""
     field, m = spec.field, spec.m
     q, n = field.q, m - 1
     outer = CodeSpec(field, s, n)
     inner = CodeSpec(field, s - 1, n) if s >= 2 else None
+    check_work(CodeSpec(field, s, m), ["split"], budget)
     check_work(outer, ["table"])
     if inner is not None:
         check_work(inner, ["table"])
-    check_work(CodeSpec(field, s, m), ["split"])
     outer_table = minors_table(outer)
     # G(0, m-1) is one point, with the single coordinate of the empty tuple
     inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
@@ -860,24 +865,6 @@ def _split_counts(spec: CodeSpec, s: int) -> dict[int, int]:
             weight = base + fiber * w
             counts[weight] = counts.get(weight, 0) + size * int(hist[w])
     return counts
-
-
-def split_distribution(code: Code) -> WeightDistribution:
-    """The weight distribution of a Grassmann code from the paper's split
-    of G(ell, m) into G(ell, m-1) and strings over G(ell-1, m-1), on the
-    first of ``_split_sides`` (``_split_counts``): one transform of
-    q^k'' codewords per rank class instead of a sweep of q^k.  Raises
-    ``ValueError`` for a code without a side and ``BudgetExceeded`` over
-    ``MAX_SWEEP_BYTES`` before any work; the counts pass
-    ``check_invariants``."""
-    spec = code.spec
-    sides = _split_sides(spec)
-    if not sides:
-        raise ValueError(f"no side of {spec.describe()} has rank classes "
-                         "to split over")
-    dist = WeightDistribution(spec, _split_counts(spec, sides[0]))
-    dist.check_invariants()
-    return dist
 
 
 # -- closed forms ------------------------------------------------------------
@@ -1276,7 +1263,7 @@ def verify_string_sections(code: Code) -> list[dict]:
                 on_h.tolist(), subs)]
 
 
-def _annihilator_classes(field: GF, mats: np.ndarray):
+def _annihilator_classes(field: GF, mats: np.ndarray, bins: int = 0):
     """The covectors that vanish on each point of an (N, ell, m) stack of
     echelon matrices: yields, for consecutive blocks of the points, an
     (N', [m-ell, 1]_q) int64 array whose row lists the
@@ -1293,7 +1280,8 @@ def _annihilator_classes(field: GF, mats: np.ndarray):
     is (q^m - q^(m-t))/(q-1) + I - q^(m-1-t), I = u @ ``_places(q, m)``.
     Column by column that is a row gather per free column and, at each
     pivot, a field sum of row gathers.  A block holds at most
-    ``_ANNIHILATOR_BYTES`` of class numbers (one point at least)."""
+    ``_ANNIHILATOR_BYTES`` of class numbers or, when that is fewer,
+    ``bins`` of them, and one point at least."""
     q = field.q
     n, ell, m = mats.shape
     s = m - ell
@@ -1311,7 +1299,7 @@ def _annihilator_classes(field: GF, mats: np.ndarray):
     free = [np.outer(place, y) + np.outer(before, lead == j)
             for j, y in enumerate(ys.T)]
     times = [np.ascontiguousarray(field.mul_array[:, y]) for y in ys.T]
-    step = max(1, _ANNIHILATOR_BYTES // (8 * len(ys)))
+    step = max(1, _ANNIHILATOR_BYTES // (8 * len(ys)), -(-bins // len(ys)))
     for start in range(0, n, step):
         block = mats[start:start + step]
         # the pivot of a row is its last nonzero column
@@ -1329,21 +1317,6 @@ def _annihilator_classes(field: GF, mats: np.ndarray):
                                         zip(times, row.T)))
             classes += value * place[pivot][:, None]
         yield classes
-
-
-def _runs(blocks, size: int):
-    """The entries of the arrays of ``blocks``, in order, joined into flat
-    runs of consecutive blocks: each run holds at least ``size`` entries,
-    but the last may hold fewer, and a run of one block is that block."""
-    run, total = [], 0
-    for block in blocks:
-        run.append(block.ravel())
-        total += block.size
-        if total >= size:
-            yield run[0] if len(run) == 1 else np.concatenate(run)
-            run, total = [], 0
-    if run:
-        yield run[0] if len(run) == 1 else np.concatenate(run)
 
 
 def _zanella_report(spec: CodeSpec, total: int, sub_counts: list[int]) -> dict:
@@ -1368,18 +1341,18 @@ def verify_zanella_incidence(code: Code, func: DualFunctional) -> dict:
 
     The points of the section in V_{m-1} = ker u are those whose
     annihilator holds u, so the counts are the histogram of
-    ``_annihilator_classes`` over the section, one ``np.bincount`` per run
-    of blocks (``_runs``)."""
+    ``_annihilator_classes`` over the section, one ``np.bincount`` per
+    block."""
     _check_functional_code(code, func)
     # the echelon matrices of the points on the hyperplane
     on_pi = code.matrices[func.evaluate_rows(code.table) == 0]
     subspaces = class_count(func.field.q, func.m)
-    # a histogram costs its bins as well as its numbers, so blocks are
-    # counted together until they hold as many numbers as there are bins:
-    # ell = 1 codes carry [m-1, 1]_q numbers per point, a few points a block
-    sub_counts = sum((np.bincount(run, minlength=subspaces) for run in
-                      _runs(_annihilator_classes(func.field, on_pi),
-                            subspaces)),
+    # a histogram costs its bins as well as its numbers, so a block holds
+    # at least as many numbers as there are bins: ell = 1 codes carry
+    # [m-1, 1]_q numbers per point, a few points to a block by bytes alone
+    sub_counts = sum((np.bincount(block.ravel(), minlength=subspaces)
+                      for block in _annihilator_classes(func.field, on_pi,
+                                                        subspaces)),
                      np.zeros(subspaces, dtype=np.int64))
     return _zanella_report(code.spec, len(on_pi), sub_counts.tolist())
 

@@ -152,7 +152,9 @@ class WedgeElement:
         terms = []
         for a, c in sorted(self.coeffs.items()):
             mono = "^".join(f"v{i}" for i in a)
-            terms.append(mono if c == 1 else f"{fmt(c)}*{mono}")
+            # degree 0 (ell = m): the one coefficient is the element
+            terms.append(fmt(c) if not a else mono if c == 1
+                         else f"{fmt(c)}*{mono}")
         return " + ".join(terms)
 
 

@@ -114,6 +114,19 @@ def test_decompose(capsys):
     assert len(data["annihilator_basis"]) == 2
 
 
+def test_decompose_ell_equals_m(capsys):
+    # G(3,3) is one point, and a functional is a scalar times X:1,2,3;
+    # its wedge has degree 0 and prints as that scalar
+    for text, wedge in (("2*X:1,2,3", "2"), ("X:1,2,3", "1")):
+        code, out, _ = run(capsys, "decompose", "-q", "3", "-l", "3",
+                           "-m", "3", "-f", text)
+        assert code == 0
+        data = json.loads(out)
+        assert data["wedge"] == wedge
+        assert data["decomposable"] is True
+        assert data["annihilator_dimension"] == "0"
+
+
 def test_strings_partition(capsys):
     code, out, _ = run(capsys, "strings", "-q", "2", "-l", "2", "-m", "4")
     assert code == 0

@@ -29,7 +29,7 @@ from grasscodes.codes import (BudgetExceeded, Code, CodeSpec, GeneratorMatrix,
                               verify_string_section, verify_string_sections,
                               verify_zanella_incidence,
                               verify_zanella_incidences, weight_array,
-                              weight_distribution, split_distribution)
+                              weight_distribution)
 from grasscodes.exterior import (DualFunctional, check_functional,
                                  parse_functional)
 from grasscodes.gf import GF
@@ -611,15 +611,16 @@ def test_verify_zanella_incidence(f2):
 
 
 def test_zanella_counts_match_point_oracle(monkeypatch, f2, f3):
-    # C(2,2): the one point is off X:1,2, an empty section; C(2,3) and
-    # C(1,4) end on a run of fewer class numbers than subspaces, in one
-    # block and in blocks of a point
+    # C(2,2): the one point is off X:1,2, an empty section; C(2,3), and
+    # C(1,4) in 8-byte blocks, end on a block of fewer class numbers than
+    # subspaces
     cases = [(f2, 2, 4, "X:1,4 + X:2,3"), (f3, 2, 4, "X:1,2 + 2*X:3,4 + X:2,4"),
              (f2, 3, 5, "X:1,2,3 + X:2,4,5"), (f3, 1, 3, "X:1"),
              (f2, 2, 3, "X:1,2"), (f3, 1, 4, "X:1 + X:2"),
              (f3, 2, 2, "X:1,2")]
     for block_bytes in (codes._ANNIHILATOR_BYTES, 8):
-        # 8 bytes: a block per point, so one histogram counts several blocks
+        # 8 bytes: each block holds just the bins of the histogram, so a
+        # section spans several blocks
         monkeypatch.setattr(codes, "_ANNIHILATOR_BYTES", block_bytes)
         for field, ell, m, text in cases:
             func = parse_functional(text, ell, m, field)
@@ -631,18 +632,6 @@ def test_zanella_counts_match_point_oracle(monkeypatch, f2, f3):
             assert report["sub_counts"] == [
                 sum(1 for mat in on_pi if _point_in_kernel(mat, u))
                 for u in class_representatives(field.q, m)]
-
-
-def test_runs_join_blocks_up_to_size():
-    blocks = [np.arange(a, b).reshape(-1, 1) for a, b in
-              [(0, 2), (2, 4), (4, 6), (6, 11), (11, 12)]]
-    runs = list(codes._runs(iter(blocks), 4))
-    assert [run.tolist() for run in runs] == [
-        [0, 1, 2, 3], [4, 5, 6, 7, 8, 9, 10], [11]]
-    # a block as large as the size is a run alone, and not copied
-    runs = list(codes._runs(iter(blocks[3:]), 4))
-    assert len(runs) == 2 and np.shares_memory(runs[0], blocks[3])
-    assert list(codes._runs(iter([]), 4)) == []
 
 
 def test_zanella_equality_case(f2):
@@ -1240,7 +1229,7 @@ def test_dual_distribution_priced_before_work(monkeypatch):
     # C(2,4) over F_16, n = 70 161: its n + 1 exact sums are priced over
     # the ceiling before any step
     spec = CodeSpec(GF(2, 4), 2, 4)
-    counts = split_distribution(Code(spec)).counts
+    counts = weight_distribution(Code(spec)).counts
     with pytest.raises(BudgetExceeded, match=r"^dual distribution requires "
                        r"~\d+ bytes, budget is 2147483648$") as refused:
         dual_distribution(counts, spec.n, 16, spec.k)
@@ -1762,7 +1751,7 @@ def test_split_matches_sweep_on_every_side(p, e, modulus, ell, m):
     assert sides and set(sides) <= {ell, m - ell}
     for s in sides:
         assert codes._split_counts(spec, s) == swept, s
-    assert split_distribution(Code(spec)).counts == swept
+    assert weight_distribution(Code(spec)).counts == swept
 
 
 def test_split_sides():
@@ -1783,7 +1772,7 @@ def test_split_sides():
 def test_split_matches_nogin_closed_form(q, m):
     field = GF(2, 2) if q == 4 else GF(2, 4) if q == 16 else GF(q)
     for ell in (2, m - 2):
-        dist = split_distribution(Code(CodeSpec(field, ell, m)))
+        dist = weight_distribution(Code(CodeSpec(field, ell, m)))
         assert dist.counts == _nogin_distribution(m, q)
 
 
@@ -1796,7 +1785,7 @@ def test_split_c37_f2_spectrum():
     # past the sweep: 2^35 codewords, 2^20 per transform on side 4
     for ell in (3, 4):
         spec = CodeSpec(GF(2), ell, 7)
-        dist = split_distribution(Code(spec))
+        dist = weight_distribution(Code(spec))
         assert dist.counts == C37_F2
     d2 = second_min_weight(spec)
     assert dist.counts[d2] == 2314956 == \
@@ -1806,7 +1795,7 @@ def test_split_c37_f2_spectrum():
 
 def test_split_c36_f3_second_weight_count():
     spec = CodeSpec(GF(3), 3, 6)
-    dist = split_distribution(Code(spec))  # passes the Pless moments
+    dist = weight_distribution(Code(spec))  # passes the Pless moments
     assert dist.total() == 3**20 and dist.min_weight() == min_distance(spec)
     assert dist.second_weight() == second_min_weight(spec)
     assert dist.counts[dist.second_weight()] == 20612592 == \
@@ -1819,13 +1808,24 @@ def test_split_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(codes, "minors_table", no_table)
     # C(3,7) over F_3: side 4 needs a transform of 3^20 codewords
     with pytest.raises(BudgetExceeded, match="^split requires"):
-        split_distribution(Code(CodeSpec(GF(3), 3, 7)))
+        weight_distribution(Code(CodeSpec(GF(3), 3, 7)), budget=None)
     # C(2,7) over F_16: the C(2,6) table of side 2 is over the ceiling
     with pytest.raises(BudgetExceeded, match="^point table requires"):
-        split_distribution(Code(CodeSpec(GF(2, 4), 2, 7)))
-    for spec in (CodeSpec(GF(2), 4, 8), CodeSpec(GF(2), 2, 4, (2, 4))):
-        with pytest.raises(ValueError, match="no side"):
-            split_distribution(Code(spec))
+        weight_distribution(Code(CodeSpec(GF(2, 4), 2, 7)), budget=None)
+
+
+def test_rank_classes_only_where_they_exist():
+    # the 3-forms on F_2^7 fall into several GL_7-orbits, not "zero and
+    # nonzero", so side 3 of C(3,8) has no rank classes and no split price
+    with pytest.raises(ValueError, match="no rank classes"):
+        codes._rank_classes(GF(2), 3, 7)
+    with pytest.raises(ValueError, match="no rank classes"):
+        check_work(CodeSpec(GF(2), 3, 8), ["split"])
+    # ranks 0, 2, 4, 6 of 2-forms and of their complements; zero and
+    # nonzero for 1-forms and 0-forms and their complements
+    for s, classes in [(1, 2), (2, 4), (5, 4), (6, 2), (7, 2)]:
+        sizes = [size for _, size in codes._rank_classes(GF(2), s, 7)]
+        assert len(sizes) == classes and sum(sizes) == 2 ** comb(7, s)
 
 
 def test_weight_distribution_routes(monkeypatch, f2, f3):
@@ -1836,7 +1836,7 @@ def test_weight_distribution_routes(monkeypatch, f2, f3):
         {0: 1, 81: 260, 90: 468}
     # built weights are read, and so are those of a Schubert code
     monkeypatch.setattr(codes, "weight_array", sweep)
-    monkeypatch.setattr(codes, "split_distribution", None)
+    monkeypatch.setattr(codes, "_split_counts", None)
     code = Code(CodeSpec(f2, 2, 4))
     assert code.weights.size == 2**6
     assert weight_distribution(code).counts == {0: 1, 16: 35, 20: 28}

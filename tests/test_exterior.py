@@ -130,6 +130,15 @@ def test_decomposable_wedges(f2, f3):
     assert annihilator_dimension(z) == 0
 
 
+def test_wedge_str(f3):
+    z = WedgeElement(f3, 4, 2, {(1, 2): 1, (3, 4): 2})
+    assert str(z) == "v1^v2 + 2*v3^v4"
+    assert str(WedgeElement(f3, 4, 2, {})) == "0"
+    # degree 0, the wedge of a functional at ell = m: its scalar
+    assert str(WedgeElement(f3, 3, 0, {(): 2})) == "2"
+    assert str(WedgeElement(f3, 3, 0, {(): 1})) == "1"
+
+
 def test_annihilator_basis_spans_the_rows(f3):
     z = wedge_of_vectors(f3, 4, [(1, 2, 0, 1), (0, 0, 1, 1)])
     basis = annihilator_basis(z)

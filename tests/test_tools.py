@@ -1,6 +1,7 @@
 """The demos and the per-layer benchmark script still run against the
-library API."""
+library API, and the package source keeps its invariants real."""
 
+import ast
 import glob
 import importlib.util
 import os
@@ -43,3 +44,18 @@ def test_bench_layers_runs_one_code():
     assert set(module.bench_cli()) == {"params", "params_s", "report",
                                        "report_s", "report_peak_bytes",
                                        "report_bytes"}
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips assert statements, so every invariant of the
+    # package raises a real exception instead
+    paths = sorted(glob.glob(os.path.join(ROOT, "src", "grasscodes", "**",
+                                          "*.py"), recursive=True))
+    assert paths
+    found = []
+    for path in paths:
+        with open(path, encoding="utf-8") as f:
+            tree = ast.parse(f.read(), filename=path)
+        found += [f"{os.path.relpath(path, ROOT)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
