@@ -56,7 +56,11 @@ histogram of ``code.weights`` when that array is built (no new work),
 else the split when the code has such a side, else a sweep (Schubert
 codes, C(ell, m) with 4 <= ell <= m-4, and C(m, m)).  Each is refused as
 itself before any work: the split in ``_split_counts``, the one site
-that prices a split, and the sweep in ``weight_distribution``.
+that prices a split, and the sweep in ``weight_distribution``.  Both
+engines histogram their weight arrays with ``_weight_counts``, the sweep
+over [0, n] and the split over [0, |Z|] per rank class: blocked
+``np.bincount`` calls over that known range, with no sort and no copy of
+the whole array.
 
 The decomposition suites run on the same engine.  The strings suite
 weighs, fiber by fiber, the points of the last-column locus; the Zanella
@@ -196,8 +200,9 @@ class CodeSpec:
 _REPORT_BYTES = 8192
 _COUNT_BYTES = {"strings": 384, "zanella": 192}
 
-# bytes of one block of ``_normalize_rows``: well under glibc's default
-# mmap threshold of 128 KiB, so each block's temporaries reuse heap pages
+# bytes of one block of ``_normalize_rows`` and of the weights in one block
+# of ``_weight_counts``: well under glibc's default mmap threshold of
+# 128 KiB, so each block's temporaries reuse heap pages
 _BLOCK_BYTES = 2**15
 
 # bytes of the class numbers in one block of ``_annihilator_classes``; a
@@ -745,15 +750,32 @@ class WeightDistribution:
         return "\n".join(lines) + "\n"
 
 
+def _weight_counts(weights: np.ndarray, top: int) -> dict[int, int]:
+    """The histogram {weight: count} of an integer array of weights in
+    [0, top], in ascending weight order and without zero counts, as
+    ``np.unique`` with counts gives it, but with no sort and no copy of the
+    whole array: one ``np.bincount`` over [0, top] per block of
+    ``_BLOCK_BYTES`` of weights, or of top + 1 weights when that is more,
+    so that no block costs less than its top + 1 counts.  A weight outside
+    [0, top] raises ``ValueError``."""
+    hist = np.zeros(top + 1, dtype=np.int64)
+    step = max(_BLOCK_BYTES // weights.itemsize, top + 1)
+    for start in range(0, len(weights), step):
+        hist += np.bincount(weights[start:start + step], minlength=top + 1)
+    nonzero = np.flatnonzero(hist)
+    return dict(zip(nonzero.tolist(), hist[nonzero].tolist()))
+
+
 def weight_distribution(code: Code,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exact counts for all q^k codewords of the code, which pass
-    ``check_invariants``.  They are the histogram of ``code.weights`` when
-    that array is already built, else the split (``_split_counts``) on the
-    first of ``_split_sides`` when the code has one, else the histogram of
-    a sweep.  This is the one choice of engine, and each engine is priced
-    as itself before any work starts: the split by ``_split_counts``, the
-    sweep here (``check_work`` on the ``"sweep"``)."""
+    ``check_invariants``.  They are the histogram (``_weight_counts``) of
+    ``code.weights`` when that array is already built, else the split
+    (``_split_counts``) on the first of ``_split_sides`` when the code has
+    one, else the histogram of a sweep.  This is the one choice of engine,
+    and each engine is priced as itself before any work starts: the split
+    by ``_split_counts``, the sweep here (``check_work`` on the
+    ``"sweep"``)."""
     spec = code.spec
     built = "weights" in vars(code)
     if not built and (sides := _split_sides(spec)):
@@ -761,8 +783,7 @@ def weight_distribution(code: Code,
     else:
         if not built:
             check_work(spec, ["sweep"], budget)
-        weights, hist = np.unique(code.weights, return_counts=True)
-        counts = dict(zip(weights.tolist(), hist.tolist()))
+        counts = _weight_counts(code.weights, spec.n)
     dist = WeightDistribution(spec, counts)
     dist.check_invariants()
     return dist
@@ -826,11 +847,11 @@ def _split_counts(spec: CodeSpec, s: int,
                 + q^(m-s) wt_Z(f'').
 
     The distribution over f'' is constant on a class of f', so each class
-    of ``_rank_classes`` adds its size times the histogram of one
-    ``_table_weights`` call over the Z rows of the C(s-1, m-1) table.  The
-    split is priced first (``check_work`` on the ``"split"`` of C(s, m),
-    against ``budget``, None: no limit), then its two tables, before any
-    work starts."""
+    of ``_rank_classes`` adds its size times the histogram
+    (``_weight_counts``, over [0, |Z|]) of one ``_table_weights`` call
+    over the Z rows of the C(s-1, m-1) table.  The split is priced first
+    (``check_work`` on the ``"split"`` of C(s, m), against ``budget``,
+    None: no limit), then its two tables, before any work starts."""
     field, m = spec.field, spec.m
     q, n = field.q, m - 1
     outer = CodeSpec(field, s, n)
@@ -859,11 +880,12 @@ def _split_counts(spec: CodeSpec, s: int,
         reads = ext.take(wedges[:, [col[a] for a in tuples]], axis=1)
         on_z = ~form_values(field, coeffs, reads.reshape(len(ext) * n, -1),
                             tuples).reshape(-1, n).any(axis=1)
-        base = wt_outer + (len(inner_table) - int(on_z.sum())) * per_string
-        hist = np.bincount(_table_weights(field, inner_table[on_z], what))
-        for w in np.flatnonzero(hist).tolist():
+        z = int(on_z.sum())
+        base = wt_outer + (len(inner_table) - z) * per_string
+        weights = _table_weights(field, inner_table[on_z], what)
+        for w, c in _weight_counts(weights, z).items():
             weight = base + fiber * w
-            counts[weight] = counts.get(weight, 0) + size * int(hist[w])
+            counts[weight] = counts.get(weight, 0) + size * c
     return counts
 
 

@@ -1842,3 +1842,61 @@ def test_weight_distribution_routes(monkeypatch, f2, f3):
     assert weight_distribution(code).counts == {0: 1, 16: 35, 20: 28}
     schubert = Code(CodeSpec(f2, 2, 4, alpha=(1, 4)))
     assert weight_distribution(schubert).counts == {0: 1, 4: 7}
+
+
+def _unique_counts(weights: np.ndarray) -> dict[int, int]:
+    values, hist = np.unique(weights, return_counts=True)
+    return dict(zip(values.tolist(), hist.tolist()))
+
+
+def test_weight_counts_match_unique():
+    """``_weight_counts`` gives ``np.unique``'s histogram, keys ascending
+    and zero counts left out, at every length around the block length B,
+    with the top weight present or absent, and with top + 1 > B, where a
+    block holds top + 1 weights."""
+    block = codes._BLOCK_BYTES // np.dtype(np.int32).itemsize
+    rng = np.random.default_rng(0)
+    for top in (1, 9, 300, block + 10):
+        for size in (0, 1, block - 1, block, block + 1, 3 * block + 5):
+            for present in (True, False):
+                # even weights below top, so that zero counts lie inside
+                # the range
+                weights = 2 * rng.integers(0, (top + 1) // 2, size,
+                                           dtype=np.int32)
+                if present and size:
+                    weights[rng.integers(size)] = top
+                counts = codes._weight_counts(weights, top)
+                assert counts == _unique_counts(weights)
+                assert list(counts) == sorted(counts)
+                assert 0 not in counts.values()
+                assert (top in counts) == (present and size > 0)
+    for bad in ([0, 4], [-1, 0]):
+        with pytest.raises(ValueError):
+            codes._weight_counts(np.array(bad, dtype=np.int32), 3)
+
+
+def test_weight_distribution_counts_a_sweep_without_unique(monkeypatch):
+    # C_(2,4)(2,4) over F_9: a Schubert code, so a sweep, of 9^5 = 59 049
+    # codewords, more than one block of ``_weight_counts``
+    spec = CodeSpec(GF(3, 2), 2, 4, alpha=(2, 4))
+    oracle = _unique_counts(weight_array(Code(spec)))
+    assert sum(oracle.values()) == 9**5 > codes._BLOCK_BYTES // 4
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.unique called")
+    monkeypatch.setattr(np, "unique", no_sort)
+    assert weight_distribution(Code(spec)).counts == oracle
+
+
+def test_weight_counts_peak_is_blocked():
+    # np.unique sorts a copy of all 2^20 weights (4 MiB, 6 MiB traced);
+    # the blocked histogram holds one block and its counts
+    weights = np.random.default_rng(1).integers(0, 1396, 2**20,
+                                                dtype=np.int32)
+    tracemalloc.start()
+    try:
+        codes._weight_counts(weights, 1395)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

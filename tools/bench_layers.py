@@ -16,17 +16,20 @@ distribution as ``wdist`` computes it on a new ``Code``
 (``codes.weight_distribution``, which takes the split on these codes
 and prices it as a split),
 the codeword-weight transform (``codes.weight_array``), the histogram of
-its array (``np.unique``, as ``codes.weight_distribution`` counts a
-weight array already built), the dual distribution
+its array (``codes.weight_distribution`` on a ``Code`` whose weights are
+already built, the branch ``verify --suite all`` takes: the histogram
+and its invariant checks), the dual distribution
 (``macwilliams.dual_distribution``), the MacWilliams check
 (``macwilliams.check_macwilliams``) on the distribution at lengths up to
 ``MACWILLIAMS_LENGTH``, and the Nogin suite where the matrix asks for it.
-It also records the tracemalloc peak of one untimed ``weight_array``
-call, and whether the default operation budget refuses a sweep of the
-code (``codes.check_work`` on the sweep, as the suites that read every
-codeword's weight call it), with the ``BudgetExceeded`` text.  A layer
-that refuses its own work is recorded as ``refused: <text>``, and the
-layers that need its result are skipped.
+It also records the tracemalloc peaks of one untimed ``weight_array``
+call and of one untimed histogram, and whether the default operation
+budget refuses a sweep of the code (``codes.check_work`` on the sweep,
+as the suites that read every codeword's weight call it), with the
+``BudgetExceeded`` text.  A layer that refuses its own work is recorded
+as ``refused: <text>``, and the layers that need its result are skipped.
+Host speed drifts between runs, so record the parent and the change in
+alternating runs (before, after, after, before).
 
 The ``cli`` entry times two calls of ``cli.main`` with stdout captured:
 ``params`` with the caches of the argument parser and of the field
@@ -165,9 +168,11 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
         return row
     row["weight_array_peak_bytes"] = str(
         peak_bytes(lambda: weight_array(code)))
-    layers["histogram"], (values, hist) = median_of(
-        lambda: np.unique(weights, return_counts=True))
-    counts = dict(zip(values.tolist(), hist.tolist()))
+    code.weights = weights
+    layers["histogram"], counted = median_of(lambda: weight_distribution(code))
+    row["histogram_peak_bytes"] = str(
+        peak_bytes(lambda: weight_distribution(code)))
+    counts = counted.counts
     try:
         layers["dual_distribution"], _ = median_of(
             lambda: dual_distribution(counts, n, q, k))
