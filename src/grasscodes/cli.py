@@ -51,8 +51,8 @@ from .codes import (BudgetExceeded, Code, CodeSpec, DEFAULT_BUDGET,
                     verify_zanella_incidences, weight_distribution,
                     min_distance, second_min_weight, schubert_min_distance,
                     string_partition)
-from .exterior import annihilator_basis, annihilator_dimension, \
-    functional_to_wedge, parse_functional
+from .exterior import annihilator_basis, functional_to_wedge, \
+    parse_functional
 from .gf import GF
 from .qcombin import (e_bound, e_prime_bound, parse_index_tuple,
                       verify_e_inequalities, verify_gaussian_identities)
@@ -276,7 +276,7 @@ def cmd_params(args) -> int:
         out["n"] = spec.n
         out["k"] = spec.k
         out["d"] = min_distance(spec)
-        if 2 <= ell <= m - 2:
+        if _middle(spec):
             out["d2"] = second_min_weight(spec)
         out["e"] = e_bound(ell, m, q)
         if ell * (m - ell) >= 2:
@@ -336,15 +336,15 @@ def cmd_decompose(args) -> int:
     spec = _spec(args)
     func = parse_functional(args.functional, spec.ell, spec.m, spec.field)
     z = functional_to_wedge(func)
-    dim = annihilator_dimension(z)
+    basis = annihilator_basis(z)
+    decomposable = len(basis) == z.degree
     out = {"functional": func.to_json_dict(),
            "wedge": str(z),
-           "annihilator_dimension": dim,
-           "decomposable": dim == z.degree}
-    if dim == z.degree:
+           "annihilator_dimension": len(basis),
+           "decomposable": decomposable}
+    if decomposable:
         fmt = spec.field.format_element
-        out["annihilator_basis"] = [[fmt(c) for c in vec]
-                                    for vec in annihilator_basis(z)]
+        out["annihilator_basis"] = [[fmt(c) for c in vec] for vec in basis]
     _emit(_json_chunks(out), None)
     return 0
 

@@ -13,6 +13,8 @@ sum(c_a p_a), which is the convention every verification suite relies on.
 ``wedge_columns`` owns the batched w ^ e_a map, for the point table and
 the split alike; ``annihilator_ranks`` derives its signs on its own, so
 that the rank cross-check shares no code with the point table.
+``annihilator_basis`` is the one reduction of a single wedge's annihilator;
+its dimension and the decomposability verdict are that basis's length.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .gf import GF
-from .linalg import kernel_basis, rank as matrix_rank, ranks
+from .linalg import kernel_basis, ranks
 from .qcombin import (check_index_tuple, complement, format_index_tuple,
                       index_tuples, parse_index_tuple)
 
@@ -264,9 +266,7 @@ def annihilator_matrix(z: WedgeElement) -> list[list[int]]:
 
 def annihilator_dimension(z: WedgeElement) -> int:
     """dim of {x in V_m : z ^ x = 0}."""
-    if z.degree == z.m:
-        return z.m  # top-degree: everything wedges to zero
-    return z.m - matrix_rank(z.field, annihilator_matrix(z))
+    return len(annihilator_basis(z))
 
 
 def annihilator_basis(z: WedgeElement) -> list[tuple[int, ...]]:
@@ -285,8 +285,6 @@ def annihilator_basis(z: WedgeElement) -> list[tuple[int, ...]]:
 
 def is_decomposable(z: WedgeElement) -> bool:
     """True iff z factors as a wedge of ``degree`` many vectors."""
-    if z.is_zero():
-        raise ValueError("zero wedge element")
     return annihilator_dimension(z) == z.degree
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasscodes import cli, codes, grassmann
+from grasscodes import cli, codes, exterior, grassmann, linalg
 from grasscodes.cli import main
 from grasscodes.gf import GF
 from grasscodes.grassmann import (enumerate_grassmannian,
@@ -125,6 +125,52 @@ def test_decompose_ell_equals_m(capsys):
         assert data["wedge"] == wedge
         assert data["decomposable"] is True
         assert data["annihilator_dimension"] == "0"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_decompose_every_class_matches_dual_grassmannian(capsys, monkeypatch, q):
+    # every scalar class of C(2,4): the verdict against the dual
+    # Grassmannian (Nogin 1996), the dimension against the batched rank,
+    # and each listed basis row against the wedge product
+    field, ell, m = GF(q), 2, 4
+    spec = codes.CodeSpec(field, ell, m)
+    decomposable = set(map(tuple, codes.decomposable_table(
+        codes.Code(spec)).tolist()))
+    reps = list(codes.class_representatives(q, spec.k))
+    dims = m - exterior.annihilator_ranks(field, ell, m, np.array(reps))
+    calls = {"basis": 0, "other": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(cli, "annihilator_basis",
+                        counted("basis", exterior.annihilator_basis))
+    # every binding of the rank reduction and of the dimension
+    for mod in (cli, exterior, linalg):
+        for name, value in list(vars(mod).items()):
+            if value is linalg.rank or value is exterior.annihilator_dimension:
+                monkeypatch.setattr(mod, name, counted("other", value))
+    element = {field.format_element(c): c for c in range(q)}
+    for rep, dim in zip(reps, dims.tolist()):
+        func = exterior.DualFunctional.from_vector(rep, ell, m, field)
+        code, out, err = run(capsys, "decompose", "-q", str(q), "-l",
+                             str(ell), "-m", str(m), "-f", str(func))
+        assert (code, err) == (0, "")
+        data = json.loads(out)
+        assert data["decomposable"] is (rep in decomposable)
+        assert data["annihilator_dimension"] == str(dim)
+        if rep in decomposable:
+            z = exterior.functional_to_wedge(func)
+            basis = [[element[c] for c in row]
+                     for row in data["annihilator_basis"]]
+            assert len(basis) == m - ell
+            assert all(exterior.wedge_with_vector(z, x).is_zero()
+                       for x in basis)
+        else:
+            assert "annihilator_basis" not in data
+    assert calls == {"basis": len(reps), "other": 0}
 
 
 def test_strings_partition(capsys):

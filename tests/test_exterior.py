@@ -151,6 +151,10 @@ def test_top_degree_always_decomposable(f2):
     z = wedge_of_vectors(f2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert annihilator_dimension(z) == 3
     assert is_decomposable(z)
+    # the zero wedge of top degree raises, as it does in every lower degree
+    for func in (annihilator_dimension, is_decomposable, annihilator_basis):
+        with pytest.raises(ValueError, match="zero wedge element"):
+            func(WedgeElement(f2, 3, 3, {}))
 
 
 def test_check_functional_examples(f2):

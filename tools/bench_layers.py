@@ -184,14 +184,10 @@ def bench_code(p: int, e: int, ell: int, m: int, nogin: bool) -> dict:
 
 
 def bench_cli() -> dict:
-    # getattr: a source tree may hold either cache or neither
-    clears = [getattr(cached, "cache_clear", None)
-              for cached in (cli._build_parser, GF.from_string)]
-
     def call(argv: list[str], cold: bool = False) -> None:
-        for clear in clears if cold else ():
-            if clear is not None:
-                clear()
+        if cold:
+            cli._build_parser.cache_clear()
+            GF.from_string.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()):
             if cli.main(argv) != 0:
                 raise RuntimeError(f"grasscodes {' '.join(argv)} failed")
