@@ -25,7 +25,8 @@ Engine: ``weight_array`` gives the int32 weight of all q^k codewords at
 once by an exact character transform over F_q^k = F_p^(ek) (MacWilliams
 & Sloane ch. 5): one two-phase driver, ``_transform_swapped``, runs the
 steps of a Walsh-Hadamard transform for p = 2 or of a residue-count
-butterfly for odd p, on a digit-swapped layout and then, after one
+butterfly for odd p (by gathers on small buffers, by slice adds on large
+ones), on a digit-swapped layout and then, after one
 transposed copy, in natural order, so that every step runs over whole
 rows of at least p^(ek // 2) entries.  The transform runs in int16 when
 (q-1) n < 2^15, since its values lie within +-(q-1) n, and in int32
@@ -35,7 +36,8 @@ family uses.  Its input, the histogram of the labelled multiples of the
 rows, is written straight into the digit-swapped layout
 (``_label_histogram``): the swap only moves base-p digits, so one
 (q-1, q) table per column gives each label its place there, and the
-places are added column by column into one int64 buffer.
+places are added column by column into one int64 buffer.  A table of
+more rows than codewords labels each distinct row once.
 ``class_weights`` is a view of the transform.
 
 The split (``_split_counts``) gives the weight distribution of a
@@ -263,7 +265,9 @@ def check_work(spec: CodeSpec, works, budget: int | None = None) -> None:
                 # int32 weights, the transform holds for p = 2 its buffer
                 # and a transposed copy, 2 or 4 B each in the int16 or
                 # int32 lane, and for odd p two buffers of p q^k counts at
-                # 2 or 4 B
+                # 2 or 4 B, and a third up to ``_GATHER_BYTES``: a code's
+                # (q-1) n < q^k, so int32 counts of q^k > 2^15 codewords
+                # are never that small
                 nbytes = q**k * (16 if field.p == 2 else 16 + 8 * field.p)
             else:
                 counts = q ** (m - ell) if work == "strings" \
@@ -594,6 +598,37 @@ def _residue_steps(src: np.ndarray, dst: np.ndarray, p: int,
     return src, dst
 
 
+# the largest count buffer whose odd-p transform runs ``_gather_steps``;
+# above it the steps are memory-bound, and ``_residue_steps``' slice adds
+# beat the gathers there (1.5-1.6x on int32 3^10, 5^8 and 7^6 counts)
+_GATHER_BYTES = 2**18
+
+
+def _gather_steps(src: np.ndarray, dst: np.ndarray, p: int,
+                  stride: int) -> tuple[np.ndarray, np.ndarray]:
+    """The steps of ``_residue_steps`` in 2p - 1 numpy calls per digit
+    instead of about 2p^2: y = 0 is copied to every c, then for each
+    y != 0 one ``np.take`` gathers N[r - c y, .., y, ..] for every (r, c)
+    into one buffer of src's size, allocated once, and one add puts it
+    into dst viewed as (r, c, blocks, stride)."""
+    r = np.arange(p)
+    rows = (r[:, None] - r * r[:, None, None]) % p  # rows[y, r, c] = r - c y
+    gathered = np.empty_like(src)
+    while stride < src.shape[1]:
+        a = src.reshape(p, -1, p, stride)
+        out = dst.reshape(p, -1, p, stride).swapaxes(1, 2)
+        part = gathered.reshape(out.shape)
+        out[...] = a[:, None, :, 0]
+        for y in range(1, p):
+            # mode "clip" (the indices are in range): in the default mode,
+            # ``take`` buffers its ``out``
+            np.take(a[:, :, y], rows[y], axis=0, out=part, mode="clip")
+            out += part
+        src, dst = dst, src
+        stride *= p
+    return src, dst
+
+
 def _transform_swapped(buf: np.ndarray, p: int, s: int) -> np.ndarray:
     """The character transform over F_p^s of row 0 of ``_label_histogram``,
     y counted buf[0, _swap_digits(y, p, s)] times: for p = 2 row 0 becomes
@@ -602,12 +637,17 @@ def _transform_swapped(buf: np.ndarray, p: int, s: int) -> np.ndarray:
     steps on the low digits of y run from stride p^hi; one transposed copy
     restores natural order for the steps on the high digits, from stride
     p^lo, so no step has an inner loop shorter than p^(s // 2).  The step
-    kernel is chosen by characteristic.  Overwrites buf and returns the
-    result in natural order and buf's dtype; int16 holds it exactly while
-    the total count stays below 2^15."""
+    kernel is chosen by p and buf's bytes: the butterfly for p = 2, and for
+    odd p the gathers of ``_gather_steps``, with one more buffer of buf's
+    size, up to ``_GATHER_BYTES``, the slice adds of ``_residue_steps``
+    above.  Overwrites buf and returns the result in natural order and
+    buf's dtype; int16 holds it exactly while the total count stays below
+    2^15."""
     lo = s // 2
     hi = s - lo
-    steps = _butterfly_steps if p == 2 else _residue_steps
+    steps = (_butterfly_steps if p == 2
+             else _residue_steps if buf.nbytes > _GATHER_BYTES
+             else _gather_steps)
     src, dst = steps(buf, np.empty_like(buf), p, p**hi)
     _transpose_into(dst.reshape(-1, p**hi, p**lo),
                     src.reshape(-1, p**lo, p**hi))
@@ -618,9 +658,29 @@ def _label_histogram(field: GF, table: np.ndarray, lane: type) -> np.ndarray:
     """A (1, q^k) array for p = 2, (p, q^k) for odd p, of dtype ``lane``,
     zero below row 0, where row 0 counts the labelled multiples of the
     points of ``table`` at each codeword index, in the layout of
-    ``_swap_digits``."""
+    ``_swap_digits``.  A table of more than q^k rows has at most q^k
+    distinct ones: they are counted by index first and, when at most half
+    the rows are distinct, each distinct row is labelled once and counted
+    with its multiplicity."""
     q, p, k = field.q, field.p, table.shape[1]
     s = field.e * k
+    mult = lane(1)
+    if len(table) > q**k:
+        # index = table @ _places(q, k), by Horner's rule in place: the
+        # matmul casts the uint8 table and took 2-3x as long
+        index = np.zeros(len(table), dtype=np.intp)
+        for column in table.T:
+            index *= q
+            index += column
+        counts = np.bincount(index, minlength=q**k)
+        distinct = np.flatnonzero(counts)
+        # rows that rarely repeat save too few labels to pay for their
+        # digits: C(2,4)/F_16's normalized family rows are 62 161 of 70 161
+        if 2 * len(distinct) <= len(table):
+            table = _digits(distinct, q, k)
+            # one count per entry of the raveled labels: numpy 2.4's
+            # ``add.at`` misreads values broadcast against a 2-D index
+            mult = np.tile(counts[distinct].astype(lane), q - 1)
     # labels[t - 1, a] = ell(t a); each point x enters as ell(t x), t != 0,
     # at the base-q index of its labelled coordinates.  The swap only moves
     # base-p digits, so column j's label lands, digits already in place,
@@ -636,9 +696,9 @@ def _label_histogram(field: GF, table: np.ndarray, lane: type) -> np.ndarray:
                 axis=1, out=places, mode="clip")
         idx += places
     hist = np.zeros((1 if p == 2 else p, q**k), dtype=lane)
-    # a 1 of the histogram's own dtype keeps ``add.at`` on its uncast
+    # counts of the histogram's own dtype keep ``add.at`` on its uncast
     # loop; a Python int 1 is read as int64, which is ~30x slower
-    np.add.at(hist[0], idx.ravel(), lane(1))
+    np.add.at(hist[0], idx.ravel(), mult)
     return hist
 
 
@@ -649,7 +709,9 @@ def _table_weights(field: GF, rows: np.ndarray, what: str) -> np.ndarray:
 
     The transform runs in int16 when (q-1) N < 2^15 and in int32 above:
     each of its values is a signed (p = 2) or nonnegative (odd p) partial
-    sum of the (q-1) N labels, so it lies within +-(q-1) N.  The first
+    sum of the (q-1) N labels, so it lies within +-(q-1) N.  That holds
+    also when N > q^K and ``_label_histogram`` labels each distinct row
+    once: the histogram, so every check below, is the same.  The first
     step after it widens to int32.  ``what`` names the rows in the
     ``InvariantError`` of a failed check.
     """

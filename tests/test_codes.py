@@ -1485,10 +1485,30 @@ def _direct_weights(field: GF, rows: np.ndarray) -> np.ndarray:
     return np.count_nonzero(values, axis=1)
 
 
+def _few_distinct_rows(rng, field: GF, k: int, n: int):
+    """(n rows drawn from at most five distinct ones, a zero row among
+    them, and the weights of that table: the direct weights of each
+    distinct row times its multiplicity)."""
+    values = rng.integers(0, field.q, (5, k), dtype=np.uint8)
+    values[0] = 0
+    pick = rng.integers(0, len(values), n)
+    mult = np.bincount(pick, minlength=len(values))
+    return values[pick], sum(c * _direct_weights(field, values[[i]])
+                             for i, c in enumerate(mult))
+
+
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
                                  (2, 4)])
-def test_table_weights_match_direct_evaluation(p, e):
+def test_table_weights_match_direct_evaluation(monkeypatch, p, e):
     field = GF(p, e)
+    q = field.q
+    lanes = set()
+    histogram = codes._label_histogram
+
+    def spy(field, table, lane):
+        lanes.add(lane)
+        return histogram(field, table, lane)
+    monkeypatch.setattr(codes, "_label_histogram", spy)
     rng = np.random.default_rng([p, e])
     for k in range(1, 5):
         rows = rng.integers(0, field.q, (30, k), dtype=np.uint8)
@@ -1498,6 +1518,14 @@ def test_table_weights_match_direct_evaluation(p, e):
             weights = codes._table_weights(field, case, "rows")
             assert weights.dtype == np.int32
             assert np.array_equal(weights, _direct_weights(field, case))
+        # several times q^k rows, so each distinct row is labelled once:
+        # in the int16 lane where 3 q^k rows fit it, and in int32
+        for n in (3 * q**k, max(3 * q**k, 2**15)):
+            case, expected = _few_distinct_rows(rng, field, k, n)
+            weights = codes._table_weights(field, case, "rows")
+            assert weights.dtype == np.int32
+            assert np.array_equal(weights, expected)
+    assert lanes == {np.int16, np.int32}
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2),
@@ -1511,18 +1539,65 @@ def test_label_histogram_matches_swapped_indices(p, e):
     q = field.q
     labels = codes._trace_dual(field)[field.mul_array[1:]]
     rng = np.random.default_rng([p, e, 19])
+    cases = []
     for k in range(1, 6):
         rows = rng.integers(0, q, (40, k), dtype=np.uint8)
         rows[3] = rows[8]  # a repeated row
         rows[5] = 0  # a zero row
+        cases.append(rows)
+        if q**k <= 2**12:
+            # three times q^k rows from a few distinct ones, a zero row
+            # among them: each distinct row is labelled once
+            cases.append(_few_distinct_rows(rng, field, k, 3 * q**k)[0])
+    for rows in cases:
+        k = rows.shape[1]
         idx = np.zeros((q - 1, len(rows)), dtype=np.int64)
         for column in rows.T:
             idx = idx * q + labels[:, column]
         expected = np.zeros((1 if p == 2 else p, q**k), dtype=np.int64)
         np.add.at(expected[0], codes._swap_digits(idx.ravel(), p, e * k), 1)
-        for lane in (np.int16, np.int32):
+        # int16 holds the counts while (q-1) N < 2^15, as in _table_weights
+        for lane in ((np.int16, np.int32) if (q - 1) * len(rows) < 2**15
+                     else (np.int32,)):
             hist = codes._label_histogram(field, rows, lane)
             assert hist.dtype == lane and np.array_equal(hist, expected)
+
+
+# (code, whether its count buffer, p q^k int16 counts for odd p and q^k
+# for p = 2, fits in 2^18 bytes): per p, one code on each side of that
+# size, where the step kernel of the odd-p transform changes.  The price
+# has no fixed term, so the smallest codes, priced at a few KiB, are left
+# out: C(2,4) over F_2 is priced 1 KiB against ~8 KiB of fixed overhead
+SWEEP_PEAK_CODES = [
+    (CodeSpec(GF(2), 2, 6), True), (CodeSpec(GF(2), 3, 6), False),
+    (CodeSpec(GF(3), 2, 4), True), (CodeSpec(GF(3), 2, 5), False),
+    (CodeSpec(GF(5), 2, 4), True), (CodeSpec(GF(5), 2, 5, (2, 5)), False),
+    (CodeSpec(GF(7), 2, 4, (2, 4)), True), (CodeSpec(GF(7), 2, 4), False),
+]
+
+
+@pytest.mark.parametrize("spec,small", SWEEP_PEAK_CODES,
+                         ids=[s.describe() for s, _ in SWEEP_PEAK_CODES])
+def test_sweep_peak_within_price(monkeypatch, spec, small):
+    # ``check_work`` prices a sweep's bytes as an upper bound: the traced
+    # peak of ``weight_array`` on a built table stays under it
+    field = spec.field
+    rows = 1 if field.p == 2 else field.p
+    assert (rows * field.q**spec.k * 2 <= 2**18) == small
+    monkeypatch.setattr(codes, "MAX_SWEEP_BYTES", 0)
+    with pytest.raises(BudgetExceeded) as priced:
+        check_work(spec, ["sweep"])
+    monkeypatch.undo()
+    code = Code(spec)
+    code.table
+    tracemalloc.start()
+    try:
+        weights = weight_array(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(weights) == field.q**spec.k
+    assert peak <= priced.value.required
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -1597,8 +1672,10 @@ def _residue_butterfly_oracle(buf: np.ndarray, p: int) -> np.ndarray:
     return src
 
 
-# every digit count s up to 3^10, 5^6 and 7^4; s = 1 has an empty low half
-RESIDUE_SIZES = [(p, s) for p, top in ((3, 10), (5, 6), (7, 4))
+# every digit count s up to 3^10, 5^6, 7^4, 11^3 and 13^2; s = 1 has an
+# empty low half
+RESIDUE_SIZES = [(p, s) for p, top in ((3, 10), (5, 6), (7, 4), (11, 3),
+                                       (13, 2))
                  for s in range(1, top + 1)]
 
 
@@ -1624,6 +1701,21 @@ def test_swapped_residue_butterfly_matches_oracle(p, s, lane):
     buf[0, codes._swap_digits(np.arange(size), p, s)] = values
     out = codes._transform_swapped(buf, p, s)
     assert out.dtype == lane and np.array_equal(out, expected)
+
+
+@pytest.mark.parametrize("lane", [np.int16, np.int32], ids=["int16", "int32"])
+def test_residue_sizes_run_both_kernels(monkeypatch, lane):
+    # the sizes the oracle test checks take both odd-p step kernels in each
+    # lane, so a mis-set ``_GATHER_BYTES`` cannot leave one of them unchecked
+    ran = set()
+    for name in ("_residue_steps", "_gather_steps"):
+        def spy(*args, kernel=getattr(codes, name), name=name, **kwargs):
+            ran.add(name)
+            return kernel(*args, **kwargs)
+        monkeypatch.setattr(codes, name, spy)
+    for p, s in RESIDUE_SIZES:
+        codes._transform_swapped(np.zeros((p, p**s), dtype=lane), p, s)
+    assert ran == {"_residue_steps", "_gather_steps"}
 
 
 @pytest.mark.parametrize("r", [1, 2, 7, 12])

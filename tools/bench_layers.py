@@ -70,15 +70,17 @@ from grasscodes.gf import GF
 from grasscodes.macwilliams import check_macwilliams, dual_distribution
 
 # (p, e, ell, m, time the Nogin suite): the fixed matrix, C(2,7) over F_2,
-# C(2,8) and C(3,7) over F_2, which the memory ceiling refuses, and C(3,6)
+# C(2,8) and C(3,7) over F_2, which the memory ceiling refuses, C(3,6)
 # over F_3 (the benchmark's generator code) and C(3,7) over F_3, whose
-# sweeps the operation budget refuses
+# sweeps the operation budget refuses, and C(2,5) over F_5 and C(2,4) over
+# F_7, the attained-suite codes whose family tables take the odd-p gather
+# kernel (C(2,5) over F_5 also sweeps 5^10 codewords, at a ~0.5 GB peak)
 MATRIX = [
     (2, 1, 3, 6, False), (3, 1, 2, 5, True), (2, 2, 2, 5, False),
     (5, 1, 2, 4, False), (2, 3, 2, 4, False), (3, 2, 2, 4, False),
     (2, 4, 2, 4, False), (3, 1, 2, 6, False), (2, 1, 2, 7, False),
     (2, 1, 2, 8, False), (3, 1, 3, 6, False), (3, 1, 3, 7, False),
-    (2, 1, 3, 7, False),
+    (2, 1, 3, 7, False), (5, 1, 2, 5, False), (7, 1, 2, 4, False),
 ]
 REPEATS = 7
 # the Zanella layer's limit, so that the script also runs on source trees
