@@ -51,8 +51,9 @@ through ``exterior.wedge_columns``.  The distribution over f''
 is constant on the GL_(m-1)(F_q)-orbit of f', and on the side
 s in {ell, m-ell} with s <= 2 or s >= m-3 (C(ell, m) and C(m-ell, m) are
 equivalent codes) those orbits are rank classes of alternating forms,
-sized by ``qcombin.alternating_count``.  So each class costs one
-transform of q^(C(m-1, s-1)) codewords.  ``weight_distribution`` is the
+sized by ``qcombin.alternating_count`` and weighed in closed form (Nogin
+1996), so each class costs one transform of q^(C(m-1, s-1)) codewords on
+the split's one table, of G(s-1, m-1).  ``weight_distribution`` is the
 one way into either engine and the one place that picks it: the
 histogram of ``code.weights`` when that array is built (no new work),
 else the split when the code has such a side, else a sweep (Schubert
@@ -868,31 +869,33 @@ def _split_sides(spec: CodeSpec) -> list[int]:
                   key=lambda s: math.comb(m - 1, s - 1))
 
 
-def _rank_classes(field: GF, s: int, n: int) -> list[tuple[list, int]]:
+def _rank_classes(field: GF, s: int, n: int) -> list[tuple[list, int, int]]:
     """The classes of the forms f' on the s-th exterior power of F_q^n,
     for s <= 2 or s >= n-2, as (index tuples of a representative whose
-    coefficients are all 1, class size).
+    coefficients are all 1, class size, weight of f' on C(s, n)).
 
     With t = s, or t = n - s when s > 2, f' is a t-form or the complement
-    of one; the classes are those of the t-form: its ranks 2r, represented
-    by sum_{i<r} X_(2i+1, 2i+2) in A(n, 2r) forms, for t = 2, and zero or
-    nonzero for t <= 1.  The representative of a complement has the
+    of one (C(s, n) and C(n-s, n) are equivalent codes); the classes are
+    those of the t-form: its ranks 2r, of A(n, 2r) forms represented by
+    sum_{i<r} X_(2i+1, 2i+2) and weighing q^(2(n-r-1)) (q^(2r) - 1) /
+    (q^2 - 1) (Nogin 1996), for t = 2, and zero or nonzero, weighing 0 or
+    q^(t(n-t)), for t <= 1.  The representative of a complement has the
     complementary tuples in [n]; the signs the complement map gives do
-    not change the rank.  Raises ``ValueError`` for 2 < s < n-2, where
-    the forms have no rank classes."""
+    not change the rank.  Raises ``ValueError`` for 2 < s < n-2."""
     if 2 < s < n - 2:
         raise ValueError(f"the {s}-forms on F_q^{n} have no rank classes")
-    t = s if s <= 2 else n - s
+    t, q = (s if s <= 2 else n - s), field.q
     if t == 2:
         forms = [([(2 * i + 1, 2 * i + 2) for i in range(r)],
-                  alternating_count(n, r, field.q))
+                  alternating_count(n, r, q),
+                  q ** (2 * (n - r - 1)) * (q ** (2 * r) - 1) // (q**2 - 1))
                  for r in range(n // 2 + 1)]
     else:
-        forms = [([], 1),
-                 ([tuple(range(1, t + 1))], field.q ** math.comb(n, t) - 1)]
+        forms = [([], 1, 0), ([tuple(range(1, t + 1))],
+                              q ** math.comb(n, t) - 1, q ** (t * (n - t)))]
     if t != s:
         forms = [([tuple(x for x in range(1, n + 1) if x not in b)
-                   for b in tuples], size) for tuples, size in forms]
+                   for b in tuples], *rest) for tuples, *rest in forms]
     return forms
 
 
@@ -909,34 +912,30 @@ def _split_counts(spec: CodeSpec, s: int,
                 + q^(m-s) wt_Z(f'').
 
     The distribution over f'' is constant on a class of f', so each class
-    of ``_rank_classes`` adds its size times the histogram
-    (``_weight_counts``, over [0, |Z|]) of one ``_table_weights`` call
-    over the Z rows of the C(s-1, m-1) table.  The split is priced first
-    (``check_work`` on the ``"split"`` of C(s, m), against ``budget``,
-    None: no limit), then its two tables, before any work starts."""
+    of ``_rank_classes``, with wt_{G(s, m-1)}(f') in closed form, adds its
+    size times the histogram (``_weight_counts``, over [0, |Z|]) of one
+    ``_table_weights`` call over the Z rows of the C(s-1, m-1) table, the
+    split's one table.  The split is priced first (``check_work`` on the
+    ``"split"`` of C(s, m), against ``budget``, None: no limit), then that
+    table, before any work starts."""
     field, m = spec.field, spec.m
     q, n = field.q, m - 1
-    outer = CodeSpec(field, s, n)
     inner = CodeSpec(field, s - 1, n) if s >= 2 else None
     check_work(CodeSpec(field, s, m), ["split"], budget)
-    check_work(outer, ["table"])
     if inner is not None:
         check_work(inner, ["table"])
-    outer_table = minors_table(outer)
     # G(0, m-1) is one point, with the single coordinate of the empty tuple
     inner_table = np.ones((1, 1), dtype=np.uint8) if inner is None \
         else minors_table(inner)
     ext = wedge_layout(field, inner_table)
     # row j-1: the columns of ext that give U' ^ e_j
     wedges = np.stack([wedge_columns(s - 1, n, j) for j in range(1, n + 1)])
-    col = {a: i for i, a in enumerate(outer.support)}
+    col = {a: i for i, a in enumerate(CodeSpec(field, s, n).support)}
     per_string, fiber = q ** (m - s) - q ** (m - s - 1), q ** (m - s)
     what = f"{spec.describe()} split"
     counts: dict[int, int] = {}
-    for tuples, size in _rank_classes(field, s, n):
+    for tuples, size, wt_outer in _rank_classes(field, s, n):
         coeffs = dict.fromkeys(tuples, 1)
-        wt_outer = int(np.count_nonzero(form_values(
-            field, coeffs, outer_table, outer.support)))
         # f'(U' ^ e_j) for every j at once, from the columns f' reads: at
         # most n/2 per U' and j, the most tuples a representative has
         reads = ext.take(wedges[:, [col[a] for a in tuples]], axis=1)

@@ -1895,15 +1895,20 @@ def test_split_c36_f3_second_weight_count():
 
 
 def test_split_refuses_before_allocating(monkeypatch):
+    class TableRequested(Exception):
+        pass
+
     def no_table(spec):
-        raise AssertionError("point table built for a refused split")
+        raise TableRequested(spec)
     monkeypatch.setattr(codes, "minors_table", no_table)
     # C(3,7) over F_3: side 4 needs a transform of 3^20 codewords
     with pytest.raises(BudgetExceeded, match="^split requires"):
         weight_distribution(Code(CodeSpec(GF(3), 3, 7)), budget=None)
-    # C(2,7) over F_16: the C(2,6) table of side 2 is over the ceiling
-    with pytest.raises(BudgetExceeded, match="^point table requires"):
+    # C(2,7) over F_16: the first table side 2 asks for is the inner
+    # C(1,6) one; the outer C(2,6) table is neither priced nor built
+    with pytest.raises(TableRequested) as raised:
         weight_distribution(Code(CodeSpec(GF(2, 4), 2, 7)), budget=None)
+    assert raised.value.args[0] == CodeSpec(GF(2, 4), 1, 6)
 
 
 def test_rank_classes_only_where_they_exist():
@@ -1916,8 +1921,32 @@ def test_rank_classes_only_where_they_exist():
     # ranks 0, 2, 4, 6 of 2-forms and of their complements; zero and
     # nonzero for 1-forms and 0-forms and their complements
     for s, classes in [(1, 2), (2, 4), (5, 4), (6, 2), (7, 2)]:
-        sizes = [size for _, size in codes._rank_classes(GF(2), s, 7)]
+        sizes = [size for _, size, _ in codes._rank_classes(GF(2), s, 7)]
         assert len(sizes) == classes and sum(sizes) == 2 ** comb(7, s)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(2, 2), GF(5)],
+                         ids=["F2", "F3", "F4", "F5"])
+def test_rank_class_weights_match_outer_table(field):
+    # the closed-form weight of each class is its representative's weight
+    # on the whole C(s, n) table, on every side with rank classes
+    for n in range(1, 7):
+        for s in range(1, n + 1):
+            if 2 < s < n - 2:
+                continue
+            spec = CodeSpec(field, s, n)
+            table = codes.minors_table(spec)
+            for tuples, _, weight in codes._rank_classes(field, s, n):
+                values = exterior.form_values(
+                    field, dict.fromkeys(tuples, 1), table, spec.support)
+                assert np.count_nonzero(values) == weight, (s, n, tuples)
+
+
+def test_split_reaches_c26_f16():
+    # 16^15 codewords: one 16^5-codeword transform per rank class, over
+    # the C(1,5) table alone
+    dist = weight_distribution(Code(CodeSpec(GF(2, 4), 2, 6)), budget=None)
+    assert dist.counts == _nogin_distribution(6, 16)
 
 
 def test_weight_distribution_routes(monkeypatch, f2, f3):
