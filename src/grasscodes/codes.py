@@ -915,9 +915,10 @@ def _split_counts(spec: CodeSpec, s: int,
     of ``_rank_classes``, with wt_{G(s, m-1)}(f') in closed form, adds its
     size times the histogram (``_weight_counts``, over [0, |Z|]) of one
     ``_table_weights`` call over the Z rows of the C(s-1, m-1) table, the
-    split's one table.  The split is priced first (``check_work`` on the
-    ``"split"`` of C(s, m), against ``budget``, None: no limit), then that
-    table, before any work starts."""
+    split's one table; a class with Z empty adds its size times all q^k''
+    words f'' at one weight, with no transform.  The split is priced first
+    (``check_work`` on the ``"split"`` of C(s, m), against ``budget``,
+    None: no limit), then that table, before any work starts."""
     field, m = spec.field, spec.m
     q, n = field.q, m - 1
     inner = CodeSpec(field, s - 1, n) if s >= 2 else None
@@ -932,6 +933,7 @@ def _split_counts(spec: CodeSpec, s: int,
     wedges = np.stack([wedge_columns(s - 1, n, j) for j in range(1, n + 1)])
     col = {a: i for i, a in enumerate(CodeSpec(field, s, n).support)}
     per_string, fiber = q ** (m - s) - q ** (m - s - 1), q ** (m - s)
+    words = q ** inner_table.shape[1]  # the q^k'' forms f''
     what = f"{spec.describe()} split"
     counts: dict[int, int] = {}
     for tuples, size, wt_outer in _rank_classes(field, s, n):
@@ -943,6 +945,9 @@ def _split_counts(spec: CodeSpec, s: int,
                             tuples).reshape(-1, n).any(axis=1)
         z = int(on_z.sum())
         base = wt_outer + (len(inner_table) - z) * per_string
+        if not z:
+            counts[base] = counts.get(base, 0) + size * words
+            continue
         weights = _table_weights(field, inner_table[on_z], what)
         for w, c in _weight_counts(weights, z).items():
             weight = base + fiber * w

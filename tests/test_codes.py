@@ -1324,6 +1324,114 @@ def test_streamed_check_peak_bounded(f2):
     assert peak < 64 * 2**10
 
 
+def _krawtchouk(n: int, q: int, j: int, i: int) -> int:
+    """K_j(i) = sum_s (-1)^s C(i, s) C(n-i, j-s) (q-1)^(j-s), by binomial
+    products."""
+    return sum((-1) ** s * comb(i, s) * comb(n - i, j - s) * (q - 1) ** (j - s)
+               for s in range(min(i, j) + 1))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_krawtchouk_orthogonality_bound(q):
+    # the lemma of the check's tail: v_i K_j(i)^2 <= q^n v_j, with
+    # v_i = C(n, i) (q-1)^i
+    for n in range(21):
+        v = [comb(n, i) * (q - 1) ** i for i in range(n + 1)]
+        for i in range(n + 1):
+            for j in range(n + 1):
+                assert _krawtchouk(n, q, j, i) ** 2 * v[i] <= q**n * v[j], \
+                    (n, i, j)
+
+
+def _steps_run(monkeypatch) -> list[int]:
+    """Spy on ``macwilliams._transform_sums``: the list it returns gets the
+    number of recurrence steps each call runs."""
+    transform_sums = macwilliams._transform_sums
+    steps = []
+
+    def spy(items, n, q, *args):
+        steps.append(0)
+        for j, total in transform_sums(items, n, q, *args):
+            # a step yields j, and for q = 2 also n - j
+            steps[-1] += q != 2 or 2 * j <= n
+            yield j, total
+    monkeypatch.setattr(macwilliams, "_transform_sums", spy)
+    return steps
+
+
+@pytest.mark.parametrize("counts,n,q,k", [
+    ({0: 1, 72: 8}, 86, 3, 2), ({0: 1, 70: 1, 72: 2}, 106, 2, 2)])
+def test_check_rejects_negative_dual_weight_in_tail(monkeypatch, counts, n,
+                                                    q, k):
+    # integral duals with B_0 = 1 and the right sum, but B_1 < 0
+    with pytest.raises(ValueError, match="negative at weight 1$"):
+        dual_distribution(counts, n, q, k)
+    assert not _dual_verdict(counts, n, q, k)
+    steps = _steps_run(monkeypatch)
+    assert check_macwilliams(counts, n, q, k) is False
+    assert steps == [3]
+
+
+def test_check_congruences_catch_what_the_tail_cannot():
+    # a random [40, 6] code over F_3, plus the (J+1)-th finite difference of
+    # a point mass around its commonest weight, J the tail's last step: the
+    # binomial moments nu <= J, and so S_0..S_J, stay as they were, and the
+    # (J+1)-th moves by one, so B_(J+1) is not an integer and only the
+    # congruence nu = J + 1 < k sees it
+    q, n, k = 3, 40, 6
+    gen = np.random.default_rng(0).integers(0, q, (k, n))
+    msgs = np.array(list(itertools.product(range(q), repeat=k)))
+    weights, hist = np.unique(np.count_nonzero(msgs @ gen % q, axis=1),
+                              return_counts=True)
+    counts = dict(zip(weights.tolist(), hist.tolist()))
+    assert check_macwilliams(counts, n, q, k)
+    last = macwilliams._tail(list(counts.items()), n, q)
+    assert last + 1 < k
+    start = max(counts, key=counts.get) - last // 2
+    for t in range(last + 2):
+        counts[start + t] += (-1) ** (t + 1) * comb(last + 1, t)
+    assert min(counts.values()) >= 0
+    assert macwilliams._tail(list(counts.items()), n, q) == last
+    with pytest.raises(ValueError, match=f"not integral at weight {last + 1}$"):
+        dual_distribution(counts, n, q, k)
+    assert check_macwilliams(counts, n, q, k) is False
+
+
+@st.composite
+def bulk_distributions(draw):
+    """A_0 = 1 and sum_i A_i = q^k, with the other weights within n/6 of
+    n (q-1)/q, at lengths 40..160."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    k = draw(st.integers(1, 3 if q < 4 else 2))
+    n = draw(st.integers(40, 160))
+    mean = n * (q - 1) // q
+    weights = draw(st.lists(st.integers(max(1, mean - n // 6),
+                                        min(n, mean + n // 6)),
+                            min_size=1, max_size=4, unique=True))
+    counts, left = {0: 1}, q**k - 1
+    for w in weights[:-1]:
+        counts[w] = draw(st.integers(0, left))
+        left -= counts[w]
+    counts[weights[-1]] = left
+    return counts, n, q, k
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(bulk_distributions())
+def test_check_matches_dual_verdict_at_bulk_weights(args):
+    assert check_macwilliams(*args) == _dual_verdict(*args)
+
+
+def test_check_steps_only_its_tail(monkeypatch):
+    # the pinned C(3,6) over F_2 distribution (n = 1395): 698 steps of the
+    # reflected recurrence in all, at most 20 in the check
+    counts = next(c for name, _, c in _pinned_distributions()
+                  if name == "C(3,6)/F_2")
+    steps = _steps_run(monkeypatch)
+    assert check_macwilliams(counts, 1395, 2, 20)
+    assert len(steps) == 1 and steps[0] <= 20
+
+
 def _optimized_output(script: str) -> list[str]:
     """The words ``script`` prints when run under ``python -O``."""
     src = os.path.dirname(os.path.dirname(grasscodes.__file__))
@@ -1947,6 +2055,25 @@ def test_split_reaches_c26_f16():
     # the C(1,5) table alone
     dist = weight_distribution(Code(CodeSpec(GF(2, 4), 2, 6)), budget=None)
     assert dist.counts == _nogin_distribution(6, 16)
+
+
+def test_split_skips_empty_z(monkeypatch):
+    # the rank-6 class of f' on F_2^6 (C(2,7) over F_2) and the rank-4 class
+    # on F_3^4 (C(2,5) over F_3) have Z empty: every f'' weighs the same,
+    # and no transform runs over zero rows
+    table_weights = codes._table_weights
+    rows = []
+
+    def spy(field, table, *args, **kwargs):
+        rows.append(len(table))
+        return table_weights(field, table, *args, **kwargs)
+    monkeypatch.setattr(codes, "_table_weights", spy)
+    for field, m in [(GF(2), 7), (GF(3), 5)]:
+        rows.clear()
+        dist = weight_distribution(Code(CodeSpec(field, 2, m)))
+        assert dist.counts == _nogin_distribution(m, field.q)
+        assert 0 not in rows
+        assert len(rows) == len(codes._rank_classes(field, 2, m - 1)) - 1
 
 
 def test_weight_distribution_routes(monkeypatch, f2, f3):

@@ -87,7 +87,8 @@ REPEATS = 7
 # whose suite tests every covector on every point: there C(3,7) over F_3
 # (925 771 points) takes minutes per call
 ZANELLA_POINTS = 10**5
-# the MacWilliams layer's limit: its O(#weights * n) big-integer steps take
+# the MacWilliams layer's limit, so that the script also runs on source
+# trees whose check steps the recurrence at every length: there it takes
 # about 0.1-0.5 s per call at n ~ 10^4 (C(2,8) and C(3,7) over F_2), and
 # about 4 s at C(3,6) over F_3 (n = 33 880)
 MACWILLIAMS_LENGTH = 12_000
